@@ -17,11 +17,15 @@ is the conditional expectation of the future drift given the state at the
 boundary, and xi_j = Y_j - u_j + u_{j+1} telescopes back to the walk exactly:
 sum xi_j = sum Y_j - u_1 + u_{M+1}.  The corrector series is truncated with a
 certified geometric tail bound.
+
+Only the anchor sign X_{h_j} depends on the path.  `martingale_blocks`
+certifies the magnitudes |u_j| once per (scheme, alpha, tol), keeps them on
+the scheme, and applies the anchors of each path as one array product.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +58,10 @@ class BlockingScheme:
     delta: float
     boundaries: np.ndarray  # int64, starts at 0
     energies: np.ndarray  # float64, A_{h_j} with A_0 = 0
+    # (alpha, tol) -> read-only (corrector magnitudes, tail bounds); see
+    # `_corrector_plan`.  Not an init field, so `dataclasses.replace` cannot
+    # carry plans over to other boundaries.
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_blocks(self) -> int:
@@ -285,6 +293,31 @@ class GordinDecomposition:
     residual: float  # telescoping check, float noise only
 
 
+def _corrector_plan(
+    params: WalkParams, scheme: BlockingScheme, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified u_j at anchor +1 and their tail bounds, j = 1..M+1.
+
+    Computed on the first call for (alpha, tol) and kept read-only on the
+    scheme.  A tol that cannot be certified raises before anything is kept,
+    so it raises again on every call.
+    """
+    key = (params.alpha, tol)
+    plan = scheme._plans.get(key)
+    if plan is None:
+        m = scheme.n_blocks
+        mags = np.zeros(m + 1)
+        tails = np.zeros(m + 1)
+        for j in range(2, m + 2):
+            g = gordin_corrector(params, scheme, j, anchor_sign=1.0, tol=tol)
+            mags[j - 1] = g.value
+            tails[j - 1] = g.tail_bound
+        mags.flags.writeable = False
+        tails.flags.writeable = False
+        plan = scheme._plans[key] = (mags, tails)
+    return plan
+
+
 def martingale_blocks(
     params: WalkParams,
     scheme: BlockingScheme,
@@ -294,20 +327,22 @@ def martingale_blocks(
     """Corrected block sums of one path, anchored at the boundary signs.
 
     The corrector u_j is evaluated with anchor X_{h_j}, the last sign of the
-    preceding block; u_1 uses no anchor and is 0 by convention.
+    preceding block; u_1 uses no anchor and is 0 by convention.  The
+    magnitudes are certified once per (scheme, alpha, tol) and the anchors
+    of this path applied to them; a sign flip is exact, so u_j is the value
+    `gordin_corrector` returns for that anchor, to the bit.
     """
-    stats = block_statistics(params, scheme, path)
-    m = scheme.n_blocks
-    u = np.zeros(m + 1)
-    tails = np.zeros(m + 1)
-    for j in range(2, m + 2):
-        h_j = int(scheme.boundaries[j - 1])
-        anchor = float(path.signs[h_j - 1])
-        g = gordin_corrector(params, scheme, j, anchor_sign=anchor, tol=tol)
-        u[j - 1] = g.value
-        tails[j - 1] = g.tail_bound
-    xi = stats.y - u[:-1] + u[1:]
-    residual = float(np.sum(stats.y) - (np.sum(xi) + u[0] - u[-1]))
-    return GordinDecomposition(
-        xi=xi, u=u, y=stats.y, tail_bounds=tails, residual=residual
-    )
+    _check_scheme_params(params, scheme)
+    b = scheme.boundaries
+    if path.horizon < b[-1]:
+        raise ValueError(
+            f"path horizon {path.horizon} shorter than last boundary {b[-1]}"
+        )
+    mags, tails = _corrector_plan(params, scheme, tol)
+    y = path.sums[b[1:]] - path.sums[b[:-1]]
+    u = np.zeros(b.size)
+    if params.alpha != 0.0:  # memoryless: u_j is +0.0, whatever the anchor
+        u[1:] = path.signs[b[1:] - 1] * mags[1:]
+    xi = y - u[:-1] + u[1:]
+    residual = float(np.sum(y) - (np.sum(xi) + u[0] - u[-1]))
+    return GordinDecomposition(xi=xi, u=u, y=y, tail_bounds=tails, residual=residual)

@@ -95,7 +95,6 @@ _DEFAULTS: dict[str, dict] = {
         "seed": 0,
         "ks_tol": 0.02,
         "eps": 1e-12,
-        "workers": 1,
     },
     "fclt": {
         "r": 2,
@@ -225,7 +224,11 @@ def manifest(config: dict) -> SeedManifest:
     never change the report.
     """
     cfg = normalize_config(config)
-    hashed = {k: v for k, v in cfg.items() if k not in ("workers",)}
+    if cfg["experiment"] == "lil":
+        # the run hashes its resolved band, fraction and coverage
+        hashed = ex.lil_config(**_lil_args(cfg))
+    else:
+        hashed = {k: v for k, v in cfg.items() if k not in ("workers",)}
     seed = cfg.get("seed", 0) or 0
     streams = _STREAMS.get(cfg["experiment"], lambda c: 0)(cfg)
     replicas = cfg.get("replicas") or cfg.get("x_samples") or 1
@@ -363,17 +366,20 @@ def _run_clt(cfg: dict) -> ExperimentReport:
     )
 
 
-def _run_lil(cfg: dict) -> ExperimentReport:
+def _lil_args(cfg: dict) -> dict:
     band = cfg["band"]
-    return ex.lil_experiment(
-        _walk_params(cfg),
-        replicas=cfg["replicas"],
-        seed=cfg["seed"],
-        normalization=cfg["normalization"],
-        band=None if band is None else (band[0], band[1]),
-        min_fraction=cfg["min_fraction"],
-        workers=cfg["workers"],
-    )
+    return {
+        "params": _walk_params(cfg),
+        "replicas": cfg["replicas"],
+        "seed": cfg["seed"],
+        "normalization": cfg["normalization"],
+        "band": None if band is None else (band[0], band[1]),
+        "min_fraction": cfg["min_fraction"],
+    }
+
+
+def _run_lil(cfg: dict) -> ExperimentReport:
+    return ex.lil_experiment(**_lil_args(cfg), workers=cfg["workers"])
 
 
 def _run_chung(cfg: dict) -> ExperimentReport:
@@ -399,7 +405,6 @@ def _run_modulus(cfg: dict) -> ExperimentReport:
         seed=cfg["seed"],
         ks_tol=cfg["ks_tol"],
         eps=cfg["eps"],
-        workers=cfg["workers"],
     )
 
 

@@ -274,6 +274,40 @@ def _default_band(params: WalkParams, normalization: str) -> tuple[tuple[float, 
 _COVER_EDGES = np.linspace(-0.9, 0.9, 10)  # nine width-0.2 bins
 
 
+def lil_config(
+    params: WalkParams,
+    replicas: int = 50,
+    seed: int = 0,
+    normalization: str = "exact_s",
+    band: tuple[float, float] | None = None,
+    min_fraction: float | None = None,
+    coverage: bool | None = None,
+) -> dict:
+    """The config `lil_experiment` hashes into its manifest, defaults resolved.
+
+    The default band and fraction depend on the normalization; coverage is
+    tracked by default for exact_s only.
+    """
+    if normalization not in LIL_NORMALIZATIONS:
+        raise ValueError(
+            f"normalization must be one of {LIL_NORMALIZATIONS}, got {normalization!r}"
+        )
+    default_band, default_frac = _default_band(params, normalization)
+    lo, hi = default_band if band is None else band
+    return {
+        "experiment": "lil",
+        "p": params.p,
+        "weights": params.weights.spec,
+        "n": params.horizon,
+        "replicas": int(replicas),
+        "seed": seed,
+        "normalization": normalization,
+        "band": [lo, hi],
+        "min_fraction": default_frac if min_fraction is None else min_fraction,
+        "coverage": normalization == "exact_s" if coverage is None else coverage,
+    }
+
+
 def lil_experiment(
     params: WalkParams,
     replicas: int = 50,
@@ -296,10 +330,9 @@ def lil_experiment(
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"LIL runs need horizon >= 1e5, got {n}")
-    if normalization not in LIL_NORMALIZATIONS:
-        raise ValueError(
-            f"normalization must be one of {LIL_NORMALIZATIONS}, got {normalization!r}"
-        )
+    config = lil_config(params, replicas, seed, normalization, band, min_fraction, coverage)
+    lo, hi = config["band"]
+    min_fraction, coverage = config["min_fraction"], config["coverage"]
     den = _lil_denominator(params, normalization)
     valid = den > _E_SQUARED
     if not valid.any():
@@ -313,13 +346,6 @@ def lil_experiment(
     if np.any(gaps < 0):
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
     a = params.weights.values(n)
-    if coverage is None:
-        coverage = normalization == "exact_s"
-    default_band, default_frac = _default_band(params, normalization)
-    if band is None:
-        band = default_band
-    if min_fraction is None:
-        min_fraction = default_frac
 
     def walk_one(i: int) -> tuple[float, bool]:
         x = _draw_signs(stream(seed, i), params.p, n)
@@ -339,22 +365,9 @@ def lil_experiment(
     covered_frac = float(np.mean([c for _, c in walk_results])) if coverage else None
     oracle_terminals = np.array(_map_streams(oracle_one, replicas, workers))
 
-    lo, hi = band
     walk_frac = float(np.mean((walk_terminals >= lo) & (walk_terminals <= hi)))
     oracle_frac = float(np.mean((oracle_terminals >= lo) & (oracle_terminals <= hi)))
 
-    config = {
-        "experiment": "lil",
-        "p": params.p,
-        "weights": params.weights.spec,
-        "n": n,
-        "replicas": replicas,
-        "seed": seed,
-        "normalization": normalization,
-        "band": [lo, hi],
-        "min_fraction": min_fraction,
-        "coverage": coverage,
-    }
     report = ExperimentReport(
         name="lil",
         params=config,
@@ -511,7 +524,6 @@ def modulus_experiment(
     seed: int = 0,
     ks_tol: float = 0.02,
     eps: float = 1e-12,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Normalized increments (f(x+h) - f(x)) / (h sqrt(sigma(h))) vs normal.
 

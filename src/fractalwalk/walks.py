@@ -90,12 +90,10 @@ class WalkPath:
 def _draw_signs(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     """X_1..X_n as float64 +-1: fair start, then repeat w.p. p."""
     u = rng.random(n)
-    flips = np.where(u < p, 1.0, -1.0)
-    flips[0] = 1.0
-    x = np.cumprod(flips)
-    if u[0] >= 0.5:  # first draw doubles as the fair initial sign
-        x = -x
-    return x
+    flips = (u >= p).view(np.uint8)
+    flips[0] = u[0] >= 0.5  # first draw doubles as the fair initial sign
+    # X_k = (-1)^(number of flips up to k): a running parity of the flip bits
+    return 1.0 - 2.0 * np.bitwise_xor.accumulate(flips)
 
 
 def simulate(params: WalkParams, seed: int, stream_id: int = 0) -> WalkPath:

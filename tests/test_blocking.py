@@ -5,9 +5,11 @@ import pytest
 from fractalwalk import (
     BlockConstructionError,
     CertificationError,
+    GordinDecomposition,
     WalkParams,
     WeightSequence,
     block_statistics,
+    blocking,
     build_blocks,
     exact_second_moment,
     gordin_corrector,
@@ -179,6 +181,71 @@ def test_telescoping_identity():
         path = simulate(params, seed=seed)
         dec = martingale_blocks(params, scheme, path, tol=tol)
         assert abs(dec.residual) <= 2 * scheme.n_blocks * tol
+
+
+def _martingale_blocks_per_j(params, scheme, path, tol):
+    """Reference: one certified corrector per boundary, at this path's anchor."""
+    stats = block_statistics(params, scheme, path)
+    m = scheme.n_blocks
+    u = np.zeros(m + 1)
+    tails = np.zeros(m + 1)
+    for j in range(2, m + 2):
+        h_j = int(scheme.boundaries[j - 1])
+        anchor = float(path.signs[h_j - 1])
+        g = gordin_corrector(params, scheme, j, anchor_sign=anchor, tol=tol)
+        u[j - 1] = g.value
+        tails[j - 1] = g.tail_bound
+    xi = stats.y - u[:-1] + u[1:]
+    residual = float(np.sum(stats.y) - (np.sum(xi) + u[0] - u[-1]))
+    return GordinDecomposition(xi=xi, u=u, y=stats.y, tail_bounds=tails, residual=residual)
+
+
+EXPLICIT = WeightSequence.explicit([1.0 + 0.5 * (k % 3) for k in range(80)])
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize(
+    "weights, count", [(CONST, 14), (EXPLICIT, 12)], ids=["const", "explicit"]
+)
+def test_martingale_blocks_matches_per_j_reference(p, weights, count):
+    scheme = build_blocks(weights, 1.0, count)
+    params = WalkParams(p, weights, int(scheme.boundaries[-1]))
+    for tol in (1e-10, 1e-20):  # two plans on one scheme; 1e-20 needs more terms
+        for i in range(20):
+            path = simulate(params, seed=3, stream_id=i)
+            got = martingale_blocks(params, scheme, path, tol=tol)
+            want = _martingale_blocks_per_j(params, scheme, path, tol)
+            for name in ("xi", "u", "y", "tail_bounds"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+
+def test_martingale_blocks_certifies_once_per_scheme(monkeypatch):
+    calls = []
+    real = blocking.gordin_corrector
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(blocking, "gordin_corrector", counting)
+    scheme = build_blocks(CONST, 1.0, 51)
+    params = WalkParams(0.75, CONST, int(scheme.boundaries[-1]))
+    for i in range(200):
+        martingale_blocks(params, scheme, simulate(params, seed=2, stream_id=i))
+    assert sorted(calls) == list(range(2, scheme.n_blocks + 2))
+
+
+def test_martingale_blocks_uncertifiable_tol_raises_every_call():
+    scheme = build_blocks(CONST, 1.0, 14)
+    params = WalkParams(0.75, CONST, int(scheme.boundaries[-1]))
+    path = simulate(params, seed=0)
+    for _ in range(3):
+        with pytest.raises(CertificationError):
+            martingale_blocks(params, scheme, path, tol=1e-300)
+        # a plan certified at another tol must not stand in for this one
+        dec = martingale_blocks(params, scheme, path, tol=1e-10)
+        assert abs(dec.residual) <= 2 * scheme.n_blocks * 1e-10
 
 
 def test_corrected_blocks_are_centered():

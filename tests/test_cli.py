@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from fractalwalk.cli import (
+    EXPERIMENTS,
     UsageError,
     main,
     manifest,
     normalize_config,
     parse_step,
     parse_weight_spec,
+    run,
 )
 from fractalwalk.reports import canonical_json
 
@@ -86,6 +88,41 @@ def test_manifest_hash_ignores_workers():
     assert manifest(base).hash == m1.hash
     bumped = manifest({**base, "replicas": 4000})
     assert bumped.hash != m1.hash
+
+
+# one small config per experiment, plus the lil defaults that depend on the
+# normalization and an explicit band
+_SMALL_CONFIGS = [
+    {"experiment": "eval", "x": "1/3"},
+    {"experiment": "simulate", "n": 50, "seed": 2},
+    {"experiment": "blocks", "count": 8, "p": 0.75},
+    {"experiment": "validate-weights", "n_max": 500},
+    {"experiment": "clt", "n": 100, "replicas": 1000, "seed": 1},
+    {"experiment": "lil", "n": 100_000, "replicas": 2, "seed": 1},
+    {"experiment": "lil", "n": 100_000, "replicas": 2, "normalization": "plain_A"},
+    {"experiment": "lil", "n": 100_000, "replicas": 2, "band": "0.4,1.3",
+     "min_fraction": 0.5, "workers": 2},
+    {"experiment": "chung", "n": 100_000, "replicas": 2, "seed": 1},
+    {"experiment": "modulus", "h_grid": "2^-3,2^-6", "x_samples": 1000},
+    {"experiment": "fclt", "n": 12, "x_samples": 1000},
+]
+
+
+def test_small_configs_cover_every_experiment():
+    assert {c["experiment"] for c in _SMALL_CONFIGS} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize(
+    "config", _SMALL_CONFIGS, ids=lambda c: "-".join(f"{v}" for v in c.values())
+)
+def test_manifest_predicts_the_written_manifest(config, tmp_path, capsys):
+    predicted = manifest(config)
+    run(config, outdir=tmp_path)
+    (report_path,) = (tmp_path / config["experiment"]).glob("*/report.json")
+    report = json.loads(report_path.read_text())
+    assert report["manifest"] == predicted.to_dict()
+    assert report["manifest_hash"] == predicted.hash
+    assert report_path.parent.name == predicted.hash[:12]
 
 
 # -- exit codes and output ----------------------------------------------------

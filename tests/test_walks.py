@@ -15,6 +15,8 @@ from fractalwalk import (
     simulate,
     variance_ratio_bound,
 )
+from fractalwalk.rng import stream
+from fractalwalk.walks import _draw_signs
 
 CONST = WeightSequence.constant()
 
@@ -41,6 +43,25 @@ def test_simulate_shapes_and_reproducibility():
     assert a.sums[0] == 0.0
     np.testing.assert_allclose(np.diff(a.sums), a.signs.astype(float))
     assert set(np.unique(a.signs)) <= {-1, 1}
+
+
+def _draw_signs_cumprod(rng, p, n):
+    """Reference: the product of float +-1 flip factors, negated on a fair coin."""
+    u = rng.random(n)
+    flips = np.where(u < p, 1.0, -1.0)
+    flips[0] = 1.0
+    x = np.cumprod(flips)
+    return -x if u[0] >= 0.5 else x
+
+
+@pytest.mark.parametrize("n", [1, 2, 650, 5000])
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+def test_draw_signs_matches_cumprod_reference(p, n):
+    for i in range(10):
+        got = _draw_signs(stream(8, i), p, n)
+        want = _draw_signs_cumprod(stream(8, i), p, n)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 def test_first_step_is_fair():
