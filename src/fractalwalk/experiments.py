@@ -161,12 +161,14 @@ def brownian_path(times, seed: int = 0, stream_id: int = 0) -> np.ndarray:
     if np.any(gaps < 0):
         raise ValueError("times must be non-decreasing")
     rng = stream(seed, stream_id)
-    return _brownian_from_rng(rng, gaps)
+    return _brownian_from_rng(rng, np.sqrt(gaps))
 
 
-def _brownian_from_rng(rng: np.random.Generator, gaps: np.ndarray) -> np.ndarray:
-    z = rng.standard_normal(gaps.size)
-    return np.cumsum(z * np.sqrt(gaps))
+def _brownian_from_rng(rng: np.random.Generator, step_sd: np.ndarray) -> np.ndarray:
+    """Brownian path whose k-th increment has standard deviation step_sd[k]."""
+    path = rng.standard_normal(step_sd.size)
+    np.multiply(path, step_sd, out=path)
+    return np.cumsum(path, out=path)
 
 
 def ks_statistic(samples) -> float:
@@ -345,6 +347,7 @@ def lil_experiment(
     gaps = np.diff(s_sq, prepend=0.0)
     if np.any(gaps < 0):
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
+    step_sd = np.sqrt(gaps)
     a = params.weights.values(n)
 
     def walk_one(i: int) -> tuple[float, bool]:
@@ -357,7 +360,7 @@ def lil_experiment(
         return float(np.max(trace)), covered
 
     def oracle_one(i: int) -> float:
-        b = _brownian_from_rng(stream(seed, replicas + i), gaps)
+        b = _brownian_from_rng(stream(seed, replicas + i), step_sd)
         return float(np.max(b[i0:] / scale))
 
     walk_results = _map_streams(walk_one, replicas, workers)
@@ -438,18 +441,20 @@ def chung_experiment(
     gaps = np.diff(s_sq, prepend=0.0)
     if np.any(gaps < 0):
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
+    step_sd = np.sqrt(gaps)
     a = params.weights.values(n)
 
     def terminal_runmin(path: np.ndarray) -> float:
-        runmax = np.maximum.accumulate(np.abs(path))
-        return float(np.min(coef * runmax[i0:]))
+        # overwrites path, a temporary of the caller
+        runmax = np.maximum.accumulate(np.abs(path, out=path), out=path)[i0:]
+        return float(np.min(np.multiply(coef, runmax, out=runmax)))
 
     def walk_one(i: int) -> float:
         x = _draw_signs(stream(seed, i), params.p, n)
         return terminal_runmin(np.cumsum(a * x))
 
     def oracle_one(i: int) -> float:
-        return terminal_runmin(_brownian_from_rng(stream(seed, replicas + i), gaps))
+        return terminal_runmin(_brownian_from_rng(stream(seed, replicas + i), step_sd))
 
     walk_terminals = np.array(_map_streams(walk_one, replicas, workers))
     oracle_terminals = np.array(_map_streams(oracle_one, replicas, workers))

@@ -8,9 +8,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_blocks_and_correction_demo_runs():
+def _run_demo(name):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "blocks_and_correction.py")],
+        [sys.executable, str(ROOT / "demos" / name)],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
@@ -18,9 +18,24 @@ def test_blocks_and_correction_demo_runs():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    line = re.search(
-        r"sum Y_j = (\S+), S_n = (\S+), telescoping residual (\S+)", proc.stdout
-    )
-    assert line is not None, proc.stdout
+    return proc.stdout
+
+
+def test_blocks_and_correction_demo_runs():
+    out = _run_demo("blocks_and_correction.py")
+    line = re.search(r"sum Y_j = (\S+), S_n = (\S+), telescoping residual (\S+)", out)
+    assert line is not None, out
     assert line[1] == line[2]
     assert abs(float(line[3])) <= 1e-8
+
+
+def test_clt_and_modulus_demo_runs():
+    # modulus_experiment runs at 50k points here, across several grid blocks
+    out = _run_demo("clt_and_modulus.py")
+    for m in (6, 9):
+        assert re.search(rf"increments h=r\^-{m}, .*KS = \S+ -> pass", out), out
+
+
+def test_evaluate_fractal_demo_runs():
+    out = _run_demo("evaluate_fractal.py")
+    assert "eps=1e-16 refused" in out, out

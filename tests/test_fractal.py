@@ -20,6 +20,7 @@ from fractalwalk import (
     stream,
     uniform_mantissas,
 )
+from fractalwalk.fractal import _BLOCK
 from fractalwalk.rng import GRID
 
 CONST = WeightSequence.constant()
@@ -93,6 +94,60 @@ def test_eval_grid_matches_scalar():
             assert abs(grid_vals[i] - res.value) <= 1e-10 + res.error_bound
 
 
+def _eval_grid_reference(f, mantissas, eps):
+    """The full-array loop eval_grid ran before it was blocked."""
+    cert = f.certificate(eps)
+    m = np.ascontiguousarray(mantissas, dtype=np.uint64)
+    a = f.weights.values(cert.terms)
+    val = np.zeros(m.size, dtype=np.float64)
+    res = m.copy()
+    coef = 1.0
+    for k in range(cert.terms):
+        if a[k]:
+            d_num = np.minimum(res, GRID - res).astype(np.float64)
+            val += (a[k] * coef / float(GRID)) * d_num
+        res = (res * np.uint64(f.r)) & np.uint64(GRID - 1)
+        coef /= f.r
+    return val
+
+
+GRID_WEIGHTS = [
+    (CONST, 1.0),
+    (WeightSequence.power(0.5), 0.5),
+    (WeightSequence.odd_indicator(), 1.0),
+]
+
+
+@pytest.mark.parametrize("r", [2, 3, 10, 2048])
+@pytest.mark.parametrize("weights,delta", GRID_WEIGHTS, ids=["constant", "power", "odd"])
+def test_eval_grid_blocks_match_reference(r, weights, delta):
+    """Byte for byte at sizes around the block edges."""
+    f = FractalFunction(r, weights, delta=delta)
+    mant = uniform_mantissas(stream(14), 3 * _BLOCK + 7)
+    for size in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        got = f.eval_grid(mant[:size], eps=1e-12)
+        want = _eval_grid_reference(f, mant[:size], 1e-12)
+        assert got.shape == (size,)
+        assert got.tobytes() == want.tobytes(), size
+
+
+def test_eval_grid_strided_input_matches_reference():
+    f = FractalFunction(3, WeightSequence.power(0.5), delta=0.5)
+    mant = uniform_mantissas(stream(15), 4 * _BLOCK + 10)[::3]
+    assert not mant.flags.c_contiguous
+    got = f.eval_grid(mant, eps=1e-12)
+    assert got.tobytes() == _eval_grid_reference(f, mant, 1e-12).tobytes()
+
+
+def test_eval_grid_rejects_unreachable_eps():
+    # the float accumulation allowance alone can exceed a too-small budget
+    from fractalwalk import CertificationError
+
+    f = FractalFunction(2, WeightSequence.power(0.5), delta=0.5)
+    with pytest.raises(CertificationError):
+        f.eval_grid(np.zeros(4, dtype=np.uint64), eps=1e-13)
+
+
 def test_eval_grid_base_cap():
     f = FractalFunction(4096, CONST)
     with pytest.raises(ValueError):
@@ -150,6 +205,33 @@ def test_walk_value_grid_matches_scalar():
     for i in range(mant.size):
         x = Fraction(int(mant[i]), GRID)
         assert grid[i] == pytest.approx(f.walk_value(x, 6), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 20, 48])
+def test_walk_value_grid_blocks_match_reference(n):
+    """Byte for byte against one product with the full sign matrix.
+
+    The sizes are multiples of 8, where that product, too, has no remainder
+    rows for BLAS to sum in another order.
+    """
+    f = FractalFunction(3, WeightSequence.power(0.5), delta=0.5)
+    mant = uniform_mantissas(stream(16), 2 * _BLOCK + 8)
+    a = f.weights.values(n)
+    for size in (0, 8, _BLOCK, 2 * _BLOCK + 8):
+        got = f.walk_value_grid(mant[:size], n)
+        want = a @ sign_walk_grid(3, mant[:size], n).astype(float)
+        assert got.tobytes() == want.tobytes(), size
+
+
+@pytest.mark.parametrize("n", [1, 20, 48])
+def test_walk_value_grid_does_not_depend_on_the_batch(n):
+    """A point's value is the same in any slice of the input, ragged ones too."""
+    f = FractalFunction(2, WeightSequence.power(0.5), delta=0.5)
+    mant = uniform_mantissas(stream(17), 3 * _BLOCK + 7)
+    whole = f.walk_value_grid(mant, n)
+    for lo, hi in [(0, 1), (3, 8), (5, _BLOCK + 4), (_BLOCK - 3, 3 * _BLOCK + 1)]:
+        got = f.walk_value_grid(mant[lo:hi], n)
+        assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
 
 def test_scale_index():
