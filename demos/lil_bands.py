@@ -10,7 +10,7 @@ from fractalwalk import WalkParams, WeightSequence, chung_experiment, lil_experi
 
 params = WalkParams(0.75, WeightSequence.constant(), 100_000)
 
-rep = lil_experiment(params, replicas=40, seed=0, workers=4)
+rep = lil_experiment(params, replicas=40, seed=0)
 print("running-max statistic, exact-variance normalization:")
 print(f"  walk median   {rep.find('walk_median').value:.4f}")
 print(f"  oracle median {rep.find('oracle_median').value:.4f}")
@@ -20,7 +20,7 @@ print(f"  coverage of [-0.9, 0.9]: {cov.value:.2f}"
 
 rep = lil_experiment(
     params, replicas=40, seed=0,
-    normalization="scaled_A", band=(0.0, 1.905), min_fraction=0.95, workers=4,
+    normalization="scaled_A", band=(0.0, 1.905), min_fraction=0.95,
 )
 wf = rep.find("walk_fraction_in_band")
 of = rep.find("oracle_fraction_in_band")
@@ -28,7 +28,7 @@ print(f"scaled-energy ceiling 1.905: walk {wf.value:.2f}, oracle {of.value:.2f}"
       f" in band (floor 0.95)")
 
 rep = chung_experiment(WalkParams(0.5, WeightSequence.constant(), 100_000),
-                       replicas=40, seed=0, workers=4)
+                       replicas=40, seed=0)
 md = rep.find("median_abs_difference")
 print(f"running-min statistic: |walk - oracle| median gap {md.value:.4f}"
       f" (tolerance {md.tolerance['max']})")

@@ -75,7 +75,7 @@ _DEFAULTS: dict[str, dict] = {
         "normalization": "exact_s",
         "band": None,
         "min_fraction": None,
-        "workers": 1,
+        "workers": None,
     },
     "chung": {
         "p": 0.75,
@@ -84,7 +84,7 @@ _DEFAULTS: dict[str, dict] = {
         "replicas": 50,
         "seed": 0,
         "median_tol": 0.15,
-        "workers": 1,
+        "workers": None,
     },
     "modulus": {
         "r": 2,

@@ -28,6 +28,7 @@ agreement between walk and oracle is the checkable claim.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,8 +185,17 @@ def ks_statistic(samples) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _map_streams(fn, count: int, workers: int = 1) -> list:
-    """fn(i) for i in 0..count-1, merged in index order regardless of workers."""
+def _map_streams(fn, count: int, workers: int | None) -> list:
+    """fn(i) for i in 0..count-1, merged in index order regardless of workers.
+
+    workers=None runs one thread per CPU this process may run on.
+    """
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
+    workers = min(workers, count)
     if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -194,6 +204,76 @@ def _map_streams(fn, count: int, workers: int = 1) -> list:
 
 def _quantiles(x: np.ndarray, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> list[float]:
     return [float(v) for v in np.quantile(x, qs)]
+
+
+# -- long paths, one block at a time --------------------------------------------
+
+_BLOCK = 1 << 16  # steps per block: a replica's buffers take about 1 MB
+
+
+def _walk_steps(rng: np.random.Generator, p: float, a: np.ndarray):
+    """Weighted steps a_k X_k in blocks of reused buffers, as (start, block).
+
+    The same numbers as `a * _draw_signs(rng, p, a.size)`: the blocks draw
+    the same Philox uniforms in order, and the running flip parity carries
+    into the next block.
+    """
+    n = a.size
+    u = np.empty(min(n, _BLOCK))
+    flips = np.empty(u.size, dtype=bool)
+    steps = np.empty(u.size)
+    parity = 0
+    for start in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - start)
+        ub, fb, xb = u[:m], flips[:m].view(np.uint8), steps[:m]
+        rng.random(out=ub)
+        np.greater_equal(ub, p, out=flips[:m])
+        if start == 0:
+            fb[0] = ub[0] >= 0.5  # first draw doubles as the fair initial sign
+        fb[0] ^= parity
+        np.bitwise_xor.accumulate(fb, out=fb)
+        parity = fb[-1]
+        np.multiply(fb, -2.0, out=xb)
+        np.add(xb, 1.0, out=xb)
+        np.multiply(xb, a[start:start + m], out=xb)
+        yield start, xb
+
+
+def _oracle_steps(rng: np.random.Generator, step_sd: np.ndarray):
+    """Gaussian increments with sd step_sd[k] in blocks, as (start, block).
+
+    The same numbers as the increments `_brownian_from_rng` sums.
+    """
+    n = step_sd.size
+    buf = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        b = buf[:min(_BLOCK, n - start)]
+        rng.standard_normal(out=b)
+        np.multiply(b, step_sd[start:start + b.size], out=b)
+        yield start, b
+
+
+def _prefix_sums(blocks):
+    """Running sums of the step blocks, in place, as (start, block).
+
+    The carry enters each block's first step before the cumsum, so every
+    partial sum is the same float addition `np.cumsum` of the whole path
+    makes; adding it to the block's sums afterwards would round differently.
+    The caller may overwrite a block: the carry is read before it is yielded.
+    """
+    carry = 0.0
+    for start, b in blocks:
+        if start:  # the first sum is the first step itself, even -0.0
+            b[0] += carry
+        np.cumsum(b, out=b)
+        carry = b[-1]
+        yield start, b
+
+
+def _from_index(i0: int, start: int, block: np.ndarray) -> tuple[int, np.ndarray]:
+    """The part of a block at path index >= i0, and its offset from i0."""
+    skip = max(i0 - start, 0)
+    return start + skip - i0, block[skip:]
 
 
 # -- CLT ----------------------------------------------------------------------
@@ -276,6 +356,43 @@ def _default_band(params: WalkParams, normalization: str) -> tuple[tuple[float, 
 _COVER_EDGES = np.linspace(-0.9, 0.9, 10)  # nine width-0.2 bins
 
 
+def _lil_terminal(sums, i0: int, scale: np.ndarray, coverage: bool) -> tuple[float, bool]:
+    """max S_k / scale[k - i0] over k >= i0, and whether it visits all nine bins.
+
+    Once every bin has been seen the histogram is skipped: coverage can only
+    turn true.
+    """
+    top = -math.inf
+    seen = np.zeros(_COVER_EDGES.size - 1, dtype=bool)
+    covered = False
+    for start, b in sums:
+        off, trace = _from_index(i0, start, b)
+        if trace.size == 0:
+            continue
+        np.divide(trace, scale[off:off + trace.size], out=trace)
+        top = max(top, float(np.max(trace)))
+        if coverage and not covered:
+            seen |= np.histogram(trace, bins=_COVER_EDGES)[0] > 0
+            covered = bool(seen.all())
+    return top, covered
+
+
+def _chung_terminal(sums, i0: int, coef: np.ndarray) -> float:
+    """min over k >= i0 of coef[k - i0] max_{j<=k} |S_j|."""
+    runmax = 0.0
+    low = math.inf
+    for start, b in sums:
+        np.abs(b, out=b)
+        b[0] = np.maximum(b[0], runmax)
+        np.maximum.accumulate(b, out=b)
+        runmax = b[-1]
+        off, tail = _from_index(i0, start, b)
+        if tail.size:
+            np.multiply(coef[off:off + tail.size], tail, out=tail)
+            low = min(low, float(np.min(tail)))
+    return low
+
+
 def lil_config(
     params: WalkParams,
     replicas: int = 50,
@@ -318,7 +435,7 @@ def lil_experiment(
     band: tuple[float, float] | None = None,
     min_fraction: float | None = None,
     coverage: bool | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ExperimentReport:
     """Terminal running max of S_n / sqrt(2 D_n loglog D_n) across seeds.
 
@@ -327,6 +444,10 @@ def lil_experiment(
     through the identical denominators and grid, and the band verdicts apply
     to both; coverage (the normalized path visiting all nine width-0.2 bins
     of [-0.9, 0.9]) is tracked for the exact-s_n normalization by default.
+
+    Each path is drawn and reduced in blocks, so a replica holds about 1 MB;
+    `workers` defaults to one thread per usable CPU (at most `replicas`)
+    and never changes the report.
     """
     replicas = int(replicas)
     n = params.horizon
@@ -343,7 +464,10 @@ def lil_experiment(
     if not np.all(den[i0:] > _E_SQUARED):
         raise ValueError("denominator dips below e^2 after first crossing it")
     scale = np.sqrt(2.0 * den[i0:] * np.log(np.log(den[i0:])))
-    s_sq = second_moment_profile(params.p, params.weights, n)
+    if normalization == "exact_s":
+        s_sq = den
+    else:
+        s_sq = second_moment_profile(params.p, params.weights, n)
     gaps = np.diff(s_sq, prepend=0.0)
     if np.any(gaps < 0):
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
@@ -351,17 +475,12 @@ def lil_experiment(
     a = params.weights.values(n)
 
     def walk_one(i: int) -> tuple[float, bool]:
-        x = _draw_signs(stream(seed, i), params.p, n)
-        trace = np.cumsum(a * x)[i0:] / scale
-        covered = False
-        if coverage:
-            counts, _ = np.histogram(trace, bins=_COVER_EDGES)
-            covered = bool(np.all(counts > 0))
-        return float(np.max(trace)), covered
+        steps = _walk_steps(stream(seed, i), params.p, a)
+        return _lil_terminal(_prefix_sums(steps), i0, scale, coverage)
 
     def oracle_one(i: int) -> float:
-        b = _brownian_from_rng(stream(seed, replicas + i), step_sd)
-        return float(np.max(b[i0:] / scale))
+        steps = _oracle_steps(stream(seed, replicas + i), step_sd)
+        return _lil_terminal(_prefix_sums(steps), i0, scale, False)[0]
 
     walk_results = _map_streams(walk_one, replicas, workers)
     walk_terminals = np.array([t for t, _ in walk_results])
@@ -418,13 +537,17 @@ def chung_experiment(
     replicas: int = 50,
     seed: int = 0,
     median_tol: float = 0.15,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ExperimentReport:
     """Running-min of sqrt(loglog s_n^2 / s_n^2) max_{k<=n} |S_k|.
 
     The walk's median terminal running-min across seeds is compared to the
     matched Brownian oracle (same clock s_k^2, same start index); the oracle
     itself is checked against a wide band around pi/sqrt(8).
+
+    Each path is drawn and reduced in blocks, so a replica holds about 1 MB;
+    `workers` defaults to one thread per usable CPU (at most `replicas`)
+    and never changes the report.
     """
     replicas = int(replicas)
     n = params.horizon
@@ -444,17 +567,13 @@ def chung_experiment(
     step_sd = np.sqrt(gaps)
     a = params.weights.values(n)
 
-    def terminal_runmin(path: np.ndarray) -> float:
-        # overwrites path, a temporary of the caller
-        runmax = np.maximum.accumulate(np.abs(path, out=path), out=path)[i0:]
-        return float(np.min(np.multiply(coef, runmax, out=runmax)))
-
     def walk_one(i: int) -> float:
-        x = _draw_signs(stream(seed, i), params.p, n)
-        return terminal_runmin(np.cumsum(a * x))
+        steps = _walk_steps(stream(seed, i), params.p, a)
+        return _chung_terminal(_prefix_sums(steps), i0, coef)
 
     def oracle_one(i: int) -> float:
-        return terminal_runmin(_brownian_from_rng(stream(seed, replicas + i), step_sd))
+        steps = _oracle_steps(stream(seed, replicas + i), step_sd)
+        return _chung_terminal(_prefix_sums(steps), i0, coef)
 
     walk_terminals = np.array(_map_streams(walk_one, replicas, workers))
     oracle_terminals = np.array(_map_streams(oracle_one, replicas, workers))

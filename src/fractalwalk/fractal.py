@@ -100,19 +100,6 @@ def dist_nearest_int(x):
 # -- scalar digit machinery (exact rational arithmetic) ----------------------
 
 
-def _digit_stream(r: int, x: Fraction, n: int) -> tuple[list[int], list[Fraction]]:
-    """First n base-r digits of x in [0,1) and the residues before each."""
-    num, den = x.numerator, x.denominator
-    digits, residues = [], []
-    rnum = num
-    for _ in range(n):
-        residues.append(Fraction(rnum, den))
-        t = rnum * r
-        digits.append(t // den)
-        rnum = t % den
-    return digits, residues
-
-
 def _sawtooth_frac(r: int, k: int, x) -> Fraction:
     r = _check_base(r)
     if k < 1:

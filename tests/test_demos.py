@@ -39,3 +39,14 @@ def test_clt_and_modulus_demo_runs():
 def test_evaluate_fractal_demo_runs():
     out = _run_demo("evaluate_fractal.py")
     assert "eps=1e-16 refused" in out, out
+
+
+def test_lil_bands_demo_runs():
+    out = _run_demo("lil_bands.py")
+    assert re.search(r"coverage of \[-0\.9, 0\.9\]: \S+", out), out
+    band = re.search(r"ceiling 1\.905: walk (\S+), oracle (\S+) in band", out)
+    assert band is not None, out
+    assert min(float(band[1]), float(band[2])) >= 0.95
+    gap = re.search(r"median gap (\S+) \(tolerance (\S+)\)", out)
+    assert gap is not None, out
+    assert float(gap[1]) <= float(gap[2])

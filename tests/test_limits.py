@@ -22,8 +22,18 @@ from fractalwalk import (
     sup_increment_trace,
     variance_profile,
 )
-from fractalwalk.experiments import CHUNG_CONSTANT
+from fractalwalk.experiments import (
+    _BLOCK,
+    _COVER_EDGES,
+    CHUNG_CONSTANT,
+    _brownian_from_rng,
+    _lil_terminal,
+    _oracle_steps,
+    _prefix_sums,
+    _walk_steps,
+)
 from fractalwalk.rng import stream, uniform_mantissas
+from fractalwalk.walks import _draw_signs, second_moment_profile
 
 from finite_depth import (
     covariance_se,
@@ -218,6 +228,154 @@ def test_lil_exact_normalization_tracks_oracle():
 def test_lil_rejects_unknown_normalization():
     with pytest.raises(ValueError):
         lil_experiment(WalkParams(0.75, CONST, 100_000), normalization="bogus")
+
+
+# -- long paths in blocks against the full-length reference --------------------
+
+# power(0.3) weights are not integers, so float partial sums round and a carry
+# added after a block's cumsum gives other bits; constant(0.005) keeps s_n^2
+# below e^2 for the whole first block, so the statistics start in block two
+POWER = WeightSequence.power(0.3)
+SMALL = WeightSequence.constant(0.005)
+LONG_CASES = [
+    pytest.param(CONST, 100_000, id="const-100000"),
+    pytest.param(CONST, 2 * _BLOCK + 1, id="const-2B+1"),
+    pytest.param(POWER, 100_000, id="power-100000"),
+    pytest.param(POWER, 2 * _BLOCK + 1, id="power-2B+1"),
+    pytest.param(SMALL, 2 * _BLOCK + 1, id="small-2B+1"),
+]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _start(den):
+    return int(np.argmax(den > math.e**2))
+
+
+def _oracle_sd(params):
+    s_sq = second_moment_profile(params.p, params.weights, params.horizon)
+    return np.sqrt(np.diff(s_sq, prepend=0.0))
+
+
+def _lil_reference(params, replicas, seed, den, coverage):
+    """Per-replica (walk max, covered, oracle max) from full-length paths."""
+    n = params.horizon
+    i0 = _start(den)
+    scale = np.sqrt(2.0 * den[i0:] * np.log(np.log(den[i0:])))
+    step_sd = _oracle_sd(params)
+    a = params.weights.values(n)
+
+    def walk_one(i):
+        x = _draw_signs(stream(seed, i), params.p, n)
+        trace = np.cumsum(a * x)[i0:] / scale
+        covered = False
+        if coverage:
+            counts, _ = np.histogram(trace, bins=_COVER_EDGES)
+            covered = bool(np.all(counts > 0))
+        return float(np.max(trace)), covered
+
+    def oracle_one(i):
+        b = _brownian_from_rng(stream(seed, replicas + i), step_sd)
+        return float(np.max(b[i0:] / scale))
+
+    return [walk_one(i) + (oracle_one(i),) for i in range(replicas)]
+
+
+def _chung_reference(params, replicas, seed):
+    """Per-replica (walk, oracle) terminal running-mins from full-length paths."""
+    n = params.horizon
+    s_sq = second_moment_profile(params.p, params.weights, n)
+    i0 = _start(s_sq)
+    coef = np.sqrt(np.log(np.log(s_sq[i0:])) / s_sq[i0:])
+    step_sd = _oracle_sd(params)
+    a = params.weights.values(n)
+
+    def terminal_runmin(path):
+        runmax = np.maximum.accumulate(np.abs(path))[i0:]
+        return float(np.min(coef * runmax))
+
+    return [
+        (
+            terminal_runmin(np.cumsum(a * _draw_signs(stream(seed, i), params.p, n))),
+            terminal_runmin(_brownian_from_rng(stream(seed, replicas + i), step_sd)),
+        )
+        for i in range(replicas)
+    ]
+
+
+@pytest.mark.parametrize("seq,n", LONG_CASES)
+def test_block_sums_match_full_array_paths(seq, n):
+    # the whole walk and oracle paths, not only the statistics: a maximum
+    # reached in the first block would hide a fault in the later ones
+    params = WalkParams(0.7, seq, n)
+    a = seq.values(n)
+    step_sd = _oracle_sd(params)
+    for i in range(3):
+        blocks = _prefix_sums(_walk_steps(stream(4, i), params.p, a))
+        got = np.concatenate([b.copy() for _, b in blocks])
+        want = np.cumsum(a * _draw_signs(stream(4, i), params.p, n))
+        assert got.tobytes() == want.tobytes()
+        blocks = _prefix_sums(_oracle_steps(stream(4, i), step_sd))
+        got = np.concatenate([b.copy() for _, b in blocks])
+        assert got.tobytes() == _brownian_from_rng(stream(4, i), step_sd).tobytes()
+
+
+# scaled_A runs the oracle on a clock other than its denominator; SMALL's
+# (p/(1-p)) A_n stays below e^2 at 2B+1 steps
+LIL_CASES = [
+    pytest.param(*case.values, "exact_s", id=f"{case.id}-exact_s") for case in LONG_CASES
+] + [
+    pytest.param(*case.values, "scaled_A", id=f"{case.id}-scaled_A")
+    for case in LONG_CASES[:4]
+]
+
+
+@pytest.mark.parametrize("seq,n,normalization", LIL_CASES)
+def test_lil_blocks_match_full_array_reference(seq, n, normalization):
+    params = WalkParams(0.7, seq, n)
+    rep = lil_experiment(
+        params, replicas=4, seed=2, normalization=normalization, coverage=True
+    )
+    if normalization == "exact_s":
+        den = second_moment_profile(params.p, seq, n)
+    else:
+        den = (params.p / (1.0 - params.p)) * seq.energies(n)
+    want = _lil_reference(params, 4, 2, den, coverage=True)
+    rows = rep.attachments["terminals"]["rows"]
+    assert _bits([r[1] for r in rows]) == _bits([w for w, _, _ in want])
+    assert _bits([r[2] for r in rows]) == _bits([o for _, _, o in want])
+    assert rep.find("coverage_fraction").value == np.mean([c for _, c, _ in want])
+
+
+@pytest.mark.parametrize("seq,n", LONG_CASES[:4])
+def test_lil_coverage_flags_match_full_array_reference(seq, n):
+    # a path stops binning once all nine bins are seen; that must not change
+    # a single flag or maximum (SMALL's short trace covers nothing)
+    params = WalkParams(0.75, seq, n)
+    den = second_moment_profile(params.p, seq, n)
+    i0 = _start(den)
+    scale = np.sqrt(2.0 * den[i0:] * np.log(np.log(den[i0:])))
+    a = seq.values(n)
+    want = _lil_reference(params, 12, 5, den, coverage=True)
+    got = [
+        _lil_terminal(_prefix_sums(_walk_steps(stream(5, i), params.p, a)), i0, scale, True)
+        for i in range(12)
+    ]
+    assert _bits([t for t, _ in got]) == _bits([t for t, _, _ in want])
+    assert [c for _, c in got] == [c for _, c, _ in want]
+    assert {c for _, c in got} == {True, False}
+
+
+@pytest.mark.parametrize("seq,n", LONG_CASES)
+def test_chung_blocks_match_full_array_reference(seq, n):
+    params = WalkParams(0.7, seq, n)
+    rep = chung_experiment(params, replicas=4, seed=2)
+    want = _chung_reference(params, 4, 2)
+    rows = rep.attachments["terminals"]["rows"]
+    assert _bits([r[1] for r in rows]) == _bits([w for w, _ in want])
+    assert _bits([r[2] for r in rows]) == _bits([o for _, o in want])
 
 
 # -- Chung --------------------------------------------------------------------

@@ -9,7 +9,9 @@ from fractalwalk import (
     SeedManifest,
     WalkParams,
     WeightSequence,
+    chung_experiment,
     clt_experiment,
+    lil_experiment,
     statistic,
 )
 from fractalwalk.reports import canonical_json, config_hash, make_manifest
@@ -68,10 +70,25 @@ def test_rerun_is_bit_identical():
     assert a.to_json() != c.to_json()
 
 
-def test_workers_do_not_change_results():
-    a = clt_experiment(WalkParams(0.75, CONST, 200), replicas=1000, seed=4, workers=1)
-    b = clt_experiment(WalkParams(0.75, CONST, 200), replicas=1000, seed=4, workers=4)
-    assert a.to_json() == b.to_json()
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda **kw: clt_experiment(
+            WalkParams(0.75, CONST, 200), replicas=1000, seed=4, **kw
+        ),
+        lambda **kw: lil_experiment(
+            WalkParams(0.75, CONST, 100_000), replicas=5, seed=4, **kw
+        ),
+        lambda **kw: chung_experiment(
+            WalkParams(0.75, CONST, 100_000), replicas=5, seed=4, **kw
+        ),
+    ],
+    ids=["clt", "lil", "chung"],
+)
+def test_workers_do_not_change_results(run):
+    one = run(workers=1).to_json()
+    assert run(workers=3).to_json() == one
+    assert run().to_json() == one  # the default: one thread per usable CPU
 
 
 def test_run_dir_layout(tmp_path):
