@@ -10,7 +10,11 @@ phi-mixing with phi(m) = |alpha|^m / 2.
 The walk itself is S_n = sum_{k<=n} a_k X_k.  Second moments of its
 increments are computed exactly in O(n) by running the linear recursion
 T_k = alpha (T_{k-1} + a_{k-1}) for the cross terms; a literal O(n^2) double
-sum is kept behind a flag as an oracle.
+sum is kept behind a flag as an oracle.  In floats each step is evaluated as
+alpha*a_{k-1} + alpha*T_{k-1}, two rounded products and one rounded sum with
+no fused multiply-add (`_cross_accumulator` covers zero and infinite
+weights).  That is the order scipy's lfilter used when the reports were first
+computed, and any other order changes their last bits.
 
 `doob_decompose` rewrites the walk as a martingale plus controlled drift:
 d_k = X_k - alpha X_{k-1} are martingale differences, and
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .rng import stream
 from .weights import WeightSequence
@@ -124,8 +127,28 @@ def exact_cross_moment(p: float, k: int, l: int) -> float:
 
 
 def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
-    """T_j = sum_{i<j} a_i alpha^{j-i}, computed by one IIR pass."""
-    return lfilter([0.0, alpha], [1.0, -alpha], a)
+    """T_j = sum_{i<j} a_i alpha^{j-i}, one sequential step per weight.
+
+    Step j is lfilter's transposed direct-form step for the filter
+    [0, alpha] / [1, -alpha]: T_j = U_j + 0*a_j, then
+    U_{j+1} = alpha*a_j + alpha*T_j, with U_1 = 0 and every operation rounded
+    on its own, so the output matches scipy.signal.lfilter in every bit but
+    the sign of a NaN.  The 0*a_j term keeps lfilter's sign on zero entries
+    and its NaN from the first infinite weight on; without it an overflowing
+    geometric sequence gives inf where the reports have NaN.  The recursion
+    cannot be vectorized without reordering the sums, and a Python loop
+    spares every process the ~1 s import of scipy.signal for this one call.
+    """
+    alpha = float(alpha)
+
+    def steps(xs):
+        u = 0.0
+        for x in xs:
+            t = u + 0.0 * x
+            yield t
+            u = alpha * x + alpha * t
+
+    return np.fromiter(steps(a.tolist()), dtype=float, count=a.size)
 
 
 def second_moment_profile(p: float, weights: WeightSequence, n: int) -> np.ndarray:

@@ -137,29 +137,34 @@ class WeightSequence:
 
     # -- evaluation and cache ----------------------------------------------
 
-    def _ensure(self, n: int) -> None:
+    def _cached(self, n: int, key: str) -> np.ndarray:
+        """The cached "values" or "energies" array, covering at least n terms.
+
+        Energies are accumulated on their first request, from the cached
+        values: walk code that reads only the values never pays for them.
+        """
         with self._lock:
             have = self._cache.get("n", 0)
-            if have >= n:
-                return
-            grow = max(n, 2 * have, 64)
-            k = np.arange(1, grow + 1, dtype=np.int64)
-            vals = np.asarray(self._fn(k), dtype=float)
-            # longdouble partial sums keep the A_n - A_{n-1} = a_n^2 identity
-            # testable at 1e-12 relative for 1e4+ terms
-            acc = np.cumsum(np.square(vals.astype(np.longdouble)))
-            energies = acc.astype(float)
-            vals.flags.writeable = False
-            energies.flags.writeable = False
-            self._cache["n"] = grow
-            self._cache["values"] = vals
-            self._cache["energies"] = energies
+            if have < n:
+                grow = max(n, 2 * have, 64)
+                k = np.arange(1, grow + 1, dtype=np.int64)
+                vals = np.asarray(self._fn(k), dtype=float)
+                vals.flags.writeable = False
+                self._cache.clear()
+                self._cache.update(n=grow, values=vals)
+            if key not in self._cache:
+                # longdouble partial sums keep the A_n - A_{n-1} = a_n^2
+                # identity testable at 1e-12 relative for 1e4+ terms
+                acc = np.cumsum(np.square(self._cache["values"].astype(np.longdouble)))
+                energies = acc.astype(float)
+                energies.flags.writeable = False
+                self._cache["energies"] = energies
+            return self._cache[key]
 
     def values(self, n: int) -> np.ndarray:
         """Read-only array (a_1, ..., a_n)."""
         n = _as_positive_int(n, "n")
-        self._ensure(n)
-        return self._cache["values"][:n]
+        return self._cached(n, "values")[:n]
 
     def a(self, k: int) -> float:
         """Single weight a_k, k >= 1."""
@@ -169,8 +174,7 @@ class WeightSequence:
     def energies(self, n: int) -> np.ndarray:
         """Read-only array (A_1, ..., A_n) of partial energies."""
         n = _as_positive_int(n, "n")
-        self._ensure(n)
-        return self._cache["energies"][:n]
+        return self._cached(n, "energies")[:n]
 
     def partial_energy(self, n: int) -> float:
         """A_n = sum_{k<=n} a_k^2, with A_0 = 0."""

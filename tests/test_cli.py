@@ -1,6 +1,10 @@
 """Command-line surface: weight-spec parsing, config canon, exit codes, layout."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,22 @@ def test_rerun_layout_is_stable(tmp_path):
     assert main(args) == 0
     second = sorted((tmp_path / "simulate").iterdir())
     assert first == second  # same config, same directory, overwritten in place
+
+
+# -- start-up -----------------------------------------------------------------
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # importing scipy.signal alone costs about 1 s of every process start;
+    # the package needs only scipy.special at run time
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fractalwalk.cli; print('scipy.signal' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

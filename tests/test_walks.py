@@ -1,6 +1,7 @@
 """One-step-memory walks: simulation, exact moments, Doob pieces."""
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from fractalwalk import (
     WalkParams,
@@ -123,6 +124,72 @@ def test_profile_matches_pointwise_moments():
     prof = second_moment_profile(0.6, seq, 50)
     for n in (1, 2, 17, 50):
         assert prof[n - 1] == pytest.approx(exact_second_moment(0.6, seq, 0, n), rel=1e-12)
+
+
+# -- the exact variance clock, byte for byte against scipy's lfilter ----------
+
+
+def _lfilter_increments(p, weights, m, n):
+    """a_j (a_j + 2 T_j) on the window (m, n], with T from lfilter.
+
+    This is how walks.py computed the cross terms before it dropped
+    scipy.signal; the reports were hashed from these bits.
+    """
+    alpha = 2.0 * p - 1.0
+    a = weights.values(n)[m:]
+    t = lfilter([0.0, alpha], [1.0, -alpha], a)
+    return (a * (a + 2.0 * t)).astype(np.longdouble)
+
+
+def _assert_matches_lfilter(p, weights, n, windows):
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = np.cumsum(_lfilter_increments(p, weights, 0, n)).astype(float)
+        assert second_moment_profile(p, weights, n).tobytes() == ref.tobytes()
+        for m, hi in windows:
+            want = float(np.sum(_lfilter_increments(p, weights, m, hi)))
+            got = exact_second_moment(p, weights, m, hi)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (m, hi)
+
+
+MEMORY_PS = (0.75, 0.35, 2.0 / 3.0, 0.9995)  # alpha = 0.5, -0.3, 1/3, 0.999
+
+
+@pytest.mark.parametrize("p", MEMORY_PS)
+@pytest.mark.parametrize(
+    "weights",
+    [
+        CONST,
+        WeightSequence.power(0.3),
+        WeightSequence.odd_indicator(),
+        WeightSequence.alternating(),
+        WeightSequence.explicit(np.random.default_rng(21).uniform(-2.0, 2.0, 1000)),
+        WeightSequence.explicit([0.0, -0.0, 1.0, -0.0, 0.0, -1.5, -0.0] * 150),
+        WeightSequence.geometric(2.0),  # inf from k = 1024 on
+    ],
+    ids=["const", "power0.3", "odd", "alternating", "random", "signed_zeros", "overflow"],
+)
+def test_moments_match_lfilter_bytes(p, weights):
+    for n in (1, 2, 3):
+        _assert_matches_lfilter(p, weights, n, [(m, n) for m in range(n)])
+    n = 1100 if weights.kind == "geometric" else 1000
+    _assert_matches_lfilter(p, weights, n, [(0, n), (1, n), (17, 640), (n - 1, n)])
+
+
+def test_moments_match_lfilter_bytes_on_special_values():
+    # zero signs, infinities and NaN in every position of short sequences
+    rng = np.random.default_rng(22)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        weights = WeightSequence.explicit(rng.choice(pool, n))
+        for p in MEMORY_PS:
+            _assert_matches_lfilter(p, weights, n, [(m, n) for m in range(n)])
+
+
+@pytest.mark.parametrize("p", MEMORY_PS)
+@pytest.mark.parametrize("weights", [CONST, WeightSequence.power(0.3)], ids=["const", "power0.3"])
+def test_moments_match_lfilter_bytes_at_a_million_steps(p, weights):
+    _assert_matches_lfilter(p, weights, 10**6, [(1, 10**6)])
 
 
 def test_variance_sandwich_randomized():

@@ -41,6 +41,26 @@ def test_values_cache_is_read_only():
     np.testing.assert_array_equal(w[:10], v)
 
 
+def test_energies_do_not_depend_on_request_order():
+    # energies are accumulated lazily from the cached values; the bytes must
+    # not depend on which accessor ran first or on how the cache grew
+    def fresh():
+        return WeightSequence.power(0.3)
+
+    ref = fresh().energies(1000).tobytes()
+    seq = fresh()
+    seq.values(1000)
+    assert seq.energies(1000).tobytes() == ref
+    seq = fresh()
+    seq.values(10)
+    assert seq.energies(1000).tobytes() == ref
+    seq = fresh()
+    seq.energies(10)
+    seq.values(1000)
+    assert seq.energies(1000).tobytes() == ref
+    assert seq.energies(10).tobytes() == fresh().energies(10).tobytes()
+
+
 def test_explicit_zero_extension():
     seq = WeightSequence.explicit([1.0, 2.0])
     assert seq.length == 2
