@@ -28,15 +28,13 @@ agreement between walk and oracle is the checkable claim.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtr
 
-from .fractal import FractalFunction, scale_index
+from .fractal import FractalFunction, _map_threads, scale_index
 from .reports import ExperimentReport, make_manifest, statistic
 from .rng import GRID, stream, uniform_mantissas
 from .walks import (
@@ -185,21 +183,12 @@ def ks_statistic(samples) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _map_streams(fn, count: int, workers: int | None) -> list:
-    """fn(i) for i in 0..count-1, merged in index order regardless of workers.
-
-    workers=None runs one thread per CPU this process may run on.
-    """
-    if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            workers = len(os.sched_getaffinity(0))
-        else:
-            workers = os.cpu_count() or 1
-    workers = min(workers, count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+def _require_finite(clock, what: str) -> None:
+    """Refuse a variance clock that overflowed: no normalization or oracle."""
+    if not np.all(np.isfinite(clock)):
+        raise ValueError(
+            f"{what} is not finite: the weights overflow float64 by this horizon"
+        )
 
 
 def _quantiles(x: np.ndarray, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> list[float]:
@@ -293,12 +282,13 @@ def clt_experiment(
     n = params.horizon
     a = params.weights.values(n)
     s_n = math.sqrt(exact_second_moment(params.p, params.weights, 0, n))
+    _require_finite(s_n, "s_n")
 
     def one(i: int) -> float:
         x = _draw_signs(stream(seed, i), params.p, n)
         return float(a @ x) / s_n
 
-    samples = np.array(_map_streams(one, replicas, workers))
+    samples = np.array(_map_threads(one, replicas, workers))
     ks = ks_statistic(samples)
     se_mean = float(np.std(samples, ddof=1) / math.sqrt(replicas))
 
@@ -457,6 +447,7 @@ def lil_experiment(
     lo, hi = config["band"]
     min_fraction, coverage = config["min_fraction"], config["coverage"]
     den = _lil_denominator(params, normalization)
+    _require_finite(den, f"the {normalization} denominator")
     valid = den > _E_SQUARED
     if not valid.any():
         raise ValueError("denominator never exceeds e^2; horizon too short")
@@ -468,6 +459,7 @@ def lil_experiment(
         s_sq = den
     else:
         s_sq = second_moment_profile(params.p, params.weights, n)
+        _require_finite(s_sq, "the exact variance clock s_k^2")
     gaps = np.diff(s_sq, prepend=0.0)
     if np.any(gaps < 0):
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
@@ -482,10 +474,10 @@ def lil_experiment(
         steps = _oracle_steps(stream(seed, replicas + i), step_sd)
         return _lil_terminal(_prefix_sums(steps), i0, scale, False)[0]
 
-    walk_results = _map_streams(walk_one, replicas, workers)
+    walk_results = _map_threads(walk_one, replicas, workers)
     walk_terminals = np.array([t for t, _ in walk_results])
     covered_frac = float(np.mean([c for _, c in walk_results])) if coverage else None
-    oracle_terminals = np.array(_map_streams(oracle_one, replicas, workers))
+    oracle_terminals = np.array(_map_threads(oracle_one, replicas, workers))
 
     walk_frac = float(np.mean((walk_terminals >= lo) & (walk_terminals <= hi)))
     oracle_frac = float(np.mean((oracle_terminals >= lo) & (oracle_terminals <= hi)))
@@ -554,6 +546,7 @@ def chung_experiment(
     if n < 100_000:
         raise ValueError(f"Chung runs need horizon >= 1e5, got {n}")
     s_sq = second_moment_profile(params.p, params.weights, n)
+    _require_finite(s_sq, "the exact variance clock s_k^2")
     valid = s_sq > _E_SQUARED
     if not valid.any():
         raise ValueError("s_n^2 never exceeds e^2; horizon too short")
@@ -575,8 +568,8 @@ def chung_experiment(
         steps = _oracle_steps(stream(seed, replicas + i), step_sd)
         return _chung_terminal(_prefix_sums(steps), i0, coef)
 
-    walk_terminals = np.array(_map_streams(walk_one, replicas, workers))
-    oracle_terminals = np.array(_map_streams(oracle_one, replicas, workers))
+    walk_terminals = np.array(_map_threads(walk_one, replicas, workers))
+    oracle_terminals = np.array(_map_threads(oracle_one, replicas, workers))
     walk_median = float(np.median(walk_terminals))
     oracle_median = float(np.median(oracle_terminals))
     oracle_band = (0.8 * CHUNG_CONSTANT, 1.4 * CHUNG_CONSTANT)

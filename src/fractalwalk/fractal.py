@@ -9,9 +9,12 @@ sequence.  Everything here is organized around exact base-r digit arithmetic:
   carry no rounding error at all;
 * bulk evaluation runs on the 2^-53 mantissa grid, where one uint64 per point
   tracks frac(r^{k-1} x) exactly for r <= 2048 (r * 2^53 < 2^64).  The grid
-  evaluators take the points in fixed-size blocks with reused buffers, so
-  every term is a pass over cache-resident arrays rather than a fresh
-  allocation the size of the input.
+  evaluators take the points in blocks with buffers of block size, so every
+  term is a pass over cache-resident arrays rather than a fresh allocation
+  the size of the input.  `eval_grid` runs its blocks on one thread per
+  usable CPU; every point sees the same float operations in the same order
+  whatever its block and thread, so the bytes do not depend on the CPU
+  count.
 
 Evaluation returns a value together with a certified error bound: terms are
 summed until their size triggers a geometric tail closure, whose constants
@@ -28,6 +31,9 @@ and a certified small tail.
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,9 +64,21 @@ _MASK = np.uint64(GRID - 1)
 _SHIFT = np.uint64(MANTISSA_BITS)
 _HALF_GRID = np.uint64(GRID // 2)
 _GRID = np.uint64(GRID)
-# points per block of the grid evaluators: the block's residue and term
-# buffers stay in cache across all terms (4096 and 65536 measured slower)
-_BLOCK = 16384
+# points per block of `walk_value_grid`: the block's residues and its
+# (n, block) sign buffer stay in cache across all terms
+_WALK_BLOCK = 16384
+# most points per block of `eval_grid`.  Its threads overlap only while numpy
+# runs with the GIL released, so each of the seven ops per term must outlast
+# the GIL hand-off; at 16384 points an op takes about 6 us, and two threads
+# ran no faster than one.  Median s of 9 passes over the grid part of the
+# perfbench fractal_grid workload (modulus r = 2, 3, 10 and fclt), on a
+# 2-vCPU Xeon VM with 2 MB of L2 a core:
+#   one thread, 16384-point blocks                          2.79
+#   two threads, 16384 / 32768 / 65536 / 131072-point blocks
+#                                              2.75 / 2.10 / 2.08 / 2.30
+# Past 65536 points a block's buffers and output, 24 bytes a point, outgrow
+# L2.
+_EVAL_BLOCK = 65536
 
 
 class CertificationError(RuntimeError):
@@ -79,6 +97,48 @@ def _check_grid_base(r: int) -> np.uint64:
     if r > MAX_GRID_BASE:
         raise ValueError(f"grid arithmetic supports r <= {MAX_GRID_BASE}, got {r}")
     return np.uint64(r)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_threads(fn, count: int, workers: int | None = None) -> list:
+    """[fn(i) for i in range(count)], in index order, on up to `workers` threads.
+
+    workers=None runs one thread per usable CPU.  The calling thread is one
+    of them and takes indices from the same queue: it starts at once instead
+    of waiting for a fresh thread to start, which cost `eval_grid` up to 5 ms
+    a call on a 2-vCPU VM, and it takes over the indices of a helper that
+    starts late.  The helper threads live for this call only.
+    """
+    if workers is None:
+        workers = _usable_cpus()
+    workers = min(workers, count)
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    todo = queue.SimpleQueue()
+    for i in range(count):
+        todo.put(i)
+    out = [None] * count
+
+    def drain() -> None:
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            out[i] = fn(i)
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
+    return out
 
 
 def _as_unit_fraction(x) -> Fraction:
@@ -153,12 +213,12 @@ def scale_index(r: int, h) -> int:
     h = Fraction(h)
     if not 0 < h <= 1:
         raise ValueError(f"h must lie in (0, 1], got {h}")
-    # h <= r^-m  <=>  h * r^m <= 1
+    # h <= r^-m  <=>  h.numerator * r^m <= h.denominator
     m = 0
-    acc = h * r
-    while acc.numerator <= acc.denominator:
+    num, den = h.numerator * r, h.denominator
+    while num <= den:
         m += 1
-        acc *= r
+        num *= r
     return m
 
 
@@ -221,6 +281,28 @@ def match_depth_grid(r: int, mantissas: np.ndarray, ell: int) -> np.ndarray:
         np.putmask(last_nonmax, dig != top, i)
         res = t & _MASK
     return last_nonmax - 1
+
+
+def _eval_grid_block(m: np.ndarray, val: np.ndarray, scales: list, ru: np.uint64) -> None:
+    """Add sum_k scale_k d(r^{k-1} x) to val for the grid points m.
+
+    The term order and the seven uint64/float ops per term are fixed, so a
+    point's value does not depend on its block or on the thread that runs it.
+    """
+    res = m.copy()
+    dist = np.empty_like(res)
+    # each distance is converted to float in place, element for element, so
+    # the buffers take 16 bytes a point, not 24
+    term = dist.view(np.float64)
+    for scale in scales:
+        if scale is not None:
+            np.subtract(_GRID, res, out=dist)
+            np.minimum(res, dist, out=dist)
+            term[...] = dist
+            np.multiply(scale, term, out=term)
+            np.add(val, term, out=val)
+        np.multiply(res, ru, out=res)
+        np.bitwise_and(res, _MASK, out=res)
 
 
 # -- certified evaluation -----------------------------------------------------
@@ -450,9 +532,12 @@ class FractalFunction:
         are accumulated in order k = 1, 2, ..., so the float allowance of
         `eval` covers the rounding, and the result differs from the true
         value by at most tail_bound + allowance <= eps; an eps that bound
-        cannot meet raises `CertificationError`.  Points are evaluated
-        `_BLOCK` at a time in reused buffers; every point sees the same float
-        operations whatever its block.
+        cannot meet raises `CertificationError`.
+
+        The points are cut into equal blocks of at most `_EVAL_BLOCK`, and
+        one thread per usable CPU (the caller's included) takes the blocks in
+        turn.  Every point sees the same float operations whatever its block
+        and thread, so the result does not depend on the CPU count.
         """
         cert = self.certificate(eps)
         allowance = self._float_allowance(cert)
@@ -471,23 +556,14 @@ class FractalFunction:
             scales.append(a[k] * coef / float(GRID) if a[k] else None)
             coef /= self.r
         val = np.zeros(m.size, dtype=np.float64)
-        res = np.empty(min(m.size, _BLOCK), dtype=np.uint64)
-        dist = np.empty_like(res)
-        term = np.empty(res.size, dtype=np.float64)
-        for start in range(0, m.size, _BLOCK):
-            stop = min(start + _BLOCK, m.size)
-            n = stop - start
-            res_b, dist_b, term_b, val_b = res[:n], dist[:n], term[:n], val[start:stop]
-            res_b[...] = m[start:stop]
-            for scale in scales:
-                if scale is not None:
-                    np.subtract(_GRID, res_b, out=dist_b)
-                    np.minimum(res_b, dist_b, out=dist_b)
-                    term_b[...] = dist_b
-                    np.multiply(scale, term_b, out=term_b)
-                    np.add(val_b, term_b, out=val_b)
-                np.multiply(res_b, ru, out=res_b)
-                np.bitwise_and(res_b, _MASK, out=res_b)
+        blocks = -(-m.size // _EVAL_BLOCK)
+        width = -(-m.size // blocks) if blocks else 0
+
+        def run_block(i: int) -> None:
+            part = slice(i * width, (i + 1) * width)
+            _eval_grid_block(m[part], val[part], scales, ru)
+
+        _map_threads(run_block, blocks)
         return val
 
     def walk_value(self, x, n: int) -> float:
@@ -499,24 +575,30 @@ class FractalFunction:
     def walk_value_grid(self, mantissas: np.ndarray, n: int) -> np.ndarray:
         """w_n at grid points x = m * 2^-53: a @ sign_walk_grid(r, m, n).
 
-        Points are taken `_BLOCK` at a time: the block's slope signs fill a
-        reused (n, _BLOCK) float buffer, so the full (n, len(m)) sign matrix
-        is never built.  The product always spans a multiple of 8 points:
-        OpenBLAS on one or two threads then sums every point with the same
-        kernel (no remainder rows, and the thread split lands on a multiple
-        of 4), so a point's value does not depend on its position or on how
-        many points come with it.
+        Points are taken `_WALK_BLOCK` at a time: the block's slope signs fill
+        a reused (n, _WALK_BLOCK) float buffer, so the full (n, len(m)) sign
+        matrix is never built.  The product always spans a multiple of 8
+        points: OpenBLAS on one or two threads then sums every point with the
+        same kernel (no remainder rows, and the thread split lands on a
+        multiple of 4), so a point's value does not depend on its position or
+        on how many points come with it.
+
+        It stays on one Python thread, unlike `eval_grid`: its per-row ops
+        span one block row and are too short to overlap under the GIL, and
+        the product already runs on OpenBLAS threads.  Two contiguous shares
+        on two threads took 32-38 ms against 29 ms on one (n = 48, 200k
+        points, medians of 15).
         """
         ru = _check_grid_base(self.r)
         m = np.ascontiguousarray(mantissas, dtype=np.uint64)
         a = self.weights.values(n)
         out = np.empty(m.size, dtype=np.float64)
-        width = min(_BLOCK, -(-m.size // 8) * 8)
+        width = min(_WALK_BLOCK, -(-m.size // 8) * 8)
         res = np.zeros(width, dtype=np.uint64)
         falling = np.empty(width, dtype=bool)
         signs = np.empty((n, width), dtype=np.float64)
-        for start in range(0, m.size, _BLOCK):
-            stop = min(start + _BLOCK, m.size)
+        for start in range(0, m.size, _WALK_BLOCK):
+            stop = min(start + _WALK_BLOCK, m.size)
             cols = -(-(stop - start) // 8) * 8
             res_b, falling_b, signs_b = res[:cols], falling[:cols], signs[:, :cols]
             # padding columns keep residues of an earlier block, or zeros

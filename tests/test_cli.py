@@ -179,6 +179,20 @@ def test_fclt_precondition_failure_is_check_failure(tmp_path, capsys):
     assert "regularly varying" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_variance_clock_is_usage_error(tmp_path, capsys):
+    # s_n overflows to NaN; this run once exited 2 with a report of NaNs
+    rc = main(
+        [
+            "clt", "--weights", "geometric:2", "--n", "1100",
+            "--replicas", "1000", "--seed", "1", "--outdir", str(tmp_path),
+        ]
+    )
+    assert rc == 1
+    assert "error: s_n is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.json"))
+
+
 def test_outdir_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FRACTALWALK_OUT", str(tmp_path / "envruns"))
     rc = main(["eval", "--x", "1/3", "--r", "3"])

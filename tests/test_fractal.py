@@ -1,5 +1,8 @@
 """Fractal surface: certified evaluation, digit machinery, increment algebra."""
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +23,8 @@ from fractalwalk import (
     stream,
     uniform_mantissas,
 )
-from fractalwalk.fractal import _BLOCK
+from fractalwalk import fractal
+from fractalwalk.fractal import _EVAL_BLOCK, _WALK_BLOCK
 from fractalwalk.rng import GRID
 
 CONST = WeightSequence.constant()
@@ -118,25 +122,66 @@ GRID_WEIGHTS = [
 ]
 
 
+CPU_COUNTS = (1, 2, 3)
+
+
 @pytest.mark.parametrize("r", [2, 3, 10, 2048])
 @pytest.mark.parametrize("weights,delta", GRID_WEIGHTS, ids=["constant", "power", "odd"])
-def test_eval_grid_blocks_match_reference(r, weights, delta):
-    """Byte for byte at sizes around the block edges."""
+def test_eval_grid_blocks_match_reference(r, weights, delta, monkeypatch):
+    """Byte for byte at sizes around the block edges, on 1, 2 and 3 threads.
+
+    The reference is elementwise, so its prefix is the prefix's reference.
+    """
     f = FractalFunction(r, weights, delta=delta)
-    mant = uniform_mantissas(stream(14), 3 * _BLOCK + 7)
-    for size in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
-        got = f.eval_grid(mant[:size], eps=1e-12)
-        want = _eval_grid_reference(f, mant[:size], 1e-12)
-        assert got.shape == (size,)
-        assert got.tobytes() == want.tobytes(), size
+    B = _EVAL_BLOCK
+    mant = uniform_mantissas(stream(14), 3 * B + 7)
+    want = _eval_grid_reference(f, mant, 1e-12)
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(fractal, "_usable_cpus", lambda: cpus)
+        for size in (0, 1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 7):
+            got = f.eval_grid(mant[:size], eps=1e-12)
+            assert got.shape == (size,)
+            assert got.tobytes() == want[:size].tobytes(), (cpus, size)
 
 
-def test_eval_grid_strided_input_matches_reference():
+def test_eval_grid_strided_input_matches_reference(monkeypatch):
     f = FractalFunction(3, WeightSequence.power(0.5), delta=0.5)
-    mant = uniform_mantissas(stream(15), 4 * _BLOCK + 10)[::3]
+    mant = uniform_mantissas(stream(15), 4 * _EVAL_BLOCK + 10)[::3]
     assert not mant.flags.c_contiguous
-    got = f.eval_grid(mant, eps=1e-12)
-    assert got.tobytes() == _eval_grid_reference(f, mant, 1e-12).tobytes()
+    want = _eval_grid_reference(f, mant, 1e-12)
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(fractal, "_usable_cpus", lambda: cpus)
+        assert f.eval_grid(mant, eps=1e-12).tobytes() == want.tobytes(), cpus
+
+
+def test_eval_grid_concurrent_callers_match_serial(monkeypatch):
+    """Two caller threads on one function, each running its blocks on two
+    threads, get the bytes of serial calls."""
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 2)
+    mants = [uniform_mantissas(stream(18, i), 2 * _EVAL_BLOCK + 1) for i in range(2)]
+    serial = FractalFunction(2, WeightSequence.power(0.5), delta=0.5)
+    want = [serial.eval_grid(m, eps=1e-12).tobytes() for m in mants]
+    # a fresh function, so both callers also race to fill the certificate cache
+    f = FractalFunction(2, WeightSequence.power(0.5), delta=0.5)
+    got = [None, None]
+    start = threading.Barrier(2, timeout=10)
+
+    def call(i):
+        start.wait()
+        got[i] = f.eval_grid(mants[i], eps=1e-12).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 def test_eval_grid_rejects_unreachable_eps():
@@ -215,9 +260,9 @@ def test_walk_value_grid_blocks_match_reference(n):
     rows for BLAS to sum in another order.
     """
     f = FractalFunction(3, WeightSequence.power(0.5), delta=0.5)
-    mant = uniform_mantissas(stream(16), 2 * _BLOCK + 8)
+    mant = uniform_mantissas(stream(16), 2 * _WALK_BLOCK + 8)
     a = f.weights.values(n)
-    for size in (0, 8, _BLOCK, 2 * _BLOCK + 8):
+    for size in (0, 8, _WALK_BLOCK, 2 * _WALK_BLOCK + 8):
         got = f.walk_value_grid(mant[:size], n)
         want = a @ sign_walk_grid(3, mant[:size], n).astype(float)
         assert got.tobytes() == want.tobytes(), size
@@ -227,9 +272,10 @@ def test_walk_value_grid_blocks_match_reference(n):
 def test_walk_value_grid_does_not_depend_on_the_batch(n):
     """A point's value is the same in any slice of the input, ragged ones too."""
     f = FractalFunction(2, WeightSequence.power(0.5), delta=0.5)
-    mant = uniform_mantissas(stream(17), 3 * _BLOCK + 7)
+    mant = uniform_mantissas(stream(17), 3 * _WALK_BLOCK + 7)
     whole = f.walk_value_grid(mant, n)
-    for lo, hi in [(0, 1), (3, 8), (5, _BLOCK + 4), (_BLOCK - 3, 3 * _BLOCK + 1)]:
+    B = _WALK_BLOCK
+    for lo, hi in [(0, 1), (3, 8), (5, B + 4), (B - 3, 3 * B + 1)]:
         got = f.walk_value_grid(mant[lo:hi], n)
         assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
@@ -239,6 +285,32 @@ def test_scale_index():
     assert scale_index(3, Fraction(1, 9)) == 2
     assert scale_index(3, Fraction(1, 10)) == 2
     assert scale_index(2, Fraction(1, 3)) == 1
+
+
+def _scale_index_fraction_loop(r, h):
+    """The m with r^-(m+1) < h <= r^-m, by repeated Fraction products."""
+    m = 0
+    acc = h * r
+    while acc.numerator <= acc.denominator:
+        m += 1
+        acc *= r
+    return m
+
+
+@pytest.mark.parametrize("r", [2, 3, 10, 2048])
+def test_scale_index_matches_fraction_loop(r):
+    hs = []
+    for m in range(61):
+        p = Fraction(1, r**m)
+        hs += [p, p + Fraction(1, GRID), p - Fraction(1, GRID)]
+    rng = random.Random(r)
+    for _ in range(300):
+        den = rng.randint(1, 10 ** rng.randint(1, 40))
+        hs.append(Fraction(rng.randint(1, den), den))
+    hs = [h for h in hs if 0 < h <= 1]
+    assert len(hs) > 200
+    for h in hs:
+        assert scale_index(r, h) == _scale_index_fraction_loop(r, h), h
 
 
 def test_match_depth_examples():

@@ -22,6 +22,7 @@ from fractalwalk import (
     sup_increment_trace,
     variance_profile,
 )
+from fractalwalk import experiments
 from fractalwalk.experiments import (
     _BLOCK,
     _COVER_EDGES,
@@ -404,6 +405,29 @@ def test_chung_oracle_constant_band_unreachable_at_desk_scale():
 def test_chung_horizon_floor():
     with pytest.raises(ValueError):
         chung_experiment(WalkParams(0.5, CONST, 1000))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda params: lil_experiment(params, normalization="exact_s"),
+        lambda params: lil_experiment(params, normalization="scaled_A"),
+        lambda params: lil_experiment(params, normalization="plain_A"),
+        chung_experiment,
+    ],
+    ids=["lil-exact_s", "lil-scaled_A", "lil-plain_A", "chung"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_variance_clock_is_refused(run, monkeypatch):
+    """2^k weights overflow the clock near k = 1024; NaN gaps slipped past
+    the monotonicity check.  The refusal comes before any path is drawn."""
+
+    def no_paths(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(experiments, "stream", no_paths)
+    with pytest.raises(ValueError, match="not finite"):
+        run(WalkParams(0.75, WeightSequence.geometric(2.0), 100_000))
 
 
 # -- modulus ------------------------------------------------------------------
