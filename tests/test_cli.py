@@ -1,4 +1,5 @@
 """Command-line surface: weight-spec parsing, config canon, exit codes, layout."""
+import hashlib
 import json
 import os
 import subprocess
@@ -105,7 +106,7 @@ _SMALL_CONFIGS = [
     {"experiment": "lil", "n": 100_000, "replicas": 2, "seed": 1},
     {"experiment": "lil", "n": 100_000, "replicas": 2, "normalization": "plain_A"},
     {"experiment": "lil", "n": 100_000, "replicas": 2, "band": "0.4,1.3",
-     "min_fraction": 0.5, "workers": 2},
+     "min_fraction": 0.5},
     {"experiment": "chung", "n": 100_000, "replicas": 2, "seed": 1},
     {"experiment": "modulus", "h_grid": "2^-3,2^-6", "x_samples": 1000},
     {"experiment": "fclt", "n": 12, "x_samples": 1000},
@@ -127,6 +128,66 @@ def test_manifest_predicts_the_written_manifest(config, tmp_path, capsys):
     assert report["manifest"] == predicted.to_dict()
     assert report["manifest_hash"] == predicted.hash
     assert report_path.parent.name == predicted.hash[:12]
+
+
+# sha256 of every file each small config writes; a refactor that changes
+# one byte of a report or CSV fails here
+_GOLDEN_OUTPUTS = {
+    "eval-1/3": {
+        "report.json": "1d1cd7b8c37566f1a4d40f8ff8c6dbc122903336efd8f668d60c4efce94907a2",
+    },
+    "simulate-50-2": {
+        "path.csv": "19c605c3cc6596621ac5302f09b368699a0c127e764b03285c16d7036da379b5",
+        "report.json": "dc50bf0da92fe498ebe382351060b4fd47c01af554463fcb8e9770e4b4e79c09",
+    },
+    "blocks-8-0.75": {
+        "blocks.csv": "d2381fc6cd53949d8474bc3a4333f8877f6487a4e7d951d36da6f08b19526b80",
+        "report.json": "ff2d5de03bb55b8ff0f22ca763e11a3c94aa0609a8297d56f54d31c83388d638",
+    },
+    "validate-weights-500": {
+        "report.json": "802b598581b5413dc9a27745da3d24624a05556c0de8526281153766b6240ad9",
+    },
+    "clt-100-1000-1": {
+        "normalized_sums.csv": "5e9773d96f9b471ae8fd68fcb1829bada2e7f271899bd01a8cbf0a6c969f195f",
+        "report.json": "60022f9f46f15ed6a32da520f358915840669af2a4307daa1d1167df2390467f",
+    },
+    "lil-100000-2-1": {
+        "report.json": "4f96e59bab63145374eb5a661ddedad75a1079cad003ea89f3e3f19ce3343c89",
+        "terminals.csv": "46d94db61fab569b16b20503b3011e93cb5b6ddbcc46f874ae1a2e65ec2cb973",
+    },
+    "lil-100000-2-plain_A": {
+        "report.json": "777bfb578e99efda0a66396f903d7b39750fb4b2ddc6b6e4d2d764a5faa0ac58",
+        "terminals.csv": "1059cb031d625b9c897fa0b2ad5f979eb7ed90b00230d1fdf3af8cbdfb4d389d",
+    },
+    "lil-100000-2-0.4,1.3-0.5": {
+        "report.json": "680fbc4108a69661d2681bdb03d1c0c0a6f090cb29f23dbc04aa1d3835d63cb9",
+        "terminals.csv": "86e4524cc0a0342e103a33b1de65770960bb94647450cd00f4d44e85ed364e2f",
+    },
+    "chung-100000-2-1": {
+        "report.json": "3d298cb54839e385f2b3354215e86ee2cbf880786061752e5ffe82d35e7ef7c4",
+        "terminals.csv": "507036661335e96d83b7e4119fef4b1bc228cadeec415fca58a4c4caf465da7c",
+    },
+    "modulus-2^-3,2^-6-1000": {
+        "increments.csv": "6e8f48d3d457b0710b161b4357f9c8eab123a943b20f452efed7942fe9d38615",
+        "report.json": "4c281c843eac202ea174551b151c00e55c34a5ec2c179ce3ef7b01c18c366ef5",
+    },
+    "fclt-12-1000": {
+        "marginals.csv": "0587d9b1953d084713f4c254840716c39a66b421a93b3a4bcd978bada00206b7",
+        "report.json": "a39ad7b3c44e45c08ce05be33a6f6bd4150390642b5e8646561c24926deb6710",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "config", _SMALL_CONFIGS, ids=lambda c: "-".join(f"{v}" for v in c.values())
+)
+def test_small_config_outputs_match_goldens(config, tmp_path, capsys):
+    run(config, outdir=tmp_path)
+    (run_dir,) = [p.parent for p in tmp_path.glob("*/*/report.json")]
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run_dir.iterdir()
+    }
+    assert digests == _GOLDEN_OUTPUTS["-".join(f"{v}" for v in config.values())]
 
 
 # -- exit codes and output ----------------------------------------------------
