@@ -16,9 +16,9 @@ with tempfile.TemporaryDirectory() as out:
           "--delta", "0.5", "--outdir", out])
     print()
 
-    print("$ fractalwalk clt --p 0.6 --n 2000 --replicas 5000 --workers 4")
+    print("$ fractalwalk clt --p 0.6 --n 2000 --replicas 5000")
     rc = main(["clt", "--p", "0.6", "--n", "2000", "--replicas", "5000",
-               "--workers", "4", "--outdir", out])
+               "--outdir", out])
     print(f"exit status {rc}")
     print()
 

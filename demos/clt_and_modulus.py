@@ -17,7 +17,7 @@ from fractalwalk import (
 
 CONST = WeightSequence.constant()
 
-rep = clt_experiment(WalkParams(0.75, CONST, 2000), replicas=5000, seed=3, workers=4)
+rep = clt_experiment(WalkParams(0.75, CONST, 2000), replicas=5000, seed=3)
 ks = rep.find("ks_distance")
 print(f"walk CLT: KS = {ks.value:.4f} (tolerance {ks.tolerance['max']}) ->"
       f" {'pass' if ks.passed else 'fail'}")

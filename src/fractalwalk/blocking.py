@@ -31,7 +31,7 @@ import numpy as np
 
 from .fractal import CertificationError
 from .walks import WalkParams, WalkPath, exact_second_moment, second_moment_profile
-from .weights import WeightSequence
+from .weights import WeightSequence, _growth_ok, _ratio_sequence
 
 __all__ = [
     "BlockConstructionError",
@@ -245,24 +245,12 @@ def gordin_corrector(
         value = float(anchor_sign) * float(vals @ powers)
         if tail is None:
             scan = h_j + kk + max(64, kk // 4)
-            a_all = weights.values(scan)
             energies = weights.energies(scan)
-            sq = np.square(a_all)
-            if delta == 1.0:
-                k_hat = float(np.max(sq))
-                a_factor = 1.0
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = sq / energies ** (1.0 - delta)
-                ratios[sq == 0.0] = 0.0
-                k_hat = float(np.max(ratios))
+            k_hat = float(np.max(_ratio_sequence(weights.values(scan), energies, delta)))
+            a_factor = 1.0
+            if delta != 1.0:
                 a_factor = float(energies[h_j + kk - 1]) ** ((1.0 - delta) / 2.0)
-            with np.errstate(divide="ignore"):
-                dg = np.diff(np.log(energies[h_j + kk - 1 :]))
-            growth_ok = not (
-                dg.size and (np.isnan(dg).any() or np.max(dg) > -math.log(abs_a) + 1e-12)
-            )
-            if np.isfinite(k_hat) and growth_ok:
+            if np.isfinite(k_hat) and _growth_ok(energies[h_j + kk - 1 :], -math.log(abs_a)):
                 tail = (
                     2.0
                     * math.sqrt(k_hat)

@@ -2,7 +2,7 @@
 
 Each experiment returns an `ExperimentReport` whose numbers depend only on
 the seed manifest: replica i always draws from Philox stream (seed, i), the
-Brownian oracle replicas from streams offset by the replica count, so worker
+Brownian oracle replicas from streams offset by the replica count, so thread
 counts and scheduling cannot change a single bit of the output.
 
 The experiments mirror the limit theorems they probe:
@@ -24,27 +24,35 @@ and not assertions of the asymptotic constants; the loglog scale reaches its
 limits far beyond any desk-size horizon.  At n = 10^6, Brownian motion on
 the walk's clock lands in the default LIL bands only 56-66% of the time, so
 agreement between walk and oracle is the checkable claim.
+
+`SPECS` holds one `Spec` per CLI experiment: its config keys with their
+defaults, its seed manifest's stream and replica counts, and its runner.
+The CLI parser, config normalization, run manifests and every report's
+params are read from it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
+from .blocking import build_blocks
 from .fractal import FractalFunction, _map_threads, scale_index
-from .reports import ExperimentReport, make_manifest, statistic
+from .reports import ExperimentReport, SeedManifest, make_manifest, statistic
 from .rng import GRID, stream, uniform_mantissas
 from .walks import (
     WalkParams,
     _draw_signs,
     exact_second_moment,
     second_moment_profile,
+    simulate,
     variance_ratio_bound,
 )
-from .weights import WeightSequence
+from .weights import WeightSequence, growth_report, validate_assumptions
 
 __all__ = [
     "VarianceProfile",
@@ -59,6 +67,7 @@ __all__ = [
     "functional_clt_experiment",
     "sup_increment_trace",
     "LIL_NORMALIZATIONS",
+    "SPECS",
 ]
 
 _E_SQUARED = math.e**2
@@ -273,7 +282,6 @@ def clt_experiment(
     replicas: int = 10_000,
     seed: int = 0,
     ks_tol: float = 0.02,
-    workers: int = 1,
 ) -> ExperimentReport:
     """KS distance of S_n/s_n (s_n exact) to the standard normal."""
     replicas = int(replicas)
@@ -281,31 +289,19 @@ def clt_experiment(
         raise ValueError(f"need >= 1000 replicas, got {replicas}")
     n = params.horizon
     a = params.weights.values(n)
-    s_n = math.sqrt(exact_second_moment(params.p, params.weights, 0, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_n = math.sqrt(exact_second_moment(params.p, params.weights, 0, n))
     _require_finite(s_n, "s_n")
 
     def one(i: int) -> float:
         x = _draw_signs(stream(seed, i), params.p, n)
         return float(a @ x) / s_n
 
-    samples = np.array(_map_threads(one, replicas, workers))
+    samples = np.array(_map_threads(one, replicas))
     ks = ks_statistic(samples)
     se_mean = float(np.std(samples, ddof=1) / math.sqrt(replicas))
 
-    config = {
-        "experiment": "clt",
-        "p": params.p,
-        "weights": params.weights.spec,
-        "n": n,
-        "replicas": replicas,
-        "seed": seed,
-        "ks_tol": ks_tol,
-    }
-    report = ExperimentReport(
-        name="clt",
-        params=config,
-        manifest=make_manifest(config, seed, streams=replicas, replicas=replicas),
-    )
+    report = _new_report(_config("clt", params, replicas=replicas, seed=seed, ks_tol=ks_tol))
     report.statistics.append(
         statistic("ks_distance", ks, {"max": ks_tol}, detail=f"s_n={s_n:.6g}")
     )
@@ -329,18 +325,7 @@ def _lil_denominator(params: WalkParams, normalization: str) -> np.ndarray:
     energies = params.weights.energies(n)
     if normalization == "scaled_A":
         return (params.p / (1.0 - params.p)) * energies
-    if normalization == "plain_A":
-        return energies.copy()
-    raise ValueError(
-        f"normalization must be one of {LIL_NORMALIZATIONS}, got {normalization!r}"
-    )
-
-
-def _default_band(params: WalkParams, normalization: str) -> tuple[tuple[float, float], float]:
-    if normalization == "plain_A":
-        hi = math.sqrt(variance_ratio_bound(params.p)) * 1.1
-        return (0.0, hi), 0.95
-    return (0.5, 1.2), 0.90
+    return energies.copy()  # plain_A
 
 
 _COVER_EDGES = np.linspace(-0.9, 0.9, 10)  # nine width-0.2 bins
@@ -383,38 +368,29 @@ def _chung_terminal(sums, i0: int, coef: np.ndarray) -> float:
     return low
 
 
-def lil_config(
-    params: WalkParams,
-    replicas: int = 50,
-    seed: int = 0,
-    normalization: str = "exact_s",
-    band: tuple[float, float] | None = None,
-    min_fraction: float | None = None,
-    coverage: bool | None = None,
-) -> dict:
-    """The config `lil_experiment` hashes into its manifest, defaults resolved.
+def _resolve_lil(cfg: dict) -> dict:
+    """A lil config with the defaults that depend on its normalization filled.
 
-    The default band and fraction depend on the normalization; coverage is
-    tracked by default for exact_s only.
+    The band and fraction default per normalization; coverage is tracked for
+    exact_s only.
     """
+    normalization = cfg["normalization"]
     if normalization not in LIL_NORMALIZATIONS:
         raise ValueError(
             f"normalization must be one of {LIL_NORMALIZATIONS}, got {normalization!r}"
         )
-    default_band, default_frac = _default_band(params, normalization)
-    lo, hi = default_band if band is None else band
-    return {
-        "experiment": "lil",
-        "p": params.p,
-        "weights": params.weights.spec,
-        "n": params.horizon,
-        "replicas": int(replicas),
-        "seed": seed,
-        "normalization": normalization,
-        "band": [lo, hi],
-        "min_fraction": default_frac if min_fraction is None else min_fraction,
-        "coverage": normalization == "exact_s" if coverage is None else coverage,
-    }
+    if normalization == "plain_A":
+        band, fraction = (0.0, math.sqrt(variance_ratio_bound(cfg["p"])) * 1.1), 0.95
+    else:
+        band, fraction = (0.5, 1.2), 0.90
+    if cfg["band"] is not None:
+        band = tuple(cfg["band"])
+    if len(band) != 2:
+        raise ValueError(f"band needs two values lo,hi, got {list(band)}")
+    if cfg["min_fraction"] is not None:
+        fraction = cfg["min_fraction"]
+    return {**cfg, "band": list(band), "min_fraction": fraction,
+            "coverage": normalization == "exact_s"}
 
 
 def lil_experiment(
@@ -425,7 +401,6 @@ def lil_experiment(
     band: tuple[float, float] | None = None,
     min_fraction: float | None = None,
     coverage: bool | None = None,
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Terminal running max of S_n / sqrt(2 D_n loglog D_n) across seeds.
 
@@ -435,18 +410,21 @@ def lil_experiment(
     to both; coverage (the normalized path visiting all nine width-0.2 bins
     of [-0.9, 0.9]) is tracked for the exact-s_n normalization by default.
 
-    Each path is drawn and reduced in blocks, so a replica holds about 1 MB;
-    `workers` defaults to one thread per usable CPU (at most `replicas`)
-    and never changes the report.
+    Each path is drawn and reduced in blocks, so a replica holds about 1 MB,
+    and the replicas run on one thread per usable CPU (at most `replicas`).
     """
     replicas = int(replicas)
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"LIL runs need horizon >= 1e5, got {n}")
-    config = lil_config(params, replicas, seed, normalization, band, min_fraction, coverage)
+    config = _config("lil", params, replicas=replicas, seed=seed, normalization=normalization,
+                     band=band, min_fraction=min_fraction)
+    if coverage is not None:
+        config["coverage"] = coverage
     lo, hi = config["band"]
     min_fraction, coverage = config["min_fraction"], config["coverage"]
-    den = _lil_denominator(params, normalization)
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = _lil_denominator(params, normalization)
     _require_finite(den, f"the {normalization} denominator")
     valid = den > _E_SQUARED
     if not valid.any():
@@ -458,7 +436,8 @@ def lil_experiment(
     if normalization == "exact_s":
         s_sq = den
     else:
-        s_sq = second_moment_profile(params.p, params.weights, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_sq = second_moment_profile(params.p, params.weights, n)
         _require_finite(s_sq, "the exact variance clock s_k^2")
     gaps = np.diff(s_sq, prepend=0.0)
     if np.any(gaps < 0):
@@ -474,19 +453,15 @@ def lil_experiment(
         steps = _oracle_steps(stream(seed, replicas + i), step_sd)
         return _lil_terminal(_prefix_sums(steps), i0, scale, False)[0]
 
-    walk_results = _map_threads(walk_one, replicas, workers)
+    walk_results = _map_threads(walk_one, replicas)
     walk_terminals = np.array([t for t, _ in walk_results])
     covered_frac = float(np.mean([c for _, c in walk_results])) if coverage else None
-    oracle_terminals = np.array(_map_threads(oracle_one, replicas, workers))
+    oracle_terminals = np.array(_map_threads(oracle_one, replicas))
 
     walk_frac = float(np.mean((walk_terminals >= lo) & (walk_terminals <= hi)))
     oracle_frac = float(np.mean((oracle_terminals >= lo) & (oracle_terminals <= hi)))
 
-    report = ExperimentReport(
-        name="lil",
-        params=config,
-        manifest=make_manifest(config, seed, streams=2 * replicas, replicas=replicas),
-    )
+    report = _new_report(config)
     band_tol = {"min": min_fraction}
     detail = f"band=[{lo:.4g},{hi:.4g}], start_index={i0 + 1}"
     report.statistics.append(
@@ -529,7 +504,6 @@ def chung_experiment(
     replicas: int = 50,
     seed: int = 0,
     median_tol: float = 0.15,
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Running-min of sqrt(loglog s_n^2 / s_n^2) max_{k<=n} |S_k|.
 
@@ -537,15 +511,15 @@ def chung_experiment(
     matched Brownian oracle (same clock s_k^2, same start index); the oracle
     itself is checked against a wide band around pi/sqrt(8).
 
-    Each path is drawn and reduced in blocks, so a replica holds about 1 MB;
-    `workers` defaults to one thread per usable CPU (at most `replicas`)
-    and never changes the report.
+    Each path is drawn and reduced in blocks, so a replica holds about 1 MB,
+    and the replicas run on one thread per usable CPU (at most `replicas`).
     """
     replicas = int(replicas)
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"Chung runs need horizon >= 1e5, got {n}")
-    s_sq = second_moment_profile(params.p, params.weights, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_sq = second_moment_profile(params.p, params.weights, n)
     _require_finite(s_sq, "the exact variance clock s_k^2")
     valid = s_sq > _E_SQUARED
     if not valid.any():
@@ -568,8 +542,8 @@ def chung_experiment(
         steps = _oracle_steps(stream(seed, replicas + i), step_sd)
         return _chung_terminal(_prefix_sums(steps), i0, coef)
 
-    walk_terminals = np.array(_map_threads(walk_one, replicas, workers))
-    oracle_terminals = np.array(_map_threads(oracle_one, replicas, workers))
+    walk_terminals = np.array(_map_threads(walk_one, replicas))
+    oracle_terminals = np.array(_map_threads(oracle_one, replicas))
     walk_median = float(np.median(walk_terminals))
     oracle_median = float(np.median(oracle_terminals))
     oracle_band = (0.8 * CHUNG_CONSTANT, 1.4 * CHUNG_CONSTANT)
@@ -579,19 +553,8 @@ def chung_experiment(
         )
     )
 
-    config = {
-        "experiment": "chung",
-        "p": params.p,
-        "weights": params.weights.spec,
-        "n": n,
-        "replicas": replicas,
-        "seed": seed,
-        "median_tol": median_tol,
-    }
-    report = ExperimentReport(
-        name="chung",
-        params=config,
-        manifest=make_manifest(config, seed, streams=2 * replicas, replicas=replicas),
+    report = _new_report(
+        _config("chung", params, replicas=replicas, seed=seed, median_tol=median_tol)
     )
     report.statistics.append(
         statistic(
@@ -688,21 +651,9 @@ def modulus_experiment(
             notes.append(f"h index {i}: m(h)={m} < 2, no verdict (no asymptotics)")
         rows.append([str(hq), m, sig, ks] + resid_q)
 
-    config = {
-        "experiment": "modulus",
-        "r": f.r,
-        "weights": f.weights.spec,
-        "delta": f.delta,
-        "h_grid": [str(h) for h in hs],
-        "x_samples": x_samples,
-        "seed": seed,
-        "ks_tol": ks_tol,
-        "eps": eps,
-    }
-    report = ExperimentReport(
-        name="modulus",
-        params=config,
-        manifest=make_manifest(config, seed, streams=len(hs), replicas=x_samples),
+    report = _new_report(
+        _config("modulus", f, h_grid=[str(h) for h in hs], x_samples=x_samples, seed=seed,
+                ks_tol=ks_tol, eps=eps)
     )
     report.statistics.extend(stats)
     report.notes.extend(notes)
@@ -779,23 +730,9 @@ def functional_clt_experiment(
         vy = f.eval_grid(my, eps)
         paths[row] = (vy - vx) / (float(hq) * sqrt_vn)
 
-    config = {
-        "experiment": "fclt",
-        "r": f.r,
-        "weights": f.weights.spec,
-        "delta": f.delta,
-        "beta": beta,
-        "n": n,
-        "t_grid": ts,
-        "x_samples": x_samples,
-        "seed": seed,
-        "var_tol": var_tol,
-        "eps": eps,
-    }
-    report = ExperimentReport(
-        name="fclt",
-        params=config,
-        manifest=make_manifest(config, seed, streams=1, replicas=x_samples),
+    report = _new_report(
+        _config("fclt", f, beta=beta, n=n, t_grid=ts, x_samples=x_samples, seed=seed,
+                var_tol=var_tol, eps=eps)
     )
     rows = []
     for row, (t, i) in enumerate(zip(ts, idx)):
@@ -846,3 +783,227 @@ def sup_increment_trace(f: FractalFunction, x, h_grid, eps: float = 1e-10):
         ratios.append(abs(ft - fx) / float(t))
     trace = np.maximum.accumulate(np.array(ratios[:-1]))
     return np.array([float(h) for h in hs[1:]]), trace
+
+
+# -- experiment specs ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One experiment's config schema and runner: the one place its keys live.
+
+    `defaults` lists every config key, in flag order, with its default; every
+    key enters the run hash.  `streams` and `replicas` give the seed
+    manifest's counts for a config, `run` runs a normalized config, and
+    `resolve` fills the defaults that depend on other keys.
+    """
+
+    defaults: dict
+    run: Callable[[dict], ExperimentReport]
+    streams: Callable[[dict], int] = lambda cfg: 0
+    replicas: Callable[[dict], int] = lambda cfg: 1
+    resolve: Callable[[dict], dict] = lambda cfg: cfg
+
+    def manifest(self, config: dict) -> SeedManifest:
+        """Seed manifest of a resolved config."""
+        return make_manifest(
+            config, config.get("seed", 0), self.streams(config), self.replicas(config)
+        )
+
+
+def _config(name: str, source, **values) -> dict:
+    """The resolved config of a run of `name`: its spec's keys, from these values.
+
+    `source`, the run's WalkParams or FractalFunction, supplies p, weights
+    and n, or r, weights and delta.
+    """
+    if isinstance(source, WalkParams):
+        values.update(p=source.p, weights=source.weights.spec, n=source.horizon)
+    else:
+        values.update(r=source.r, weights=source.weights.spec, delta=source.delta)
+    spec = SPECS[name]
+    return spec.resolve({"experiment": name, **{k: values[k] for k in spec.defaults}})
+
+
+def _new_report(config: dict) -> ExperimentReport:
+    """An empty report with the config as params and the spec's manifest."""
+    name = config["experiment"]
+    return ExperimentReport(name=name, params=config, manifest=SPECS[name].manifest(config))
+
+
+def _walk_params(cfg: dict) -> WalkParams:
+    return WalkParams(
+        p=cfg["p"], weights=WeightSequence.from_spec(cfg["weights"]), horizon=cfg["n"]
+    )
+
+
+def _fractal(cfg: dict) -> FractalFunction:
+    return FractalFunction(
+        r=cfg["r"], weights=WeightSequence.from_spec(cfg["weights"]), delta=cfg["delta"]
+    )
+
+
+def _run_eval(cfg: dict) -> ExperimentReport:
+    res = _fractal(cfg).eval(Fraction(cfg["x"]), cfg["eps"])
+    print(res.value)
+    report = _new_report(cfg)
+    report.statistics.append(
+        statistic(
+            "certified_error",
+            res.error_bound,
+            {"max": cfg["eps"]},
+            detail=f"value={res.value!r}, terms={res.terms}",
+        )
+    )
+    return report
+
+
+def _run_simulate(cfg: dict) -> ExperimentReport:
+    path = simulate(_walk_params(cfg), cfg["seed"], cfg["stream"])
+    report = _new_report(cfg)
+    report.statistics.append(statistic("terminal_sum", float(path.sums[-1])))
+    report.statistics.append(statistic("terminal_sign", float(path.signs[-1])))
+    report.attachments["path"] = {
+        "columns": ["k", "sign", "sum"],
+        "rows": [
+            [k + 1, int(path.signs[k]), float(path.sums[k + 1])]
+            for k in range(path.horizon)
+        ],
+    }
+    print(f"simulated n={path.horizon}, S_n={path.sums[-1]:g}")
+    return report
+
+
+def _run_blocks(cfg: dict) -> ExperimentReport:
+    seq = WeightSequence.from_spec(cfg["weights"])
+    scheme = build_blocks(seq, cfg["delta"], cfg["count"])
+    report = _new_report(cfg)
+    report.statistics.append(statistic("boundaries", float(scheme.boundaries.size)))
+    rows = []
+    delays = None
+    if cfg.get("p") is not None:
+        delays = scheme.delays_for(2.0 * cfg["p"] - 1.0)
+    for j in range(scheme.boundaries.size):
+        row = [j + 1, int(scheme.boundaries[j]), float(scheme.energies[j])]
+        row.append(int(delays[j]) if delays is not None else "")
+        if j < scheme.n_blocks:
+            row.append(float(scheme.block_energies[j]))
+        else:
+            row.append("")
+        rows.append(row)
+    report.attachments["blocks"] = {
+        "columns": ["j", "h_j", "energy_at_h_j", "delay", "block_energy"],
+        "rows": rows,
+    }
+    print("boundaries:", ", ".join(str(int(b)) for b in scheme.boundaries))
+    return report
+
+
+def _run_validate_weights(cfg: dict) -> ExperimentReport:
+    seq = WeightSequence.from_spec(cfg["weights"])
+    rep = validate_assumptions(seq, cfg["delta"], cfg["n_max"])
+    growth = growth_report(seq, cfg["delta"], cfg["q"], cfg["n0"], cfg["n_max"])
+    report = _new_report(cfg)
+    report.statistics.append(
+        statistic(
+            "assumptions_pass",
+            1.0 if rep.passed else 0.0,
+            {"min": 1.0},
+            detail=f"K_hat={rep.k_hat:.6g} at n={rep.worst_index}, "
+            f"tail_slope={rep.tail_slope:.3g}",
+        )
+    )
+    report.statistics.append(
+        statistic(
+            "growth_pass",
+            1.0 if growth.passed else 0.0,
+            {"min": 1.0},
+            detail=f"poly_sup={growth.poly_sup:.6g}, exp_ok={growth.exp_ok}, "
+            f"n0_min={growth.n0_min}",
+        )
+    )
+    report.statistics.append(statistic("k_hat", rep.k_hat))
+    report.statistics.append(statistic("energy_final", rep.energy_final))
+    return report
+
+
+def _run_modulus(cfg: dict) -> ExperimentReport:
+    f = _fractal(cfg)
+    hs = [Fraction(h) for h in cfg["h_grid"]]
+    n_max = max(scale_index(f.r, h) for h in hs) + 1
+    profile = variance_profile(f.r, f.weights, n_max)
+    return modulus_experiment(
+        f, profile, hs, cfg["x_samples"], cfg["seed"], cfg["ks_tol"], cfg["eps"]
+    )
+
+
+def _run_fclt(cfg: dict) -> ExperimentReport:
+    f = _fractal(cfg)
+    profile = variance_profile(f.r, f.weights, cfg["n"])
+    return functional_clt_experiment(
+        f, profile, cfg["beta"], cfg["n"], cfg["t_grid"], cfg["x_samples"], cfg["seed"],
+        cfg["var_tol"], eps=cfg["eps"],
+    )
+
+
+SPECS = {
+    "eval": Spec(
+        {"r": 2, "weights": "const", "delta": 1.0, "x": "0.5", "eps": 1e-12}, _run_eval
+    ),
+    "simulate": Spec(
+        {"p": 0.75, "weights": "const", "n": 1000, "seed": 0, "stream": 0},
+        _run_simulate,
+        streams=lambda cfg: 1,
+    ),
+    "blocks": Spec(
+        {"weights": "const", "delta": 1.0, "count": 6, "p": None}, _run_blocks
+    ),
+    "validate-weights": Spec(
+        {"weights": "const", "delta": 1.0, "n_max": 10_000, "q": 2.0, "n0": None},
+        _run_validate_weights,
+    ),
+    "clt": Spec(
+        {"p": 0.75, "weights": "const", "n": 5000, "replicas": 10_000, "seed": 0,
+         "ks_tol": 0.02},
+        lambda cfg: clt_experiment(
+            _walk_params(cfg), cfg["replicas"], cfg["seed"], cfg["ks_tol"]
+        ),
+        streams=lambda cfg: cfg["replicas"],
+        replicas=lambda cfg: cfg["replicas"],
+    ),
+    "lil": Spec(
+        {"p": 0.75, "weights": "const", "n": 1_000_000, "replicas": 50, "seed": 0,
+         "normalization": "exact_s", "band": None, "min_fraction": None},
+        lambda cfg: lil_experiment(
+            _walk_params(cfg), cfg["replicas"], cfg["seed"], cfg["normalization"],
+            cfg["band"], cfg["min_fraction"],
+        ),
+        streams=lambda cfg: 2 * cfg["replicas"],
+        replicas=lambda cfg: cfg["replicas"],
+        resolve=_resolve_lil,
+    ),
+    "chung": Spec(
+        {"p": 0.75, "weights": "const", "n": 1_000_000, "replicas": 50, "seed": 0,
+         "median_tol": 0.15},
+        lambda cfg: chung_experiment(
+            _walk_params(cfg), cfg["replicas"], cfg["seed"], cfg["median_tol"]
+        ),
+        streams=lambda cfg: 2 * cfg["replicas"],
+        replicas=lambda cfg: cfg["replicas"],
+    ),
+    "modulus": Spec(
+        {"r": 2, "weights": "const", "delta": 1.0, "h_grid": "2^-10,2^-20",
+         "x_samples": 100_000, "seed": 0, "ks_tol": 0.02, "eps": 1e-12},
+        _run_modulus,
+        streams=lambda cfg: len(cfg["h_grid"]),
+        replicas=lambda cfg: cfg["x_samples"],
+    ),
+    "fclt": Spec(
+        {"r": 2, "weights": "const", "delta": 1.0, "beta": 1.0, "n": 40,
+         "t_grid": "0.25,0.5,1", "x_samples": 100_000, "seed": 0, "var_tol": 0.05,
+         "eps": 1e-12},
+        _run_fclt,
+        streams=lambda cfg: 1,
+        replicas=lambda cfg: cfg["x_samples"],
+    ),
+}

@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rng import GRID, MANTISSA_BITS
-from .weights import WeightSequence
+from .weights import WeightSequence, _growth_ok, _ratio_sequence
 
 __all__ = [
     "CertificationError",
@@ -106,19 +106,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_threads(fn, count: int, workers: int | None = None) -> list:
-    """[fn(i) for i in range(count)], in index order, on up to `workers` threads.
+def _map_threads(fn, count: int) -> list:
+    """[fn(i) for i in range(count)], in index order, on one thread per usable CPU.
 
-    workers=None runs one thread per usable CPU.  The calling thread is one
-    of them and takes indices from the same queue: it starts at once instead
-    of waiting for a fresh thread to start, which cost `eval_grid` up to 5 ms
-    a call on a 2-vCPU VM, and it takes over the indices of a helper that
-    starts late.  The helper threads live for this call only.
+    The calling thread is one of them and takes indices from the same queue:
+    it starts at once instead of waiting for a fresh thread to start, which
+    cost `eval_grid` up to 5 ms a call on a 2-vCPU VM, and it takes over the
+    indices of a helper that starts late.  The helper threads live for this
+    call only.
     """
-    if workers is None:
-        workers = _usable_cpus()
-    workers = min(workers, count)
-    if workers <= 1:
+    threads = min(_usable_cpus(), count)
+    if threads <= 1:
         return [fn(i) for i in range(count)]
     todo = queue.SimpleQueue()
     for i in range(count):
@@ -133,8 +131,8 @@ def _map_threads(fn, count: int, workers: int | None = None) -> list:
                 return
             out[i] = fn(i)
 
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
         drain()
     for helper in helpers:
         helper.result()
@@ -456,26 +454,15 @@ class FractalFunction:
         r, delta = self.r, self.delta
         pad = max(64, n // 4)
         scan = n + pad
-        vals = self.weights.values(scan)
         energies = self.weights.energies(scan)
-        sq = np.square(vals)
-        if delta == 1.0:
-            k_hat = float(np.max(sq))
-            if not np.isfinite(k_hat):
-                return math.inf
-            raw = 0.5 * math.sqrt(k_hat) * r ** (1 - n) * r / (r - 1.0)
-            return 2.0 * raw
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = sq / energies ** (1.0 - delta)
-        ratios[sq == 0.0] = 0.0
-        k_hat = float(np.max(ratios))
+        k_hat = float(np.max(_ratio_sequence(self.weights.values(scan), energies, delta)))
         if not np.isfinite(k_hat):
             return math.inf
+        if delta == 1.0:
+            raw = 0.5 * math.sqrt(k_hat) * r ** (1 - n) * r / (r - 1.0)
+            return 2.0 * raw
         # growth check A_{m+1} <= A_m * q on the scanned window, q = r^{1/(1-delta)}
-        log_q = math.log(r) / (1.0 - delta)
-        with np.errstate(divide="ignore"):
-            dg = np.diff(np.log(energies[n - 1 :]))
-        if dg.size and (np.isnan(dg).any() or np.max(dg) > log_q + 1e-12):
+        if not _growth_ok(energies[n - 1 :], math.log(r) / (1.0 - delta)):
             return math.inf
         rho = r ** -0.5
         a_n_energy = float(energies[n - 1])

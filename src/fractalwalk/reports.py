@@ -6,7 +6,7 @@ report-only values), and the `SeedManifest` pins down everything the numbers
 depend on: master seed, stream assignment, replica count, software version,
 and a hash of the configuration.  Re-running with the same manifest must
 reproduce the report byte-for-byte, which is why serialization is canonical
-(sorted keys, fixed separators) and worker counts are deliberately absent.
+(sorted keys, fixed separators) and thread counts are deliberately absent.
 
 Layout on disk: <outdir>/<experiment>/<manifest-hash>/report.json plus one
 CSV per attachment (and optional SVG figures dropped in by the CLI).
@@ -141,7 +141,7 @@ class SeedManifest:
 
 
 def make_manifest(config: dict, seed: int, streams: int, replicas: int) -> SeedManifest:
-    """Manifest for a run; worker counts and output paths must not be in config."""
+    """Manifest for a run; thread counts and output paths must not be in config."""
     return SeedManifest(
         seed=int(seed),
         streams=int(streams),

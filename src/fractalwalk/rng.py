@@ -11,7 +11,7 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Independent generator for stream `stream_id` of master seed `seed`.
 
     Philox is counter-based, so a replica keyed by (seed, stream) produces
-    the same numbers no matter how many workers run or in which order.
+    the same numbers no matter how many threads run or in which order.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
     return np.random.Generator(np.random.Philox(ss))

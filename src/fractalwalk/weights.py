@@ -184,7 +184,11 @@ class WeightSequence:
 
 
 def _ratio_sequence(vals: np.ndarray, energies: np.ndarray, delta: float) -> np.ndarray:
-    """a_n^2 / A_n^{1-delta} with the 0/0 := 0 convention."""
+    """a_n^2 / A_n^{1-delta} with the 0/0 := 0 convention.
+
+    Its maximum is K_hat, the measured constant of a_n^2 <= K A_n^{1-delta}
+    that every geometric tail closure and `validate_assumptions` use.
+    """
     sq = np.square(vals)
     if delta == 1.0:
         return sq
@@ -192,6 +196,16 @@ def _ratio_sequence(vals: np.ndarray, energies: np.ndarray, delta: float) -> np.
         ratios = sq / energies ** (1.0 - delta)
     ratios[sq == 0.0] = 0.0
     return ratios
+
+
+def _growth_ok(energies: np.ndarray, log_q: float) -> bool:
+    """A_{m+1} <= A_m e^{log_q} at every step of the window, up to 1e-12.
+
+    A NaN log step (inf - inf after overflow) counts as a violation.
+    """
+    with np.errstate(divide="ignore"):
+        dg = np.diff(np.log(energies))
+    return not (dg.size and (np.isnan(dg).any() or np.max(dg) > log_q + 1e-12))
 
 
 def _trailing_slope(ratios: np.ndarray, n_max: int) -> tuple[float, tuple[int, int]]:

@@ -148,7 +148,7 @@ def test_criterion_6_clt_family():
     ks = []
     for p, seq in configs:
         rep = clt_experiment(
-            WalkParams(p, seq, 5_000), replicas=10_000, seed=0, workers=4
+            WalkParams(p, seq, 5_000), replicas=10_000, seed=0
         )
         ks.append(rep.find("ks_distance").value)
     elapsed = time.perf_counter() - t0
@@ -219,7 +219,7 @@ def test_criterion_8_lil_bands():
     parts = []
     for normalization in ("plain_A", "exact_s"):
         rep = lil_experiment(
-            params, replicas=50, seed=0, normalization=normalization, workers=4
+            params, replicas=50, seed=0, normalization=normalization
         )
         rows = np.array(rep.attachments["terminals"]["rows"])
         p_value = float(ks_2samp(rows[:, 1], rows[:, 2]).pvalue)
@@ -235,7 +235,7 @@ def test_criterion_8_lil_bands():
 
 def test_criterion_9_chung_statistic():
     rep = chung_experiment(
-        WalkParams(0.75, CONST, 1_000_000), replicas=50, seed=0, workers=4
+        WalkParams(0.75, CONST, 1_000_000), replicas=50, seed=0
     )
     diff = rep.find("median_abs_difference").value
     ok = diff <= 0.15

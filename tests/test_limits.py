@@ -162,7 +162,7 @@ def test_clt_replica_floor():
 
 def test_clt_normal_limit():
     rep = clt_experiment(
-        WalkParams(0.75, CONST, 2000), replicas=5000, seed=3, workers=4
+        WalkParams(0.75, CONST, 2000), replicas=5000, seed=3
     )
     ks = rep.find("ks_distance")
     assert ks.value < 0.02
@@ -171,8 +171,8 @@ def test_clt_normal_limit():
 
 
 def test_clt_se_scales_with_replicas():
-    r1 = clt_experiment(WalkParams(0.75, CONST, 500), replicas=1000, seed=9, workers=4)
-    r4 = clt_experiment(WalkParams(0.75, CONST, 500), replicas=4000, seed=9, workers=4)
+    r1 = clt_experiment(WalkParams(0.75, CONST, 500), replicas=1000, seed=9)
+    r4 = clt_experiment(WalkParams(0.75, CONST, 500), replicas=4000, seed=9)
     ratio = r1.find("se_mean").value / r4.find("se_mean").value
     assert ratio == pytest.approx(2.0, rel=0.2)
 
@@ -193,7 +193,6 @@ def test_lil_scaled_band():
         normalization="scaled_A",
         band=(0.0, 1.905),
         min_fraction=0.95,
-        workers=4,
     )
     assert rep.find("walk_fraction_in_band").passed is True
     assert rep.find("oracle_fraction_in_band").passed is True
@@ -205,7 +204,6 @@ def test_lil_plain_band_odd_indicator_median():
         replicas=40,
         seed=0,
         normalization="plain_A",
-        workers=4,
     )
     # sqrt(5/3) = 1.291 is the expected ceiling for this configuration
     for name in ("walk_median", "oracle_median"):
@@ -214,7 +212,7 @@ def test_lil_plain_band_odd_indicator_median():
 
 def test_lil_exact_normalization_tracks_oracle():
     rep = lil_experiment(
-        WalkParams(0.75, CONST, 100_000), replicas=50, seed=0, workers=4
+        WalkParams(0.75, CONST, 100_000), replicas=50, seed=0
     )
     wm = rep.find("walk_median").value
     om = rep.find("oracle_median").value
@@ -383,7 +381,7 @@ def test_chung_blocks_match_full_array_reference(seq, n):
 
 
 def test_chung_walk_matches_oracle():
-    rep = chung_experiment(WalkParams(0.5, CONST, 100_000), replicas=40, seed=0, workers=4)
+    rep = chung_experiment(WalkParams(0.5, CONST, 100_000), replicas=40, seed=0)
     md = rep.find("median_abs_difference")
     assert md.value <= 0.15
     assert md.passed is True
@@ -396,7 +394,7 @@ def test_chung_walk_matches_oracle():
 def test_chung_oracle_constant_band_unreachable_at_desk_scale():
     # terminal running-mins concentrate well below pi/sqrt(8) at n = 1e5,
     # so the 0.90-fraction check on the oracle reads failed (see ledger)
-    rep = chung_experiment(WalkParams(0.5, CONST, 100_000), replicas=40, seed=0, workers=4)
+    rep = chung_experiment(WalkParams(0.5, CONST, 100_000), replicas=40, seed=0)
     frac = rep.find("oracle_fraction_near_constant")
     assert frac.value < 0.5
     assert frac.passed is False
@@ -417,10 +415,11 @@ def test_chung_horizon_floor():
     ],
     ids=["lil-exact_s", "lil-scaled_A", "lil-plain_A", "chung"],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_variance_clock_is_refused(run, monkeypatch):
     """2^k weights overflow the clock near k = 1024; NaN gaps slipped past
-    the monotonicity check.  The refusal comes before any path is drawn."""
+    the monotonicity check.  The refusal comes before any path is drawn,
+    and without a numpy overflow warning."""
 
     def no_paths(*args):
         raise AssertionError("a path was drawn")

@@ -14,6 +14,7 @@ from fractalwalk import (
     lil_experiment,
     statistic,
 )
+from fractalwalk import fractal
 from fractalwalk.reports import canonical_json, config_hash, make_manifest
 
 CONST = WeightSequence.constant()
@@ -73,22 +74,18 @@ def test_rerun_is_bit_identical():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda **kw: clt_experiment(
-            WalkParams(0.75, CONST, 200), replicas=1000, seed=4, **kw
-        ),
-        lambda **kw: lil_experiment(
-            WalkParams(0.75, CONST, 100_000), replicas=5, seed=4, **kw
-        ),
-        lambda **kw: chung_experiment(
-            WalkParams(0.75, CONST, 100_000), replicas=5, seed=4, **kw
-        ),
+        lambda: clt_experiment(WalkParams(0.75, CONST, 200), replicas=1000, seed=4),
+        lambda: lil_experiment(WalkParams(0.75, CONST, 100_000), replicas=5, seed=4),
+        lambda: chung_experiment(WalkParams(0.75, CONST, 100_000), replicas=5, seed=4),
     ],
     ids=["clt", "lil", "chung"],
 )
-def test_workers_do_not_change_results(run):
-    one = run(workers=1).to_json()
-    assert run(workers=3).to_json() == one
-    assert run().to_json() == one  # the default: one thread per usable CPU
+def test_workers_do_not_change_results(run, monkeypatch):
+    # the replicas run on one thread per usable CPU
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 1)
+    one = run().to_json()
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 3)
+    assert run().to_json() == one
 
 
 def test_run_dir_layout(tmp_path):
