@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fractalwalk import fractal
 from fractalwalk.cli import (
     EXPERIMENTS,
     UsageError,
@@ -85,6 +86,21 @@ def test_normalize_config_rejects_unknown():
         normalize_config({"experiment": "nonesuch"})
     with pytest.raises(UsageError):
         normalize_config({"p": 0.5})
+
+
+def test_manifest_hash_ignores_workers(monkeypatch):
+    # the thread count is the usable-CPU count, never part of the config
+    base = {"experiment": "clt", "p": 0.75, "replicas": 2000}
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 1)
+    m1 = manifest(base)
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 4)
+    m4 = manifest(base)
+    assert m1.hash == m4.hash
+    assert manifest(normalize_config(base)).hash == m1.hash
+    with pytest.raises(UsageError):
+        manifest({**base, "workers": 4})
+    bumped = manifest({**base, "replicas": 4000})
+    assert bumped.hash != m1.hash
 
 
 # one small config per experiment, plus the lil defaults that depend on the
