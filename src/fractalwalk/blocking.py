@@ -31,7 +31,7 @@ import numpy as np
 
 from .fractal import CertificationError
 from .walks import WalkParams, WalkPath, exact_second_moment, second_moment_profile
-from .weights import WeightSequence, _growth_ok, _ratio_sequence
+from .weights import WeightSequence, _check_delta, _growth_ok, _ratio_sequence
 
 __all__ = [
     "BlockConstructionError",
@@ -83,8 +83,11 @@ class BlockingScheme:
         One delay per boundary, from the cumulative energy B_j = A_{h_j}.
         After H_j steps the mixing coefficient is below B_j^-24, small enough
         to ignore against any polynomial moment of the block.  Boundaries
-        with B_j <= 1 (or a memoryless chain) need no delay: H_j = 1.
+        with B_j <= 1 (or a memoryless chain) need no delay: H_j = 1.  A chain
+        with |alpha| >= 1 never mixes and is refused.
         """
+        if not abs(alpha) < 1.0:
+            raise ValueError(f"alpha must be in (-1, 1), got {alpha}")
         b = self.energies
         h = np.ones(b.size, dtype=np.int64)
         if alpha == 0.0:
@@ -104,11 +107,10 @@ def build_blocks(
     """Boundaries h_1 = 0, h_{n+1} = min{h > h_n: A_h - A_{h_n} >= A_{h_n}^{1-delta/2}}.
 
     The first target is 0 (empty-sum convention), so h_2 = 1 always.  Raises
-    BlockConstructionError if the energy plateaus below a target or the scan
-    passes max_index.
+    BlockConstructionError if the energy plateaus below a target, overflows
+    float64 at a boundary, or the scan passes max_index.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    delta = _check_delta(delta)
     count = int(count)
     if count < 2:
         raise ValueError(f"count must be >= 2 boundaries, got {count}")
@@ -141,13 +143,17 @@ def build_blocks(
         h = max(h_prev + 1, idx + 1)
         bounds.append(h)
         b_prev = float(energies[h - 1])
+        if not math.isfinite(b_prev):
+            raise BlockConstructionError(
+                f"energy at boundary h={h} is {b_prev}: the weights overflow float64"
+            )
 
     boundaries = np.asarray(bounds, dtype=np.int64)
     at = np.concatenate(([0.0], energies[boundaries[1:] - 1]))
     boundaries.flags.writeable = False
     at.flags.writeable = False
     return BlockingScheme(
-        weights=weights, delta=float(delta), boundaries=boundaries, energies=at
+        weights=weights, delta=delta, boundaries=boundaries, energies=at
     )
 
 

@@ -41,18 +41,19 @@ import numpy as np
 from scipy.special import ndtr
 
 from .blocking import build_blocks
-from .fractal import FractalFunction, _map_threads, scale_index
+from .fractal import FractalFunction, _exact, _map_threads, scale_index
 from .reports import ExperimentReport, SeedManifest, make_manifest, statistic
 from .rng import GRID, stream, uniform_mantissas
 from .walks import (
     WalkParams,
+    _check_p,
     _draw_signs,
     exact_second_moment,
     second_moment_profile,
     simulate,
     variance_ratio_bound,
 )
-from .weights import WeightSequence, growth_report, validate_assumptions
+from .weights import WeightSequence, _as_positive_int, growth_report, validate_assumptions
 
 __all__ = [
     "VarianceProfile",
@@ -75,6 +76,9 @@ CHUNG_CONSTANT = math.pi / math.sqrt(8.0)
 
 # denominator D_n of the LIL statistic S_n / sqrt(2 D_n loglog D_n)
 LIL_NORMALIZATIONS = ("exact_s", "scaled_A", "plain_A")
+
+# largest relative gap |V_idx / (V_n t) - 1| the fclt precondition accepts
+_PRECONDITION_TOL = 0.05
 
 
 class RegularVariationError(ValueError):
@@ -114,9 +118,7 @@ class VarianceProfile:
         return the grid value with no interpolation error; other h are
         log-linear between grid points and constant beyond the ends.
         """
-        if isinstance(h, (np.floating, np.integer)):
-            h = h.item()
-        hq = Fraction(h)
+        hq = _exact(h)
         if not 0 < hq < 1:
             raise ValueError(f"h must be in (0, 1), got {h}")
         m = scale_index(self.r, hq)
@@ -133,8 +135,7 @@ class VarianceProfile:
 
 
 def variance_profile(r: int, seq: WeightSequence, n_max: int) -> VarianceProfile:
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _as_positive_int(n_max, "n_max")
     r = int(r)
     if r % 2 == 0:
         p_mem = 0.5
@@ -400,7 +401,6 @@ def lil_experiment(
     normalization: str = "exact_s",
     band: tuple[float, float] | None = None,
     min_fraction: float | None = None,
-    coverage: bool | None = None,
 ) -> ExperimentReport:
     """Terminal running max of S_n / sqrt(2 D_n loglog D_n) across seeds.
 
@@ -408,7 +408,7 @@ def lil_experiment(
     usable earlier).  A Brownian oracle on the exact-variance clock runs
     through the identical denominators and grid, and the band verdicts apply
     to both; coverage (the normalized path visiting all nine width-0.2 bins
-    of [-0.9, 0.9]) is tracked for the exact-s_n normalization by default.
+    of [-0.9, 0.9]) is tracked for the exact-s_n normalization only.
 
     Each path is drawn and reduced in blocks, so a replica holds about 1 MB,
     and the replicas run on one thread per usable CPU (at most `replicas`).
@@ -419,8 +419,6 @@ def lil_experiment(
         raise ValueError(f"LIL runs need horizon >= 1e5, got {n}")
     config = _config("lil", params, replicas=replicas, seed=seed, normalization=normalization,
                      band=band, min_fraction=min_fraction)
-    if coverage is not None:
-        config["coverage"] = coverage
     lo, hi = config["band"]
     min_fraction, coverage = config["min_fraction"], config["coverage"]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -612,7 +610,7 @@ def modulus_experiment(
     KS verdicts apply only for m(h) >= 2; at m = 1 there are no asymptotics
     and the row is report-only.
     """
-    hs = [Fraction(h.item() if isinstance(h, np.floating) else h) for h in h_grid]
+    hs = [_exact(h) for h in h_grid]
     if not hs:
         raise ValueError("h_grid must be non-empty")
     if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
@@ -683,7 +681,6 @@ def functional_clt_experiment(
     x_samples: int = 100_000,
     seed: int = 0,
     var_tol: float = 0.05,
-    precondition_tol: float = 0.05,
     eps: float = 1e-12,
 ) -> ExperimentReport:
     """Finite-dimensional marginals of rescaled increment paths vs Brownian.
@@ -712,10 +709,10 @@ def functional_clt_experiment(
     v_n = profile.grid_value(n)
     for t, i in zip(ts, idx):
         ratio = profile.grid_value(i) / v_n
-        if abs(ratio / t - 1.0) > precondition_tol:
+        if abs(ratio / t - 1.0) > _PRECONDITION_TOL:
             raise RegularVariationError(
                 f"V_{i}/V_{n} = {ratio:.4g} deviates from t = {t} by more than "
-                f"{precondition_tol:.0%}: the profile is not regularly varying "
+                f"{_PRECONDITION_TOL:.0%}: the profile is not regularly varying "
                 f"with index {beta}"
             )
 
@@ -771,7 +768,7 @@ def sup_increment_trace(f: FractalFunction, x, h_grid, eps: float = 1e-10):
     Non-decreasing as h shrinks by construction (the sup runs over a growing
     set); the liminf constant itself is out of reach at desk scale.
     """
-    hs = [Fraction(h.item() if isinstance(h, np.floating) else h) for h in h_grid]
+    hs = [_exact(h) for h in h_grid]
     if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
         raise ValueError("h_grid must be strictly decreasing")
     if len(hs) < 2:
@@ -779,7 +776,7 @@ def sup_increment_trace(f: FractalFunction, x, h_grid, eps: float = 1e-10):
     fx = f.eval(x, eps).value
     ratios = []
     for t in hs:
-        ft = f.eval(Fraction(x.item() if isinstance(x, np.floating) else x) + t, eps).value
+        ft = f.eval(_exact(x) + t, eps).value
         ratios.append(abs(ft - fx) / float(t))
     trace = np.maximum.accumulate(np.array(ratios[:-1]))
     return np.array([float(h) for h in hs[1:]]), trace
@@ -875,21 +872,17 @@ def _run_simulate(cfg: dict) -> ExperimentReport:
 
 
 def _run_blocks(cfg: dict) -> ExperimentReport:
+    p = None if cfg["p"] is None else _check_p(cfg["p"])
     seq = WeightSequence.from_spec(cfg["weights"])
     scheme = build_blocks(seq, cfg["delta"], cfg["count"])
     report = _new_report(cfg)
     report.statistics.append(statistic("boundaries", float(scheme.boundaries.size)))
     rows = []
-    delays = None
-    if cfg.get("p") is not None:
-        delays = scheme.delays_for(2.0 * cfg["p"] - 1.0)
+    delays = None if p is None else scheme.delays_for(2.0 * p - 1.0)
     for j in range(scheme.boundaries.size):
         row = [j + 1, int(scheme.boundaries[j]), float(scheme.energies[j])]
         row.append(int(delays[j]) if delays is not None else "")
-        if j < scheme.n_blocks:
-            row.append(float(scheme.block_energies[j]))
-        else:
-            row.append("")
+        row.append(float(scheme.block_energies[j]) if j < scheme.n_blocks else "")
         rows.append(row)
     report.attachments["blocks"] = {
         "columns": ["j", "h_j", "energy_at_h_j", "delay", "block_energy"],

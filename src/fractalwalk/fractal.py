@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rng import GRID, MANTISSA_BITS
-from .weights import WeightSequence, _growth_ok, _ratio_sequence
+from .weights import WeightSequence, _check_delta, _growth_ok, _ratio_sequence
 
 __all__ = [
     "CertificationError",
@@ -79,6 +79,9 @@ _WALK_BLOCK = 16384
 # Past 65536 points a block's buffers and output, 24 bytes a point, outgrow
 # L2.
 _EVAL_BLOCK = 65536
+# `certificate` treats a series it cannot close within this many terms as
+# non-convergent at the requested accuracy
+_MAX_TERMS = 20_000
 
 
 class CertificationError(RuntimeError):
@@ -139,11 +142,16 @@ def _map_threads(fn, count: int) -> list:
     return out
 
 
-def _as_unit_fraction(x) -> Fraction:
-    """x reduced mod 1 as an exact Fraction (floats convert exactly)."""
+def _exact(x) -> Fraction:
+    """x as an exact Fraction (floats convert exactly, numpy scalars too)."""
     if isinstance(x, (np.floating, np.integer)):
         x = x.item()
-    f = Fraction(x)
+    return Fraction(x)
+
+
+def _as_unit_fraction(x) -> Fraction:
+    """x reduced mod 1 as an exact Fraction."""
+    f = _exact(x)
     return f - (f.numerator // f.denominator)
 
 
@@ -206,9 +214,7 @@ def sign_walk_grid(r: int, mantissas: np.ndarray, n: int) -> np.ndarray:
 def scale_index(r: int, h) -> int:
     """The m >= 0 with r^-(m+1) < h <= r^-m, by exact comparison."""
     r = _check_base(r)
-    if isinstance(h, (np.floating, np.integer)):
-        h = h.item()
-    h = Fraction(h)
+    h = _exact(h)
     if not 0 < h <= 1:
         raise ValueError(f"h must lie in (0, 1], got {h}")
     # h <= r^-m  <=>  h.numerator * r^m <= h.denominator
@@ -229,9 +235,7 @@ def match_depth(r: int, x, h) -> int:
     """
     r = _check_base(r)
     fx = _as_unit_fraction(x)
-    if isinstance(h, (np.floating, np.integer)):
-        h = h.item()
-    h = Fraction(h)
+    h = _exact(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     fy = fx + h
@@ -369,32 +373,11 @@ class FractalFunction:
         if int(self.r) != self.r:
             raise ValueError(f"base r must be an integer, got {self.r}")
         object.__setattr__(self, "r", _check_base(self.r))
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.r % 2 == 0 else "odd"
-
-    @property
-    def memory_parameter(self) -> float:
-        """p_r: repeat probability of the slope-sign chain at a uniform point.
-
-        Even r: consecutive slope signs are independent fair signs, p = 1/2.
-        Odd r: the sign repeats with probability (r+1)/(2r).
-        """
-        if self.r % 2 == 0:
-            return 0.5
-        return (self.r + 1) / (2 * self.r)
-
-    @property
-    def alpha(self) -> float:
-        """Correlation 2 p_r - 1 of consecutive slope signs (0 or 1/r)."""
-        return 0.0 if self.r % 2 == 0 else 1.0 / self.r
+        _check_delta(self.delta)
 
     # -- certificates ---------------------------------------------------------
 
-    def certificate(self, eps: float, max_terms: int = 20_000) -> Certificate:
+    def certificate(self, eps: float) -> Certificate:
         """Truncation point N with certified tail bound <= eps/2.
 
         Terms are added until |a_N| r^{1-N} / 2 falls under the trigger
@@ -406,7 +389,8 @@ class FractalFunction:
         rho = r^{-1/2} (for delta < 1, using A_{N+j} <= A_N r^{j/(1-delta)})
         or rho = 1/r with A-factor 1 (delta = 1, |a_k| <= sqrt(K_hat)).  The
         closure is doubled for safety; if it never lands under eps/2 within
-        max_terms the series is treated as non-convergent at this accuracy.
+        `_MAX_TERMS` terms the series is treated as non-convergent at this
+        accuracy.
         """
         if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps}")
@@ -414,7 +398,7 @@ class FractalFunction:
             raise ValueError(
                 f"eps={eps} is below the float64 evaluation floor (1e-13)"
             )
-        key = (float(eps), int(max_terms))
+        key = float(eps)
         cached = self._certs.get(key)
         if cached is not None:
             return cached
@@ -426,7 +410,7 @@ class FractalFunction:
         t_abs = 0.0
         next_attempt = 1
         n = 0
-        while n < max_terms:
+        while n < _MAX_TERMS:
             n += 1
             a_n = self.weights.a(n)
             term_bound = 0.5 * abs(a_n) * r ** (1 - n)
@@ -443,7 +427,7 @@ class FractalFunction:
             next_attempt = n + 8
         else:
             raise CertificationError(
-                f"no tail certificate at eps={eps} within {max_terms} terms; "
+                f"no tail certificate at eps={eps} within {_MAX_TERMS} terms; "
                 "the series may diverge or the weights grow too fast for "
                 f"delta={self.delta}"
             )
@@ -476,9 +460,18 @@ class FractalFunction:
         )
         return 2.0 * raw
 
-    def _float_allowance(self, cert: Certificate) -> float:
-        # accumulated rounding of <= cert.terms fused multiply-adds
-        return 8.0 * (cert.terms + 1) * 2.0**-53 * (1.0 + cert.term_abs_sum)
+    def _certified(self, eps: float) -> tuple[Certificate, float]:
+        """The certificate at eps and its error bound; refuses an eps out of reach."""
+        cert = self.certificate(eps)
+        # the tail plus the accumulated rounding of <= cert.terms fused multiply-adds
+        allowance = 8.0 * (cert.terms + 1) * 2.0**-53 * (1.0 + cert.term_abs_sum)
+        bound = cert.tail_bound + allowance
+        if bound > eps:
+            raise CertificationError(
+                f"float64 accumulation allowance {allowance:.3e} exceeds the "
+                f"eps={eps} budget; increase eps"
+            )
+        return cert, bound
 
     # -- evaluation -----------------------------------------------------------
 
@@ -489,14 +482,7 @@ class FractalFunction:
         the only error sources are the certified truncation tail and the
         correctly-rounded term summation.
         """
-        cert = self.certificate(eps)
-        allowance = self._float_allowance(cert)
-        bound = cert.tail_bound + allowance
-        if bound > eps:
-            raise CertificationError(
-                f"float64 accumulation allowance {allowance:.3e} exceeds the "
-                f"eps={eps} budget; increase eps"
-            )
+        cert, bound = self._certified(eps)
         f = _as_unit_fraction(x)
         num, den = f.numerator, f.denominator
         r = self.r
@@ -526,13 +512,7 @@ class FractalFunction:
         turn.  Every point sees the same float operations whatever its block
         and thread, so the result does not depend on the CPU count.
         """
-        cert = self.certificate(eps)
-        allowance = self._float_allowance(cert)
-        if cert.tail_bound + allowance > eps:
-            raise CertificationError(
-                f"float64 accumulation allowance {allowance:.3e} exceeds the "
-                f"eps={eps} budget; increase eps"
-            )
+        cert, _ = self._certified(eps)
         ru = _check_grid_base(self.r)
         m = np.ascontiguousarray(mantissas, dtype=np.uint64)
         a = self.weights.values(cert.terms)
@@ -615,9 +595,7 @@ class FractalFunction:
         cert = self.certificate(eps)
         r = self.r
         fx = _as_unit_fraction(x)
-        if isinstance(h, (np.floating, np.integer)):
-            h = h.item()
-        hq = Fraction(h)
+        hq = _exact(h)
         if hq <= 0:
             raise ValueError(f"h must be positive, got {h}")
         if hq >= Fraction(1, r):
@@ -641,8 +619,7 @@ class FractalFunction:
         rx = fx.numerator * (den // fx.denominator)
         ry = fy.numerator * (den // fy.denominator)
 
-        signs = sign_walk(r, fx, k_lin) if k_lin else np.zeros(0, dtype=np.int8)
-        walk = float(math.fsum(a[:k_lin] * signs))
+        walk = self.walk_value(fx, k_lin) if k_lin else 0.0
         linear = float(hq) * walk
 
         mid_terms, tail_terms, x_terms, y_terms = [], [], [], []

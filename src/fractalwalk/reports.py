@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,15 +94,6 @@ class Statistic:
     passed: bool | None = None
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 def statistic(name: str, value, tolerance: dict | None = None, detail: str = "") -> Statistic:
     """Build a Statistic, evaluating the verdict from the tolerance."""
@@ -127,13 +118,7 @@ class SeedManifest:
     config_hash: str
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "streams": self.streams,
-            "replicas": self.replicas,
-            "version": self.version,
-            "config_hash": self.config_hash,
-        }
+        return asdict(self)
 
     @property
     def hash(self) -> str:
@@ -178,7 +163,7 @@ class ExperimentReport:
             "params": _jsonable(self.params),
             "manifest": self.manifest.to_dict(),
             "manifest_hash": self.manifest.hash,
-            "statistics": [s.to_dict() for s in self.statistics],
+            "statistics": [asdict(s) for s in self.statistics],
             "notes": list(self.notes),
             "attachments": sorted(self.attachments),
             "passed": self.passed,

@@ -9,12 +9,11 @@ phi-mixing with phi(m) = |alpha|^m / 2.
 
 The walk itself is S_n = sum_{k<=n} a_k X_k.  Second moments of its
 increments are computed exactly in O(n) by running the linear recursion
-T_k = alpha (T_{k-1} + a_{k-1}) for the cross terms; a literal O(n^2) double
-sum is kept behind a flag as an oracle.  In floats each step is evaluated as
-alpha*a_{k-1} + alpha*T_{k-1}, two rounded products and one rounded sum with
-no fused multiply-add (`_cross_accumulator` covers zero and infinite
-weights).  That is the order scipy's lfilter used when the reports were first
-computed, and any other order changes their last bits.
+T_k = alpha (T_{k-1} + a_{k-1}) for the cross terms.  In floats each step is
+evaluated as alpha*a_{k-1} + alpha*T_{k-1}, two rounded products and one
+rounded sum with no fused multiply-add (`_cross_accumulator` covers zero and
+infinite weights).  That is the order scipy's lfilter used when the reports
+were first computed, and any other order changes their last bits.
 
 `doob_decompose` rewrites the walk as a martingale plus controlled drift:
 d_k = X_k - alpha X_{k-1} are martingale differences, and
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .weights import WeightSequence
+from .weights import WeightSequence, _as_positive_int
 
 __all__ = [
     "WalkParams",
@@ -66,9 +65,7 @@ class WalkParams:
 
     def __post_init__(self):
         _check_p(self.p)
-        if int(self.horizon) < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", _as_positive_int(self.horizon, "horizon"))
 
     @property
     def alpha(self) -> float:
@@ -164,14 +161,10 @@ def second_moment_profile(p: float, weights: WeightSequence, n: int) -> np.ndarr
     return np.cumsum(inc.astype(np.longdouble)).astype(float)
 
 
-def exact_second_moment(
-    p: float, weights: WeightSequence, m: int, n: int, oracle: bool = False
-) -> float:
-    """E[(S_n - S_m)^2] for the window (m, n], exact.
+def exact_second_moment(p: float, weights: WeightSequence, m: int, n: int) -> float:
+    """E[(S_n - S_m)^2] for the window (m, n], exact, in O(n - m).
 
-    The O(n) path runs the cross-term recursion on the window's weights; with
-    oracle=True a literal O((n-m)^2) double sum over alpha^{|i-j|} is used
-    instead (kept for cross-checks).
+    Runs the cross-term recursion on the window's weights.
     """
     _check_p(p)
     m, n = int(m), int(n)
@@ -179,10 +172,6 @@ def exact_second_moment(
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     alpha = 2.0 * p - 1.0
     a = weights.values(n)[m:]
-    if oracle:
-        i = np.arange(n - m)
-        corr = alpha ** np.abs(i[:, None] - i[None, :])
-        return float(a @ corr @ a)
     t = _cross_accumulator(a, alpha)
     return float(np.sum((a * (a + 2.0 * t)).astype(np.longdouble)))
 
@@ -213,8 +202,7 @@ def odd_indicator_second_moment(p: float, n: int) -> float:
     E[S_n^2] = c + 2 sum_{i<c} (c - i) alpha^{2i}.
     """
     _check_p(p)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _as_positive_int(n, "n")
     alpha = 2.0 * p - 1.0
     c = (n + 1) // 2
     i = np.arange(1, c)
@@ -250,8 +238,6 @@ class DoobDecomposition:
 def doob_decompose(params: WalkParams, path: WalkPath) -> DoobDecomposition:
     """Martingale-plus-drift split of a simulated path, checked pointwise."""
     alpha = params.alpha
-    if alpha == 1.0 or params.p == 1.0:
-        raise ValueError("p = 1 leaves no martingale part")
     n = path.horizon
     x = path.signs.astype(np.float64)
     a = params.weights.values(n)

@@ -11,7 +11,10 @@ standing hypotheses on a finite horizon: the energy diverges, and the last
 step is small against it, a_n^2 = O(A_n^{1-delta}).  An O-statement is not
 falsifiable at finite n, so the check reports the observed constant
 K_hat = max_n a_n^2 / A_n^{1-delta} (with 0/0 := 0) together with a trend fit
-over the trailing window, and the verdict is explicitly heuristic.
+over the trailing window, and the verdict is explicitly heuristic.  A trend
+passes when its log-log slope is at most `_SLOPE_TOL` = 0.01: the tolerance
+is positive because a strict zero would reject a bounded ratio that drifts
+slightly on the finite window, purely on fit noise.
 `growth_report` examines the two growth consequences used by the blocking
 construction: A_n = O(n^{1/delta}) and the doubling bound A_{n+k} <= A_n q^k
 from some index n0 on.
@@ -33,11 +36,22 @@ __all__ = [
 ]
 
 
+# largest log-log slope of a trailing trend that still counts as bounded
+_SLOPE_TOL = 0.01
+
+
 def _as_positive_int(n, name: str) -> int:
     n = int(n)
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n}")
     return n
+
+
+def _check_delta(delta) -> float:
+    """delta as a float, refused outside (0, 1]."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    return float(delta)
 
 
 @dataclass(frozen=True)
@@ -156,7 +170,9 @@ class WeightSequence:
                 # longdouble partial sums keep the A_n - A_{n-1} = a_n^2
                 # identity testable at 1e-12 relative for 1e4+ terms
                 acc = np.cumsum(np.square(self._cache["values"].astype(np.longdouble)))
-                energies = acc.astype(float)
+                # an energy past float64's range becomes inf, as callers expect
+                with np.errstate(over="ignore"):
+                    energies = acc.astype(float)
                 energies.flags.writeable = False
                 self._cache["energies"] = energies
             return self._cache[key]
@@ -189,10 +205,10 @@ def _ratio_sequence(vals: np.ndarray, energies: np.ndarray, delta: float) -> np.
     Its maximum is K_hat, the measured constant of a_n^2 <= K A_n^{1-delta}
     that every geometric tail closure and `validate_assumptions` use.
     """
-    sq = np.square(vals)
-    if delta == 1.0:
-        return sq
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = np.square(vals)
+        if delta == 1.0:
+            return sq
         ratios = sq / energies ** (1.0 - delta)
     ratios[sq == 0.0] = 0.0
     return ratios
@@ -203,21 +219,20 @@ def _growth_ok(energies: np.ndarray, log_q: float) -> bool:
 
     A NaN log step (inf - inf after overflow) counts as a violation.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         dg = np.diff(np.log(energies))
     return not (dg.size and (np.isnan(dg).any() or np.max(dg) > log_q + 1e-12))
 
 
-def _trailing_slope(ratios: np.ndarray, n_max: int) -> tuple[float, tuple[int, int]]:
+def _trailing_slope(ratios: np.ndarray, n_max: int) -> float:
     """Log-log trend of the ratio sequence over the last quarter of indices."""
     lo = max(1, (3 * n_max) // 4)
     ks = np.arange(lo, n_max + 1)
     window = ratios[lo - 1 : n_max]
     keep = np.isfinite(window) & (window > 0)
     if keep.sum() < 2:
-        return 0.0, (lo, n_max)
-    slope = np.polyfit(np.log(ks[keep].astype(float)), np.log(window[keep]), 1)[0]
-    return float(slope), (lo, n_max)
+        return 0.0
+    return float(np.polyfit(np.log(ks[keep].astype(float)), np.log(window[keep]), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -227,34 +242,26 @@ class AssumptionReport:
     k_hat: float
     worst_index: int
     tail_slope: float
-    slope_tol: float
-    window: tuple[int, int]
     energy_final: float
     passed: bool
-    ratios: np.ndarray = field(repr=False, compare=False, default=None)
 
 
 def validate_assumptions(
     seq: WeightSequence,
     delta: float,
     n_max: int = 10_000,
-    slope_tol: float = 0.01,
 ) -> AssumptionReport:
     """Finite-horizon check that a_n^2 = O(A_n^{1-delta}).
 
     Reports K_hat = max_{n<=n_max} a_n^2 / A_n^{1-delta} and the log-log slope
     of that ratio over the trailing quarter of indices.  Verdict: K_hat finite
-    and slope <= slope_tol.  A strict zero threshold would reject sequences
-    with a drifting but bounded ratio purely on fit noise, so the default
-    tolerance is small but positive.
+    and slope <= `_SLOPE_TOL`.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    delta = _check_delta(delta)
     n_max = _as_positive_int(n_max, "n_max")
     vals = seq.values(n_max)
     energies = seq.energies(n_max)
     ratios = _ratio_sequence(vals, energies, delta)
-    ratios.flags.writeable = False
     bad = ~np.isfinite(ratios)
     if bad.any():
         # inf/inf from float overflow means the ratio genuinely diverged
@@ -265,16 +272,14 @@ def validate_assumptions(
     else:
         worst = int(np.argmax(ratios)) + 1
         k_hat = float(ratios[worst - 1])
-    slope, window = _trailing_slope(ratios, n_max)
-    passed = bool(np.isfinite(k_hat) and slope <= slope_tol)
+    slope = _trailing_slope(ratios, n_max)
+    passed = bool(np.isfinite(k_hat) and slope <= _SLOPE_TOL)
     return AssumptionReport(
-        delta=float(delta),
+        delta=delta,
         n_max=n_max,
         k_hat=k_hat,
         worst_index=worst,
         tail_slope=slope,
-        slope_tol=float(slope_tol),
-        window=window,
         energy_final=float(energies[-1]),
         passed=passed,
     )
@@ -301,7 +306,6 @@ def growth_report(
     q: float,
     n0: int | None = None,
     n_max: int = 10_000,
-    slope_tol: float = 0.01,
 ) -> GrowthReport:
     """Check the two growth consequences the blocking construction relies on.
 
@@ -312,8 +316,7 @@ def growth_report(
     admissible starting index on the horizon; `n0_min` reports the smallest
     one (None if the last step still violates it).
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    delta = _check_delta(delta)
     if q <= 1.0:
         raise ValueError(f"q must be > 1, got {q}")
     n_max = _as_positive_int(n_max, "n_max")
@@ -328,14 +331,14 @@ def growth_report(
         poly_ratio = energies / ks ** (1.0 / delta)
     sup_idx = int(np.nanargmax(poly_ratio)) + 1
     poly_sup = float(poly_ratio[sup_idx - 1])
-    poly_slope, _ = _trailing_slope(poly_ratio, n_max)
-    poly_bounded = bool(np.isfinite(poly_sup) and poly_slope <= slope_tol)
+    poly_slope = _trailing_slope(poly_ratio, n_max)
+    poly_bounded = bool(np.isfinite(poly_sup) and poly_slope <= _SLOPE_TOL)
 
-    with np.errstate(divide="ignore"):
-        g = np.log(energies) - ks * np.log(q)
     # A_{n+k} <= A_n q^k for all n >= n0 iff g is non-increasing from n0 on;
     # nan steps (inf - inf after overflow) count as violations
-    dg = np.diff(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.log(energies) - ks * np.log(q)
+        dg = np.diff(g)
     steps_up = np.where((dg > 1e-12) | np.isnan(dg))[0]  # g[i+1] > g[i], i = n-1
     if steps_up.size == 0:
         n0_min: int | None = 1
@@ -349,7 +352,7 @@ def growth_report(
         exp_ok = steps_up[steps_up + 1 >= n0].size == 0
 
     return GrowthReport(
-        delta=float(delta),
+        delta=delta,
         q=float(q),
         n0=n0,
         n_max=n_max,

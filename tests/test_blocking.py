@@ -74,6 +74,15 @@ def test_delays_from_boundary_energies():
     scheme = build_blocks(CONST, 1.0, 6)
     assert scheme.delays_for(0.5).tolist() == [1, 1, 25, 49, 63, 77]
     assert scheme.delays_for(0.0).tolist() == [1] * 6
+    for alpha in (1.0, -1.0, 2.0):
+        with pytest.raises(ValueError):
+            scheme.delays_for(alpha)
+
+
+def test_overflowing_boundary_energy_is_refused():
+    # 4^k passes float64's range near k = 512, long before 2000 boundaries
+    with pytest.raises(BlockConstructionError, match="overflow"):
+        build_blocks(WeightSequence.geometric(2.0), 1.0, 2000)
 
 
 def test_block_sums_memoryless_variances():

@@ -1,5 +1,6 @@
 """Command-line surface: weight-spec parsing, config canon, exit codes, layout."""
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fractalwalk import fractal
+from fractalwalk import experiments, fractal
 from fractalwalk.cli import (
     EXPERIMENTS,
     UsageError,
@@ -86,6 +87,25 @@ def test_normalize_config_rejects_unknown():
         normalize_config({"experiment": "nonesuch"})
     with pytest.raises(UsageError):
         normalize_config({"p": 0.5})
+
+
+@pytest.mark.parametrize(
+    "name,fn",
+    [
+        ("clt", experiments.clt_experiment),
+        ("lil", experiments.lil_experiment),
+        ("chung", experiments.chung_experiment),
+        ("modulus", experiments.modulus_experiment),
+        ("fclt", experiments.functional_clt_experiment),
+    ],
+)
+def test_experiment_defaults_match_cli_defaults(name, fn):
+    # the API defaults are the one fact still written outside the spec
+    defaults = experiments.SPECS[name].defaults
+    for param in inspect.signature(fn).parameters.values():
+        if param.default is not param.empty:
+            assert param.name in defaults
+            assert defaults[param.name] == param.default, param.name
 
 
 def test_manifest_hash_ignores_workers(monkeypatch):
@@ -230,6 +250,36 @@ def test_invalid_p_is_usage_error(tmp_path, capsys):
     rc = main(["lil", "--p", "2.0", "--outdir", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["0", "1", "1.5"])
+def test_blocks_refuses_p_outside_the_unit_interval(p, tmp_path, capsys):
+    rc = main(["blocks", "--count", "5", "--p", p, "--outdir", str(tmp_path)])
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: memory parameter p must be in (0, 1)")
+
+
+@pytest.mark.parametrize(
+    "args,rc,err",
+    [
+        (["blocks", "--count", "2000"], 1, "error: energy at boundary"),
+        (["eval", "--delta", "0.5"], 1, "error: no tail certificate"),
+        (["modulus", "--delta", "0.5"], 1, "error: no tail certificate"),
+        (["validate-weights", "--n-max", "2000"], 2, None),
+    ],
+    ids=["blocks", "eval", "modulus", "validate-weights"],
+)
+def test_overflowing_weights_refuse_without_warnings(args, rc, err, tmp_path, capsys):
+    # 2^k weights overflow float64 energies; each run once printed numpy's
+    # RuntimeWarnings, and blocks wrote rows of inf and nan energies
+    assert main(args + ["--weights", "geometric:2", "--outdir", str(tmp_path)]) == rc
+    lines = capsys.readouterr().err.splitlines()
+    if err is None:
+        assert lines == []
+    else:
+        (line,) = lines
+        assert line.startswith(err)
 
 
 def test_unknown_experiment_is_usage_error(capsys):

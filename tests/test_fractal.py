@@ -81,6 +81,29 @@ def test_eval_rejects_unreachable_eps():
         f.eval(0.372, eps=1e-13)
 
 
+def test_finite_weights_certify_every_term_with_zero_tail():
+    f = FractalFunction(3, WeightSequence.explicit([1, 0.5, 2]))
+    cert = f.certificate(1e-12)
+    assert (cert.terms, cert.tail_bound) == (3, 0.0)
+    x = Fraction(1, 7)
+    exact = 0
+    for k, a_k in enumerate([1, Fraction(1, 2), 2]):
+        frac = x * 3**k % 1
+        exact += a_k * min(frac, 1 - frac) / 3**k
+    got = f.eval(x)
+    assert abs(got.value - exact) <= got.error_bound
+
+
+def test_closure_bound_is_infinite_without_a_closure():
+    # a_k^2 overflows on the scanned window: K_hat is not finite
+    f = FractalFunction(2, WeightSequence.geometric(2.0), delta=0.5)
+    assert f._closure_bound(500) == math.inf
+    # K_hat is finite, but A grows by 9 a step against q = 2^{1/(1-delta)} = 4
+    f = FractalFunction(2, WeightSequence.geometric(3.0), delta=0.5)
+    assert f._closure_bound(10) == math.inf
+    assert math.isfinite(FractalFunction(2, CONST)._closure_bound(10))
+
+
 def test_eval_rejects_fractional_base():
     with pytest.raises(ValueError):
         FractalFunction(2.5, CONST)

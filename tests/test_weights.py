@@ -1,8 +1,11 @@
 """Weight sequences: generators, energy cache, and assumption checks."""
+import math
+
 import numpy as np
 import pytest
 
 from fractalwalk import WeightSequence, growth_report, validate_assumptions
+from fractalwalk.weights import _growth_ok, _ratio_sequence
 
 
 def test_partial_energy_constant():
@@ -140,3 +143,35 @@ def test_growth_geometric_within_budget():
     # same weights against q=5 > 4: exponential envelope holds
     rep = growth_report(WeightSequence.geometric(2.0), delta=1.0, q=5.0, n_max=40)
     assert rep.exp_ok
+
+
+# -- tail-closure helpers ------------------------------------------------------
+
+
+def test_ratio_sequence_zero_weight_over_zero_energy_is_zero():
+    # 0/0 := 0: leading zero weights have zero energy and must not give NaN
+    vals = np.array([0.0, 0.0, 2.0, 0.0])
+    ratios = _ratio_sequence(vals, np.cumsum(vals**2), 0.5)
+    assert ratios.tolist() == [0.0, 0.0, 2.0, 0.0]
+
+
+def test_ratio_sequence_delta_one_is_the_squared_weight():
+    vals = np.array([3.0, -2.0, 0.0])
+    assert _ratio_sequence(vals, np.array([9.0, 13.0, 13.0]), 1.0).tolist() == [9.0, 4.0, 0.0]
+
+
+def test_growth_ok_refuses_the_nan_steps_of_an_overflowed_energy():
+    energies = WeightSequence.geometric(2.0).energies(700)
+    assert np.isinf(energies[600])
+    log_q = math.log(5.0)  # A_{m+1} / A_m tends to 4
+    assert _growth_ok(energies[:500], log_q)
+    # past the overflow every log step is inf - inf = NaN: a violation
+    assert not _growth_ok(energies[600:], log_q)
+
+
+def test_growth_ok_slack_is_1e_minus_12():
+    energies = np.array([1.0, 2.0])
+    step = float(np.log(2.0))
+    assert _growth_ok(energies, step)
+    assert _growth_ok(energies, step - 5e-13)  # over log q, inside the slack
+    assert not _growth_ok(energies, step - 2e-12)
