@@ -7,7 +7,7 @@ whose keys are the flag names (flags given on the command line win).  The
 effective configuration is canonicalized (sorted keys, defaults filled), so
 the same inputs always hash to the same manifest and output directory:
 
-    <outdir>/<experiment>/<manifest-hash>/{report.json, *.csv, *.svg}
+    <outdir>/<experiment>/<manifest-hash>/{report.json, *.csv}
 
 outdir comes from --outdir, else $FRACTALWALK_OUT, else ./runs.  Exit codes:
 0 all verdicts pass, 2 a check failed, 1 usage or configuration error.
@@ -25,12 +25,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments as ex
 from .blocking import BlockConstructionError
 from .fractal import CertificationError
-from .reports import ExperimentReport, SeedManifest, canonical_json
+from .reports import SeedManifest, canonical_json
 from .weights import WeightSequence
 
 EXPERIMENTS = tuple(ex.SPECS)
@@ -151,7 +149,7 @@ def manifest(config: dict) -> SeedManifest:
     return spec.manifest(spec.resolve(cfg))
 
 
-def run(config: dict, outdir=None, plots: bool = False) -> int:
+def run(config: dict, outdir=None) -> int:
     """Run one experiment config; writes outputs, prints verdicts.
 
     Returns the exit status: 0 pass, 2 any check failed, 1 config error.
@@ -160,7 +158,6 @@ def run(config: dict, outdir=None, plots: bool = False) -> int:
     report = ex.SPECS[cfg["experiment"]].run(cfg)
     out = Path(outdir or os.environ.get("FRACTALWALK_OUT") or "./runs")
     written = report.save(out)
-    run_dir = report.run_dir(out)
     for s in report.statistics:
         if s.passed is None:
             print(f"[info] {s.name} = {s.value:.6g}" + (f"  ({s.detail})" if s.detail else ""))
@@ -171,52 +168,8 @@ def run(config: dict, outdir=None, plots: bool = False) -> int:
                   + (f"  ({s.detail})" if s.detail else ""))
     for note in report.notes:
         print(f"[note] {note}")
-    if plots:
-        for p in _render_plots(report, run_dir):
-            written.append(p)
     print(f"report: {written[0]}")
     return 0 if report.passed else 2
-
-
-def _render_plots(report: ExperimentReport, dest: Path) -> list[Path]:
-    """Optional SVG figures; skipped with a note if matplotlib is missing."""
-    try:
-        import matplotlib
-
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("[note] matplotlib not installed; skipping plots")
-        return []
-    paths = []
-    fig, ax = plt.subplots(figsize=(5, 3.2))
-    if report.name == "clt" and "normalized_sums" in report.attachments:
-        vals = np.sort([r[1] for r in report.attachments["normalized_sums"]["rows"]])
-        ecdf = np.arange(1, vals.size + 1) / vals.size
-        ax.plot(vals, ecdf, lw=1, label="empirical")
-        from scipy.special import ndtr
-
-        ax.plot(vals, ndtr(vals), lw=1, ls="--", label="normal")
-        ax.set_xlabel("normalized sum")
-        ax.legend()
-    elif report.name in ("lil", "chung") and "terminals" in report.attachments:
-        rows = report.attachments["terminals"]["rows"]
-        ax.plot([r[0] for r in rows], [r[1] for r in rows], "o", ms=3, label="walk")
-        ax.plot([r[0] for r in rows], [r[2] for r in rows], "x", ms=3, label="oracle")
-        ax.set_xlabel("replica")
-        ax.legend()
-    else:
-        cols = [s.name for s in report.statistics if s.passed is not None]
-        vals = [s.value for s in report.statistics if s.passed is not None]
-        ax.bar(range(len(vals)), vals)
-        ax.set_xticks(range(len(vals)), cols, rotation=45, fontsize=6)
-    ax.set_title(report.name)
-    fig.tight_layout()
-    out = dest / f"{report.name}.svg"
-    fig.savefig(out)
-    plt.close(fig)
-    paths.append(out)
-    return paths
 
 
 def _build_parser() -> _Parser:
@@ -226,7 +179,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--outdir", type=str, default=None)
-        p.add_argument("--plots", action="store_true")
         for key in spec.defaults:
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, type=str, default=None)
@@ -248,7 +200,7 @@ def main(argv=None) -> int:
         for key in ex.SPECS[args.experiment].defaults:
             if getattr(args, key) is not None:  # flags win over the file
                 raw[key] = getattr(args, key)
-        return run(raw, outdir=args.outdir, plots=args.plots)
+        return run(raw, outdir=args.outdir)
     except ex.RegularVariationError as err:  # a ValueError, but a failed check
         print(f"[FAIL] {err}", file=sys.stderr)
         return 2

@@ -48,6 +48,7 @@ from .walks import (
     WalkParams,
     _check_p,
     _draw_signs,
+    _signs_into,
     exact_second_moment,
     second_moment_profile,
     simulate,
@@ -164,6 +165,8 @@ def brownian_path(times, seed: int = 0, stream_id: int = 0) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     if t[0] < 0:
         raise ValueError(f"times must start at >= 0, got {t[0]}")
     gaps = np.diff(t, prepend=0.0)
@@ -175,9 +178,10 @@ def brownian_path(times, seed: int = 0, stream_id: int = 0) -> np.ndarray:
 
 def _brownian_from_rng(rng: np.random.Generator, step_sd: np.ndarray) -> np.ndarray:
     """Brownian path whose k-th increment has standard deviation step_sd[k]."""
-    path = rng.standard_normal(step_sd.size)
-    np.multiply(path, step_sd, out=path)
-    return np.cumsum(path, out=path)
+    path = np.empty(step_sd.size)
+    for start, b in _prefix_sums(_oracle_steps(rng, step_sd)):
+        path[start:start + b.size] = b
+    return path
 
 
 def ks_statistic(samples) -> float:
@@ -201,6 +205,20 @@ def _require_finite(clock, what: str) -> None:
         )
 
 
+def _clock(params: WalkParams, normalization: str = "exact_s") -> np.ndarray:
+    """D_1..D_n: exact s_k^2, (p/(1-p)) A_k or plain A_k; refused if it overflowed."""
+    n = params.horizon
+    with np.errstate(over="ignore", invalid="ignore"):
+        if normalization == "exact_s":
+            clock = second_moment_profile(params.p, params.weights, n)
+        elif normalization == "scaled_A":
+            clock = (params.p / (1.0 - params.p)) * params.weights.energies(n)
+        else:  # plain_A
+            clock = params.weights.energies(n)
+    _require_finite(clock, f"the {normalization} variance clock")
+    return clock
+
+
 def _quantiles(x: np.ndarray, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> list[float]:
     return [float(v) for v in np.quantile(x, qs)]
 
@@ -214,35 +232,24 @@ def _walk_steps(rng: np.random.Generator, p: float, a: np.ndarray):
     """Weighted steps a_k X_k in blocks of reused buffers, as (start, block).
 
     The same numbers as `a * _draw_signs(rng, p, a.size)`: the blocks draw
-    the same Philox uniforms in order, and the running flip parity carries
-    into the next block.
+    the same Philox uniforms in order, and the flip parity carries into the
+    next block.
     """
     n = a.size
     u = np.empty(min(n, _BLOCK))
-    flips = np.empty(u.size, dtype=bool)
+    flips = np.empty(u.size, dtype=np.uint8)
     steps = np.empty(u.size)
-    parity = 0
+    parity = None
     for start in range(0, n, _BLOCK):
         m = min(_BLOCK, n - start)
-        ub, fb, xb = u[:m], flips[:m].view(np.uint8), steps[:m]
-        rng.random(out=ub)
-        np.greater_equal(ub, p, out=flips[:m])
-        if start == 0:
-            fb[0] = ub[0] >= 0.5  # first draw doubles as the fair initial sign
-        fb[0] ^= parity
-        np.bitwise_xor.accumulate(fb, out=fb)
-        parity = fb[-1]
-        np.multiply(fb, -2.0, out=xb)
-        np.add(xb, 1.0, out=xb)
+        xb = steps[:m]
+        parity = _signs_into(rng, p, u[:m], flips[:m], xb, parity)
         np.multiply(xb, a[start:start + m], out=xb)
         yield start, xb
 
 
 def _oracle_steps(rng: np.random.Generator, step_sd: np.ndarray):
-    """Gaussian increments with sd step_sd[k] in blocks, as (start, block).
-
-    The same numbers as the increments `_brownian_from_rng` sums.
-    """
+    """Gaussian increments with sd step_sd[k] in blocks, as (start, block)."""
     n = step_sd.size
     buf = np.empty(min(n, _BLOCK))
     for start in range(0, n, _BLOCK):
@@ -319,14 +326,50 @@ def clt_experiment(
 # -- LIL family ---------------------------------------------------------------
 
 
-def _lil_denominator(params: WalkParams, normalization: str) -> np.ndarray:
-    n = params.horizon
-    if normalization == "exact_s":
-        return second_moment_profile(params.p, params.weights, n)
-    energies = params.weights.energies(n)
-    if normalization == "scaled_A":
-        return (params.p / (1.0 - params.p)) * energies
-    return energies.copy()  # plain_A
+def _start_index(clock: np.ndarray, what: str) -> int:
+    """First index where the clock exceeds e^2 (loglog is not usable before).
+
+    Refuses a clock that never gets there or dips back under e^2 later.
+    """
+    valid = clock > _E_SQUARED
+    if not valid.any():
+        raise ValueError(f"{what} never exceeds e^2; horizon too short")
+    i0 = int(np.argmax(valid))
+    if not np.all(clock[i0:] > _E_SQUARED):
+        raise ValueError(f"{what} dips below e^2 after first crossing it")
+    return i0
+
+
+def _walks_and_oracles(params: WalkParams, replicas: int, seed: int, s_sq: np.ndarray,
+                       walk_reduce, oracle_reduce) -> tuple[list, list]:
+    """Each replica's walk and its Brownian oracle on the clock s_sq, reduced.
+
+    Walk i draws from stream (seed, i) and its oracle from (seed, replicas + i);
+    a reducer takes a path's running sums as (start, block) pairs, and the
+    results come back in replica order.  The replicas run on one thread per
+    usable CPU (at most `replicas`).
+    """
+    gaps = np.diff(s_sq, prepend=0.0)
+    if np.any(gaps < 0):
+        raise ValueError("exact variance clock is not monotone; no Brownian oracle")
+    step_sd = np.sqrt(gaps)
+    a = params.weights.values(params.horizon)
+
+    def walk_one(i: int):
+        return walk_reduce(_prefix_sums(_walk_steps(stream(seed, i), params.p, a)))
+
+    def oracle_one(i: int):
+        return oracle_reduce(_prefix_sums(_oracle_steps(stream(seed, replicas + i), step_sd)))
+
+    return _map_threads(walk_one, replicas), _map_threads(oracle_one, replicas)
+
+
+def _terminals(walk, oracle) -> dict:
+    """The per-replica walk and oracle terminals as an attachment."""
+    return {
+        "columns": ["replica", "walk", "oracle"],
+        "rows": [[i, float(w), float(o)] for i, (w, o) in enumerate(zip(walk, oracle))],
+    }
 
 
 _COVER_EDGES = np.linspace(-0.9, 0.9, 10)  # nine width-0.2 bins
@@ -388,6 +431,8 @@ def _resolve_lil(cfg: dict) -> dict:
         band = tuple(cfg["band"])
     if len(band) != 2:
         raise ValueError(f"band needs two values lo,hi, got {list(band)}")
+    if band[0] > band[1]:
+        raise ValueError(f"band needs lo <= hi, got {list(band)}")
     if cfg["min_fraction"] is not None:
         fraction = cfg["min_fraction"]
     return {**cfg, "band": list(band), "min_fraction": fraction,
@@ -413,7 +458,7 @@ def lil_experiment(
     Each path is drawn and reduced in blocks, so a replica holds about 1 MB,
     and the replicas run on one thread per usable CPU (at most `replicas`).
     """
-    replicas = int(replicas)
+    replicas = _as_positive_int(replicas, "replicas")
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"LIL runs need horizon >= 1e5, got {n}")
@@ -421,40 +466,16 @@ def lil_experiment(
                      band=band, min_fraction=min_fraction)
     lo, hi = config["band"]
     min_fraction, coverage = config["min_fraction"], config["coverage"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = _lil_denominator(params, normalization)
-    _require_finite(den, f"the {normalization} denominator")
-    valid = den > _E_SQUARED
-    if not valid.any():
-        raise ValueError("denominator never exceeds e^2; horizon too short")
-    i0 = int(np.argmax(valid))
-    if not np.all(den[i0:] > _E_SQUARED):
-        raise ValueError("denominator dips below e^2 after first crossing it")
+    den = _clock(params, normalization)
+    i0 = _start_index(den, "denominator")
     scale = np.sqrt(2.0 * den[i0:] * np.log(np.log(den[i0:])))
-    if normalization == "exact_s":
-        s_sq = den
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            s_sq = second_moment_profile(params.p, params.weights, n)
-        _require_finite(s_sq, "the exact variance clock s_k^2")
-    gaps = np.diff(s_sq, prepend=0.0)
-    if np.any(gaps < 0):
-        raise ValueError("exact variance clock is not monotone; no Brownian oracle")
-    step_sd = np.sqrt(gaps)
-    a = params.weights.values(n)
-
-    def walk_one(i: int) -> tuple[float, bool]:
-        steps = _walk_steps(stream(seed, i), params.p, a)
-        return _lil_terminal(_prefix_sums(steps), i0, scale, coverage)
-
-    def oracle_one(i: int) -> float:
-        steps = _oracle_steps(stream(seed, replicas + i), step_sd)
-        return _lil_terminal(_prefix_sums(steps), i0, scale, False)[0]
-
-    walk_results = _map_threads(walk_one, replicas)
-    walk_terminals = np.array([t for t, _ in walk_results])
-    covered_frac = float(np.mean([c for _, c in walk_results])) if coverage else None
-    oracle_terminals = np.array(_map_threads(oracle_one, replicas))
+    walk, oracle = _walks_and_oracles(
+        params, replicas, seed, den if normalization == "exact_s" else _clock(params),
+        lambda sums: _lil_terminal(sums, i0, scale, coverage),
+        lambda sums: _lil_terminal(sums, i0, scale, False)[0],
+    )
+    walk_terminals, oracle_terminals = np.array([t for t, _ in walk]), np.array(oracle)
+    covered_frac = float(np.mean([c for _, c in walk])) if coverage else None
 
     walk_frac = float(np.mean((walk_terminals >= lo) & (walk_terminals <= hi)))
     oracle_frac = float(np.mean((oracle_terminals >= lo) & (oracle_terminals <= hi)))
@@ -481,13 +502,7 @@ def lil_experiment(
                 detail="all nine width-0.2 bins of [-0.9, 0.9] visited",
             )
         )
-    report.attachments["terminals"] = {
-        "columns": ["replica", "walk", "oracle"],
-        "rows": [
-            [i, float(w), float(o)]
-            for i, (w, o) in enumerate(zip(walk_terminals, oracle_terminals))
-        ],
-    }
+    report.attachments["terminals"] = _terminals(walk_terminals, oracle_terminals)
     report.notes.append(
         "quantiles walk: " + repr(_quantiles(walk_terminals))
     )
@@ -512,36 +527,19 @@ def chung_experiment(
     Each path is drawn and reduced in blocks, so a replica holds about 1 MB,
     and the replicas run on one thread per usable CPU (at most `replicas`).
     """
-    replicas = int(replicas)
+    replicas = _as_positive_int(replicas, "replicas")
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"Chung runs need horizon >= 1e5, got {n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_sq = second_moment_profile(params.p, params.weights, n)
-    _require_finite(s_sq, "the exact variance clock s_k^2")
-    valid = s_sq > _E_SQUARED
-    if not valid.any():
-        raise ValueError("s_n^2 never exceeds e^2; horizon too short")
-    i0 = int(np.argmax(valid))
-    if not np.all(s_sq[i0:] > _E_SQUARED):
-        raise ValueError("s_n^2 dips below e^2 after first crossing it")
+    s_sq = _clock(params)
+    i0 = _start_index(s_sq, "s_n^2")
     coef = np.sqrt(np.log(np.log(s_sq[i0:])) / s_sq[i0:])
-    gaps = np.diff(s_sq, prepend=0.0)
-    if np.any(gaps < 0):
-        raise ValueError("exact variance clock is not monotone; no Brownian oracle")
-    step_sd = np.sqrt(gaps)
-    a = params.weights.values(n)
 
-    def walk_one(i: int) -> float:
-        steps = _walk_steps(stream(seed, i), params.p, a)
-        return _chung_terminal(_prefix_sums(steps), i0, coef)
+    def terminal(sums) -> float:
+        return _chung_terminal(sums, i0, coef)
 
-    def oracle_one(i: int) -> float:
-        steps = _oracle_steps(stream(seed, replicas + i), step_sd)
-        return _chung_terminal(_prefix_sums(steps), i0, coef)
-
-    walk_terminals = np.array(_map_threads(walk_one, replicas))
-    oracle_terminals = np.array(_map_threads(oracle_one, replicas))
+    walk, oracle = _walks_and_oracles(params, replicas, seed, s_sq, terminal, terminal)
+    walk_terminals, oracle_terminals = np.array(walk), np.array(oracle)
     walk_median = float(np.median(walk_terminals))
     oracle_median = float(np.median(oracle_terminals))
     oracle_band = (0.8 * CHUNG_CONSTANT, 1.4 * CHUNG_CONSTANT)
@@ -573,13 +571,7 @@ def chung_experiment(
         )
     )
     report.statistics.append(statistic("reference_constant", CHUNG_CONSTANT))
-    report.attachments["terminals"] = {
-        "columns": ["replica", "walk", "oracle"],
-        "rows": [
-            [i, float(w), float(o)]
-            for i, (w, o) in enumerate(zip(walk_terminals, oracle_terminals))
-        ],
-    }
+    report.attachments["terminals"] = _terminals(walk_terminals, oracle_terminals)
     return report
 
 
@@ -610,6 +602,9 @@ def modulus_experiment(
     KS verdicts apply only for m(h) >= 2; at m = 1 there are no asymptotics
     and the row is report-only.
     """
+    x_samples = int(x_samples)
+    if x_samples < 10:  # the fewest samples ks_statistic takes
+        raise ValueError(f"need at least 10 x samples, got {x_samples}")
     hs = [_exact(h) for h in h_grid]
     if not hs:
         raise ValueError("h_grid must be non-empty")
@@ -617,7 +612,6 @@ def modulus_experiment(
         raise ValueError("h_grid must be strictly decreasing")
     if hs[0] >= Fraction(1, f.r) or hs[-1] <= 0:
         raise ValueError(f"h_grid must lie inside (0, 1/{f.r})")
-    x_samples = int(x_samples)
 
     rows = []
     stats = []
@@ -697,6 +691,9 @@ def functional_clt_experiment(
     beta = float(beta)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    x_samples = int(x_samples)
+    if x_samples < 2:  # a sample variance needs two
+        raise ValueError(f"need at least 2 x samples, got {x_samples}")
     n = int(n)
     ts = sorted(float(t) for t in t_grid)
     if not ts or ts[0] <= 0 or ts[-1] > 1:
@@ -716,7 +713,6 @@ def functional_clt_experiment(
                 f"with index {beta}"
             )
 
-    x_samples = int(x_samples)
     mx = uniform_mantissas(stream(seed, 0), x_samples)
     vx = f.eval_grid(mx, eps)
     sqrt_vn = math.sqrt(v_n)

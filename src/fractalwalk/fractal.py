@@ -475,6 +475,24 @@ class FractalFunction:
 
     # -- evaluation -----------------------------------------------------------
 
+    def _terms(self, x, n: int) -> list[float]:
+        """a_k d(r^{k-1} x) / r^{k-1} for k = 1..n, each rounded once; 0.0 where a_k = 0.
+
+        The digit residues are exact integers, and int / int division rounds
+        correctly, so a term does not depend on the denominator x is written
+        over.
+        """
+        f = _as_unit_fraction(x)
+        num, den = f.numerator, f.denominator
+        r = self.r
+        terms = []
+        rpow = 1
+        for a_k in self.weights.values(n).tolist():
+            terms.append(a_k * (min(num, den - num) / (den * rpow)) if a_k else 0.0)
+            num = num * r % den
+            rpow *= r
+        return terms
+
     def eval(self, x, eps: float = 1e-12) -> EvalResult:
         """f(x) with a certified absolute error bound <= eps.
 
@@ -483,19 +501,7 @@ class FractalFunction:
         correctly-rounded term summation.
         """
         cert, bound = self._certified(eps)
-        f = _as_unit_fraction(x)
-        num, den = f.numerator, f.denominator
-        r = self.r
-        a = self.weights.values(cert.terms)
-        terms = []
-        rpow = 1
-        for k in range(cert.terms):
-            d_num = min(num, den - num)
-            if d_num and a[k]:
-                terms.append(a[k] * (d_num / (den * rpow)))
-            num = num * r % den
-            rpow *= r
-        value = math.fsum(terms)
+        value = math.fsum(self._terms(x, cert.terms))
         return EvalResult(value=value, error_bound=bound, terms=cert.terms)
 
     def eval_grid(self, mantissas: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -611,40 +617,18 @@ class FractalFunction:
         k_lin = k0 if r % 2 == 0 else min(k0, k0_hat)
         k_lin = max(k_lin, 0)
 
-        # evaluate to max(cert.terms, m) so the three pieces and the increment
-        # truncate at the same depth; extra terms only shrink the tail
-        n_terms = max(cert.terms, m)
-        a = self.weights.values(n_terms)
-        den = math.lcm(fx.denominator, fy.denominator)
-        rx = fx.numerator * (den // fx.denominator)
-        ry = fy.numerator * (den // fy.denominator)
-
         walk = self.walk_value(fx, k_lin) if k_lin else 0.0
         linear = float(hq) * walk
 
-        mid_terms, tail_terms, x_terms, y_terms = [], [], [], []
-        rpow = 1
-        for k in range(1, n_terms + 1):
-            dx = min(rx, den - rx)
-            dy = min(ry, den - ry)
-            if a[k - 1]:
-                denom = den * rpow
-                vx = a[k - 1] * (dx / denom)
-                vy = a[k - 1] * (dy / denom)
-                x_terms.append(vx)
-                y_terms.append(vy)
-                if k_lin < k <= m:
-                    mid_terms.append(vy - vx)
-                elif k > m:
-                    tail_terms.append(vy - vx)
-            rx, ry = rx * r % den, ry * r % den
-            rpow *= r
-
-        value_x = math.fsum(x_terms)
-        value_y = math.fsum(y_terms)
-        midrange = math.fsum(mid_terms)
-        tail = math.fsum(tail_terms)
-        increment = value_y - value_x
+        # evaluate to max(cert.terms, m) so the three pieces and the increment
+        # truncate at the same depth; extra terms only shrink the tail.  A
+        # zero weight gives 0.0 terms, which leave every fsum unchanged.
+        n_terms = max(cert.terms, m)
+        x_terms, y_terms = self._terms(fx, n_terms), self._terms(fy, n_terms)
+        diffs = [vy - vx for vx, vy in zip(x_terms, y_terms)]
+        midrange = math.fsum(diffs[k_lin:m])  # k_lin < k <= m
+        tail = math.fsum(diffs[m:])
+        increment = math.fsum(y_terms) - math.fsum(x_terms)
         residual = increment - (linear + midrange + tail)
         return IncrementDecomposition(
             x=float(fx),

@@ -9,7 +9,7 @@ reproduce the report byte-for-byte, which is why serialization is canonical
 (sorted keys, fixed separators) and thread counts are deliberately absent.
 
 Layout on disk: <outdir>/<experiment>/<manifest-hash>/report.json plus one
-CSV per attachment (and optional SVG figures dropped in by the CLI).
+CSV per attachment.
 """
 from __future__ import annotations
 

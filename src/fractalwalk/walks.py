@@ -87,13 +87,34 @@ class WalkPath:
         return self.signs.size
 
 
+def _signs_into(rng: np.random.Generator, p: float, u: np.ndarray, flips: np.ndarray,
+                out: np.ndarray, parity=None):
+    """Fill `out` with the next u.size signs as float64 +-1; return the parity.
+
+    One uniform per step, drawn into `u`; the step flips when it is >= p.
+    `parity is None` starts a path: its first draw doubles as the fair initial
+    sign.  Otherwise `parity` is the flip parity the path has reached, so a
+    path drawn in pieces is the same as one drawn whole.  `flips` is a uint8
+    buffer of u's size.
+    """
+    rng.random(out=u)
+    np.greater_equal(u, p, out=flips.view(bool))
+    if parity is None:
+        flips[0] = u[0] >= 0.5
+    else:
+        flips[0] ^= parity
+    # X_k = (-1)^(number of flips up to k): a running parity of the flip bits
+    np.bitwise_xor.accumulate(flips, out=flips)
+    np.multiply(flips, -2.0, out=out)
+    np.add(out, 1.0, out=out)
+    return flips[-1]
+
+
 def _draw_signs(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     """X_1..X_n as float64 +-1: fair start, then repeat w.p. p."""
-    u = rng.random(n)
-    flips = (u >= p).view(np.uint8)
-    flips[0] = u[0] >= 0.5  # first draw doubles as the fair initial sign
-    # X_k = (-1)^(number of flips up to k): a running parity of the flip bits
-    return 1.0 - 2.0 * np.bitwise_xor.accumulate(flips)
+    out = np.empty(n)
+    _signs_into(rng, p, np.empty(n), np.empty(n, dtype=np.uint8), out)
+    return out
 
 
 def simulate(params: WalkParams, seed: int, stream_id: int = 0) -> WalkPath:
@@ -148,32 +169,30 @@ def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
     return np.fromiter(steps(a.tolist()), dtype=float, count=a.size)
 
 
-def second_moment_profile(p: float, weights: WeightSequence, n: int) -> np.ndarray:
-    """Exact (E[S_1^2], ..., E[S_n^2]) in O(n).
+def _moment_increments(p: float, a: np.ndarray) -> np.ndarray:
+    """a_j (a_j + 2 T_j) in longdouble: the steps of E[S_j^2] along weights a."""
+    t = _cross_accumulator(a, 2.0 * p - 1.0)
+    return (a * (a + 2.0 * t)).astype(np.longdouble)
 
-    E[S_m^2] = sum_{j<=m} a_j (a_j + 2 T_j) with the cross accumulator T.
-    """
+
+def second_moment_profile(p: float, weights: WeightSequence, n: int) -> np.ndarray:
+    """Exact (E[S_1^2], ..., E[S_n^2]) in O(n), as running sums of the increments."""
     _check_p(p)
-    alpha = 2.0 * p - 1.0
-    a = weights.values(n)
-    t = _cross_accumulator(a, alpha)
-    inc = a * (a + 2.0 * t)
-    return np.cumsum(inc.astype(np.longdouble)).astype(float)
+    return np.cumsum(_moment_increments(p, weights.values(n))).astype(float)
 
 
 def exact_second_moment(p: float, weights: WeightSequence, m: int, n: int) -> float:
     """E[(S_n - S_m)^2] for the window (m, n], exact, in O(n - m).
 
-    Runs the cross-term recursion on the window's weights.
+    Runs the cross-term recursion on the window's weights.  The increments
+    are summed by `np.sum`, which rounds otherwise than the running sums of
+    `second_moment_profile`, so the two are not interchangeable bit for bit.
     """
     _check_p(p)
     m, n = int(m), int(n)
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
-    alpha = 2.0 * p - 1.0
-    a = weights.values(n)[m:]
-    t = _cross_accumulator(a, alpha)
-    return float(np.sum((a * (a + 2.0 * t)).astype(np.longdouble)))
+    return float(np.sum(_moment_increments(p, weights.values(n)[m:])))
 
 
 def variance_ratio_bound(p: float) -> float:

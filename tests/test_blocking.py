@@ -1,4 +1,6 @@
 """Blocking scheme, block moments, and the martingale correction."""
+import math
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,31 @@ def test_gordin_tail_bound_covers_truncation():
     loose = gordin_corrector(params, scheme, 4, tol=1e-4)
     tight = gordin_corrector(params, scheme, 4, tol=1e-12, max_terms=1 << 16)
     assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound
+
+
+@pytest.mark.parametrize("p", [0.75, 0.9])
+def test_gordin_tail_bound_covers_truncation_below_delta_one(p):
+    # delta < 1 scales the closure by A^{(1-delta)/2}.  alpha^2001 underflows,
+    # so the 2000-term sum is the whole series: its part past the corrector's
+    # terms is the truncation the tail bound certifies, and the corrector's
+    # dot product matches the rest within its own rounding bound.
+    seq = WeightSequence.power(0.25)
+    scheme = build_blocks(seq, 0.5, 12)
+    params = WalkParams(p, seq, 10)
+    g = gordin_corrector(params, scheme, 5)
+    h = int(scheme.boundaries[4])
+    terms = seq.values(h + 2000)[h:] * params.alpha ** np.arange(2, 2002.0)
+    kept, rest = terms[:g.terms], terms[g.terms:]
+    assert 0.0 < math.fsum(rest) <= g.tail_bound <= 1e-10
+    rounding = g.terms * 2.0**-53 * math.fsum(np.abs(kept))
+    assert abs(g.value - math.fsum(kept)) <= rounding
+
+
+def test_gordin_refuses_energy_growth_past_one_over_alpha():
+    # A_{m+1}/A_m tends to 2.25 > 1/|alpha| = 2: no geometric closure exists
+    seq = WeightSequence.geometric(1.5)
+    with pytest.raises(CertificationError):
+        gordin_corrector(WalkParams(0.75, seq, 10), build_blocks(seq, 0.5, 12), 5)
 
 
 def test_gordin_budget_exhaustion():

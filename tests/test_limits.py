@@ -34,7 +34,7 @@ from fractalwalk.experiments import (
     _walk_steps,
 )
 from fractalwalk.rng import stream, uniform_mantissas
-from fractalwalk.walks import _draw_signs, second_moment_profile
+from fractalwalk.walks import second_moment_profile
 
 from finite_depth import (
     covariance_se,
@@ -122,6 +122,9 @@ def test_brownian_edge_times():
         brownian_path([1.0, 0.5])
     with pytest.raises(ValueError):
         brownian_path([])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            brownian_path([0.1, bad, 0.3])
 
 
 def test_brownian_quadratic_variation():
@@ -258,6 +261,23 @@ def _oracle_sd(params):
     return np.sqrt(np.diff(s_sq, prepend=0.0))
 
 
+# full-length draws written out here, apart from the package's block draws,
+# so the block paths are checked against code they do not share
+
+
+def _signs(rng, p, n):
+    """X_1..X_n as float64 +-1 from n uniforms at once."""
+    u = rng.random(n)
+    flips = (u >= p).view(np.uint8)
+    flips[0] = u[0] >= 0.5  # first draw doubles as the fair initial sign
+    return 1.0 - 2.0 * np.bitwise_xor.accumulate(flips)
+
+
+def _brownian(rng, step_sd):
+    """A Brownian path from step_sd.size normals at once."""
+    return np.cumsum(rng.standard_normal(step_sd.size) * step_sd)
+
+
 def _lil_reference(params, replicas, seed, den, coverage):
     """Per-replica (walk max, covered, oracle max) from full-length paths."""
     n = params.horizon
@@ -267,7 +287,7 @@ def _lil_reference(params, replicas, seed, den, coverage):
     a = params.weights.values(n)
 
     def walk_one(i):
-        x = _draw_signs(stream(seed, i), params.p, n)
+        x = _signs(stream(seed, i), params.p, n)
         trace = np.cumsum(a * x)[i0:] / scale
         covered = False
         if coverage:
@@ -276,7 +296,7 @@ def _lil_reference(params, replicas, seed, den, coverage):
         return float(np.max(trace)), covered
 
     def oracle_one(i):
-        b = _brownian_from_rng(stream(seed, replicas + i), step_sd)
+        b = _brownian(stream(seed, replicas + i), step_sd)
         return float(np.max(b[i0:] / scale))
 
     return [walk_one(i) + (oracle_one(i),) for i in range(replicas)]
@@ -297,8 +317,8 @@ def _chung_reference(params, replicas, seed):
 
     return [
         (
-            terminal_runmin(np.cumsum(a * _draw_signs(stream(seed, i), params.p, n))),
-            terminal_runmin(_brownian_from_rng(stream(seed, replicas + i), step_sd)),
+            terminal_runmin(np.cumsum(a * _signs(stream(seed, i), params.p, n))),
+            terminal_runmin(_brownian(stream(seed, replicas + i), step_sd)),
         )
         for i in range(replicas)
     ]
@@ -314,11 +334,13 @@ def test_block_sums_match_full_array_paths(seq, n):
     for i in range(3):
         blocks = _prefix_sums(_walk_steps(stream(4, i), params.p, a))
         got = np.concatenate([b.copy() for _, b in blocks])
-        want = np.cumsum(a * _draw_signs(stream(4, i), params.p, n))
+        want = np.cumsum(a * _signs(stream(4, i), params.p, n))
         assert got.tobytes() == want.tobytes()
         blocks = _prefix_sums(_oracle_steps(stream(4, i), step_sd))
         got = np.concatenate([b.copy() for _, b in blocks])
-        assert got.tobytes() == _brownian_from_rng(stream(4, i), step_sd).tobytes()
+        want = _brownian(stream(4, i), step_sd)
+        assert got.tobytes() == want.tobytes()
+        assert _brownian_from_rng(stream(4, i), step_sd).tobytes() == want.tobytes()
 
 
 # scaled_A runs the oracle on a clock other than its denominator; SMALL's
@@ -430,6 +452,28 @@ def test_overflowing_variance_clock_is_refused(run, monkeypatch):
     monkeypatch.setattr(experiments, "stream", no_paths)
     with pytest.raises(ValueError, match="not finite"):
         run(WalkParams(0.75, WeightSequence.geometric(2.0), 100_000))
+
+
+@pytest.mark.parametrize("run", [lil_experiment, chung_experiment], ids=["lil", "chung"])
+@pytest.mark.parametrize(
+    "weights,p,message",
+    [
+        # s_n^2 reaches about 0.3 at n = 1e5
+        (WeightSequence.constant(0.001), 0.75, r"never exceeds e\^2"),
+        # s_1^2 = 9, then alpha = -0.98 cancels it down to 0.36 for good
+        (WeightSequence.explicit([3.0, 3.0]), 0.01, r"dips below e\^2"),
+        # s_2^2 = 0.4 < s_1^2 = 1, long before the clock passes e^2
+        (CONST, 0.1, "not monotone"),
+    ],
+    ids=["short", "dip", "non-monotone"],
+)
+def test_unusable_variance_clock_is_refused(run, weights, p, message, monkeypatch):
+    def no_paths(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(experiments, "stream", no_paths)
+    with pytest.raises(ValueError, match=message):
+        run(WalkParams(p, weights, 100_000))
 
 
 # -- modulus ------------------------------------------------------------------
