@@ -431,7 +431,7 @@ def _resolve_lil(cfg: dict) -> dict:
         band = tuple(cfg["band"])
     if len(band) != 2:
         raise ValueError(f"band needs two values lo,hi, got {list(band)}")
-    if band[0] > band[1]:
+    if not band[0] <= band[1]:  # also refuses NaN
         raise ValueError(f"band needs lo <= hi, got {list(band)}")
     if cfg["min_fraction"] is not None:
         fraction = cfg["min_fraction"]

@@ -476,11 +476,11 @@ class FractalFunction:
     # -- evaluation -----------------------------------------------------------
 
     def _terms(self, x, n: int) -> list[float]:
-        """a_k d(r^{k-1} x) / r^{k-1} for k = 1..n, each rounded once; 0.0 where a_k = 0.
+        """The floats a_k d(r^{k-1} x) / r^{k-1} for k = 1..n; 0.0 where a_k = 0.
 
-        The digit residues are exact integers, and int / int division rounds
-        correctly, so a term does not depend on the denominator x is written
-        over.
+        d comes from exact integer digit residues, and int / int division
+        rounds correctly, so a term does not depend on the denominator x is
+        written over.
         """
         f = _as_unit_fraction(x)
         num, den = f.numerator, f.denominator

@@ -172,7 +172,7 @@ def test_gordin_tail_bound_covers_truncation_below_delta_one(p):
     # delta < 1 scales the closure by A^{(1-delta)/2}.  alpha^2001 underflows,
     # so the 2000-term sum is the whole series: its part past the corrector's
     # terms is the truncation the tail bound certifies, and the corrector's
-    # dot product matches the rest within its own rounding bound.
+    # dot product matches the kept head within the dot product's rounding bound.
     seq = WeightSequence.power(0.25)
     scheme = build_blocks(seq, 0.5, 12)
     params = WalkParams(p, seq, 10)

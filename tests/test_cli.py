@@ -290,10 +290,12 @@ def test_overflowing_weights_refuse_without_warnings(args, rc, err, tmp_path, ca
         (["chung", "--n", "100000", "--replicas", "0"], "error: replicas must be >= 1"),
         (["lil", "--n", "100000", "--replicas", "2", "--band", "1.3,0.4"],
          "error: band needs lo <= hi"),
+        (["lil", "--n", "100000", "--replicas", "2", "--band", "nan,1"],
+         "error: band needs lo <= hi"),
         (["fclt", "--n", "12", "--x-samples", "1"], "error: need at least 2 x samples"),
         (["modulus", "--x-samples", "-5"], "error: need at least 10 x samples"),
     ],
-    ids=["lil-0", "lil-negative", "chung-0", "lil-band", "fclt", "modulus"],
+    ids=["lil-0", "lil-negative", "chung-0", "lil-band", "lil-nan-band", "fclt", "modulus"],
 )
 def test_counts_without_a_statistic_are_refused(args, err, tmp_path, capsys, monkeypatch):
     # each run once crashed, or warned and wrote a report of NaNs or an empty band
