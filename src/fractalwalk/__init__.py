@@ -1,126 +1,21 @@
 """Certified evaluation of weighted base-r sawtooth series and limit-theorem
-experiments for one-step-memory sign walks with variable step length."""
+experiments for one-step-memory sign walks with variable step length.
 
-from .blocking import (
-    BlockConstructionError,
-    BlockingScheme,
-    BlockStats,
-    GordinDecomposition,
-    GordinValue,
-    block_statistics,
-    build_blocks,
-    gordin_corrector,
-    martingale_blocks,
-)
-from .experiments import (
-    RegularVariationError,
-    VarianceProfile,
-    brownian_path,
-    chung_experiment,
-    clt_experiment,
-    functional_clt_experiment,
-    ks_statistic,
-    lil_experiment,
-    modulus_experiment,
-    sup_increment_trace,
-    variance_profile,
-)
-from .fractal import (
-    Certificate,
-    CertificationError,
-    EvalResult,
-    FractalFunction,
-    IncrementDecomposition,
-    dist_nearest_int,
-    match_depth,
-    match_depth_grid,
-    match_depth_shifted,
-    sawtooth_slope,
-    scale_index,
-    sign_walk,
-    sign_walk_grid,
-)
+A name is public when it is in its module's `__all__`; the package exports
+each of those names and `__version__`, and lists none of them again.
+"""
+
+from . import blocking, experiments, fractal, reports, rng, walks, weights
+from .blocking import *
+from .experiments import *
+from .fractal import *
+from .reports import *
 from .reports import VERSION as __version__
-from .reports import ExperimentReport, SeedManifest, Statistic, statistic
-from .rng import stream, uniform_mantissas
-from .walks import (
-    DoobDecomposition,
-    WalkParams,
-    WalkPath,
-    doob_decompose,
-    exact_cross_moment,
-    exact_second_moment,
-    odd_indicator_limit_ratio,
-    odd_indicator_second_moment,
-    phi_mixing_coefficient,
-    second_moment_profile,
-    simulate,
-    variance_ratio_bound,
-)
-from .weights import (
-    AssumptionReport,
-    GrowthReport,
-    WeightSequence,
-    growth_report,
-    validate_assumptions,
-)
+from .rng import *
+from .walks import *
+from .weights import *
 
-__all__ = [
-    "__version__",
-    "AssumptionReport",
-    "BlockConstructionError",
-    "BlockingScheme",
-    "BlockStats",
-    "Certificate",
-    "CertificationError",
-    "DoobDecomposition",
-    "EvalResult",
-    "ExperimentReport",
-    "FractalFunction",
-    "GordinDecomposition",
-    "GordinValue",
-    "GrowthReport",
-    "IncrementDecomposition",
-    "RegularVariationError",
-    "SeedManifest",
-    "Statistic",
-    "VarianceProfile",
-    "WalkParams",
-    "WalkPath",
-    "WeightSequence",
-    "block_statistics",
-    "brownian_path",
-    "build_blocks",
-    "chung_experiment",
-    "clt_experiment",
-    "dist_nearest_int",
-    "doob_decompose",
-    "exact_cross_moment",
-    "exact_second_moment",
-    "functional_clt_experiment",
-    "gordin_corrector",
-    "growth_report",
-    "ks_statistic",
-    "lil_experiment",
-    "martingale_blocks",
-    "match_depth",
-    "match_depth_grid",
-    "match_depth_shifted",
-    "modulus_experiment",
-    "odd_indicator_limit_ratio",
-    "odd_indicator_second_moment",
-    "phi_mixing_coefficient",
-    "sawtooth_slope",
-    "scale_index",
-    "second_moment_profile",
-    "sign_walk",
-    "sign_walk_grid",
-    "simulate",
-    "statistic",
-    "stream",
-    "sup_increment_trace",
-    "uniform_mantissas",
-    "validate_assumptions",
-    "variance_profile",
-    "variance_ratio_bound",
-]
+__all__ = ["__version__"]
+for _module in (blocking, experiments, fractal, reports, rng, walks, weights):
+    __all__ += _module.__all__
+del _module

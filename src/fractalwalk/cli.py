@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -98,6 +99,13 @@ def _weights(val) -> dict:
     return spec
 
 
+def _finite(val) -> float:
+    x = float(val)
+    if not math.isfinite(x):
+        raise UsageError(f"{val} is not a finite number")
+    return x
+
+
 def _optional(parse):
     return lambda val: None if val is None else parse(val)
 
@@ -116,7 +124,7 @@ _PARSERS = {
     ),
     **dict.fromkeys(
         ("p", "delta", "eps", "ks_tol", "q", "beta", "var_tol", "median_tol", "min_fraction"),
-        _optional(float),
+        _optional(_finite),
     ),
 }
 

@@ -67,9 +67,6 @@ __all__ = [
     "chung_experiment",
     "modulus_experiment",
     "functional_clt_experiment",
-    "sup_increment_trace",
-    "LIL_NORMALIZATIONS",
-    "SPECS",
 ]
 
 _E_SQUARED = math.e**2
@@ -755,27 +752,6 @@ def functional_clt_experiment(
         "rows": rows,
     }
     return report
-
-
-def sup_increment_trace(f: FractalFunction, x, h_grid, eps: float = 1e-10):
-    """Running sup of |f(x+T) - f(x)|/T over the sampled T larger than h.
-
-    Returns (h, trace) where trace[i] is the sup over grid values T > h[i].
-    Non-decreasing as h shrinks by construction (the sup runs over a growing
-    set); the liminf constant itself is out of reach at desk scale.
-    """
-    hs = [_exact(h) for h in h_grid]
-    if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
-        raise ValueError("h_grid must be strictly decreasing")
-    if len(hs) < 2:
-        raise ValueError("need at least two grid values")
-    fx = f.eval(x, eps).value
-    ratios = []
-    for t in hs:
-        ft = f.eval(_exact(x) + t, eps).value
-        ratios.append(abs(ft - fx) / float(t))
-    trace = np.maximum.accumulate(np.array(ratios[:-1]))
-    return np.array([float(h) for h in hs[1:]]), trace
 
 
 # -- experiment specs ------------------------------------------------------------

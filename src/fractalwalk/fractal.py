@@ -48,8 +48,6 @@ __all__ = [
     "EvalResult",
     "FractalFunction",
     "IncrementDecomposition",
-    "dist_nearest_int",
-    "sawtooth_slope",
     "sign_walk",
     "sign_walk_grid",
     "match_depth",
@@ -155,31 +153,7 @@ def _as_unit_fraction(x) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
-def dist_nearest_int(x):
-    """d(x): distance from x to the nearest integer, vectorized."""
-    x = np.asarray(x, dtype=float)
-    fr = x - np.floor(x)
-    out = np.minimum(fr, 1.0 - fr)
-    return out if out.ndim else float(out)
-
-
 # -- scalar digit machinery (exact rational arithmetic) ----------------------
-
-
-def _sawtooth_frac(r: int, k: int, x) -> Fraction:
-    r = _check_base(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    f = _as_unit_fraction(x)
-    num = f.numerator * r ** (k - 1) % f.denominator
-    return Fraction(num, f.denominator)
-
-
-def sawtooth_slope(r: int, k: int, x) -> int:
-    """Right-hand slope sign of psi_k at x: +1 on the rising half of each
-    tooth (frac in [0, 1/2)), -1 on the falling half (frac in [1/2, 1))."""
-    fr = _sawtooth_frac(r, k, x)
-    return 1 if 2 * fr.numerator < fr.denominator else -1
 
 
 def sign_walk(r: int, x, n: int) -> np.ndarray:

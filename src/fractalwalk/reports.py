@@ -24,17 +24,7 @@ import numpy as np
 VERSION = "0.1.0"
 SCHEMA = "fractalwalk.report/1"
 
-__all__ = [
-    "VERSION",
-    "SCHEMA",
-    "Statistic",
-    "SeedManifest",
-    "ExperimentReport",
-    "statistic",
-    "canonical_json",
-    "config_hash",
-    "make_manifest",
-]
+__all__ = ["Statistic", "SeedManifest", "ExperimentReport", "statistic"]
 
 
 def _jsonable(obj):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["stream", "uniform_mantissas"]
+
 MANTISSA_BITS = 53
 GRID = 1 << MANTISSA_BITS  # uniform doubles live on the 2**-53 lattice
 

@@ -37,13 +37,9 @@ __all__ = [
     "WalkPath",
     "DoobDecomposition",
     "simulate",
-    "exact_cross_moment",
     "exact_second_moment",
     "second_moment_profile",
     "variance_ratio_bound",
-    "phi_mixing_coefficient",
-    "odd_indicator_second_moment",
-    "odd_indicator_limit_ratio",
     "doob_decompose",
 ]
 
@@ -79,8 +75,6 @@ class WalkPath:
 
     signs: np.ndarray  # int8, length n
     sums: np.ndarray  # float64, length n+1, sums[0] = 0
-    seed: int
-    stream_id: int
 
     @property
     def horizon(self) -> int:
@@ -127,21 +121,7 @@ def simulate(params: WalkParams, seed: int, stream_id: int = 0) -> WalkPath:
     x = _draw_signs(rng, params.p, params.horizon)
     a = params.weights.values(params.horizon)
     sums = np.concatenate(([0.0], np.cumsum(a * x)))
-    return WalkPath(
-        signs=x.astype(np.int8),
-        sums=sums,
-        seed=int(seed),
-        stream_id=int(stream_id),
-    )
-
-
-def exact_cross_moment(p: float, k: int, l: int) -> float:
-    """E[X_k X_l] = alpha^{|l-k|}."""
-    _check_p(p)
-    if k < 1 or l < 1:
-        raise ValueError("indices must be >= 1")
-    alpha = 2.0 * p - 1.0
-    return float(alpha ** abs(l - k))
+    return WalkPath(signs=x.astype(np.int8), sums=sums)
 
 
 def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
@@ -204,39 +184,6 @@ def variance_ratio_bound(p: float) -> float:
     """
     _check_p(p)
     return float(max(p / (1.0 - p), (1.0 - p) / p))
-
-
-def phi_mixing_coefficient(p: float, m: int) -> float:
-    """phi(m) = |2p - 1|^m / 2, the uniform mixing rate at lag m."""
-    _check_p(p)
-    if m < 1:
-        raise ValueError(f"lag m must be >= 1, got {m}")
-    return float(abs(2.0 * p - 1.0) ** m / 2.0)
-
-
-def odd_indicator_second_moment(p: float, n: int) -> float:
-    """E[S_n^2] for weights 1,0,1,0,...: closed form over the active steps.
-
-    With c = ceil(n/2) active steps at lag-2 correlation alpha^2,
-    E[S_n^2] = c + 2 sum_{i<c} (c - i) alpha^{2i}.
-    """
-    _check_p(p)
-    n = _as_positive_int(n, "n")
-    alpha = 2.0 * p - 1.0
-    c = (n + 1) // 2
-    i = np.arange(1, c)
-    return float(c + 2.0 * np.sum((c - i) * alpha ** (2 * i)))
-
-
-def odd_indicator_limit_ratio(p: float) -> float:
-    """Limit of E[S_n^2] / A_n for the odd-indicator weights.
-
-    Equals (1 + alpha^2) / (1 - alpha^2) = (2p^2 - 2p + 1) / (2p(1-p)); the
-    square root is the matching law-of-iterated-logarithm constant.
-    """
-    _check_p(p)
-    alpha2 = (2.0 * p - 1.0) ** 2
-    return float((1.0 + alpha2) / (1.0 - alpha2))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,14 @@ def _as_positive_int(n, name: str) -> int:
     return n
 
 
+def _check_n_max(n_max) -> int:
+    """n_max as an int, refused below 2: a trailing trend needs two points."""
+    n_max = int(n_max)
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    return n_max
+
+
 def _check_delta(delta) -> float:
     """delta as a float, refused outside (0, 1]."""
     if not 0.0 < delta <= 1.0:
@@ -237,8 +245,6 @@ def _trailing_slope(ratios: np.ndarray, n_max: int) -> float:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    delta: float
-    n_max: int
     k_hat: float
     worst_index: int
     tail_slope: float
@@ -258,7 +264,7 @@ def validate_assumptions(
     and slope <= `_SLOPE_TOL`.
     """
     delta = _check_delta(delta)
-    n_max = _as_positive_int(n_max, "n_max")
+    n_max = _check_n_max(n_max)
     vals = seq.values(n_max)
     energies = seq.energies(n_max)
     ratios = _ratio_sequence(vals, energies, delta)
@@ -275,8 +281,6 @@ def validate_assumptions(
     slope = _trailing_slope(ratios, n_max)
     passed = bool(np.isfinite(k_hat) and slope <= _SLOPE_TOL)
     return AssumptionReport(
-        delta=delta,
-        n_max=n_max,
         k_hat=k_hat,
         worst_index=worst,
         tail_slope=slope,
@@ -287,10 +291,6 @@ def validate_assumptions(
 
 @dataclass(frozen=True)
 class GrowthReport:
-    delta: float
-    q: float
-    n0: int | None
-    n_max: int
     poly_sup: float
     poly_sup_index: int
     poly_trend_slope: float
@@ -319,7 +319,7 @@ def growth_report(
     delta = _check_delta(delta)
     if q <= 1.0:
         raise ValueError(f"q must be > 1, got {q}")
-    n_max = _as_positive_int(n_max, "n_max")
+    n_max = _check_n_max(n_max)
     if n0 is not None:
         n0 = _as_positive_int(n0, "n0")
         if n0 >= n_max:
@@ -352,10 +352,6 @@ def growth_report(
         exp_ok = steps_up[steps_up + 1 >= n0].size == 0
 
     return GrowthReport(
-        delta=delta,
-        q=float(q),
-        n0=n0,
-        n_max=n_max,
         poly_sup=poly_sup,
         poly_sup_index=sup_idx,
         poly_trend_slope=poly_slope,

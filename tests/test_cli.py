@@ -294,11 +294,27 @@ def test_overflowing_weights_refuse_without_warnings(args, rc, err, tmp_path, ca
          "error: band needs lo <= hi"),
         (["fclt", "--n", "12", "--x-samples", "1"], "error: need at least 2 x samples"),
         (["modulus", "--x-samples", "-5"], "error: need at least 10 x samples"),
+        (["clt", "--ks-tol", "nan"], "error: nan is not a finite number"),
+        (["lil", "--min-fraction", "nan"], "error: nan is not a finite number"),
+        (["chung", "--median-tol", "nan"], "error: nan is not a finite number"),
+        (["modulus", "--ks-tol", "nan"], "error: nan is not a finite number"),
+        (["fclt", "--var-tol", "nan"], "error: nan is not a finite number"),
+        (["fclt", "--beta", "nan"], "error: nan is not a finite number"),
+        (["validate-weights", "--q", "nan"], "error: nan is not a finite number"),
+        (["clt", "--ks-tol", "inf"], "error: inf is not a finite number"),
+        (["eval", "--eps", "inf"], "error: inf is not a finite number"),
+        (["validate-weights", "--weights", "geometric:3", "--n-max", "1"],
+         "error: n_max must be >= 2"),
     ],
-    ids=["lil-0", "lil-negative", "chung-0", "lil-band", "lil-nan-band", "fclt", "modulus"],
+    ids=[
+        "lil-0", "lil-negative", "chung-0", "lil-band", "lil-nan-band", "fclt", "modulus",
+        "clt-nan-tol", "lil-nan-fraction", "chung-nan-tol", "modulus-nan-tol",
+        "fclt-nan-tol", "fclt-nan-beta", "validate-weights-nan-q", "clt-inf-tol",
+        "eval-inf-eps", "validate-weights-one-point",
+    ],
 )
 def test_counts_without_a_statistic_are_refused(args, err, tmp_path, capsys, monkeypatch):
-    # each run once crashed, or warned and wrote a report of NaNs or an empty band
+    # each run once crashed, passed vacuously, or wrote a report of NaNs or an empty band
     def no_draws(*args):
         raise AssertionError("a random stream was opened")
 

@@ -1,4 +1,4 @@
-"""The demos run as scripts, the way a reader runs them."""
+"""Every demo runs as a script, the way a reader runs it."""
 import os
 import re
 import subprocess
@@ -50,3 +50,17 @@ def test_lil_bands_demo_runs():
     gap = re.search(r"median gap (\S+) \(tolerance (\S+)\)", out)
     assert gap is not None, out
     assert float(gap[1]) <= float(gap[2])
+
+
+def test_walk_moments_demo_runs():
+    out = _run_demo("walk_moments.py")
+    # weights 1,0,1,0,...: s_n^2 / ceil(n/2) -> (1 + alpha^2) / (1 - alpha^2)
+    ratio = re.search(r"n= 10000: s_n\^2/ceil\(n/2\) = (\S+)", out)
+    assert ratio is not None, out
+    assert abs(float(ratio[1]) - 5.0 / 3.0) <= 1e-3
+
+
+def test_cli_tour_demo_runs():
+    out = _run_demo("cli_tour.py")
+    runs = re.findall(r"^(\w+)/[0-9a-f]{12}: experiment=\1, passed=True$", out, re.M)
+    assert sorted(runs) == ["blocks", "clt", "eval"], out

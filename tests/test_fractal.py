@@ -12,11 +12,9 @@ from scipy import stats
 from fractalwalk import (
     FractalFunction,
     WeightSequence,
-    dist_nearest_int,
     match_depth,
     match_depth_shifted,
     match_depth_grid,
-    sawtooth_slope,
     scale_index,
     sign_walk,
     sign_walk_grid,
@@ -30,17 +28,11 @@ from fractalwalk.rng import GRID
 CONST = WeightSequence.constant()
 
 
-def test_dist_nearest_int_values():
-    assert dist_nearest_int(0.3) == pytest.approx(0.3)
-    assert dist_nearest_int(0.5) == 0.5
-    assert dist_nearest_int(1.7) == pytest.approx(0.3)
-
-
 def test_sawtooth_slope_signs():
-    assert sawtooth_slope(2, 1, 0.1) == 1
-    assert sawtooth_slope(2, 1, 0.6) == -1
+    assert sign_walk(2, 0.1, 1)[0] == 1
+    assert sign_walk(2, 0.6, 1)[0] == -1
     # frac(3 * 0.2) = 0.6 lands on the falling branch
-    assert sawtooth_slope(3, 2, 0.2) == -1
+    assert sign_walk(3, 0.2, 2)[1] == -1
 
 
 def test_eval_dyadic_points():
@@ -390,9 +382,9 @@ def test_matched_prefix_moves_linearly():
     For an odd base the distance-to-integer kinks sit at half-cells too, so
     the exact-linearity depth is min(k0, k0_hat), not k0 alone.
     """
-    from fractalwalk.fractal import _sawtooth_frac
-
-    def dist(fr: Fraction) -> Fraction:
+    def psi(k: int, y: Fraction) -> Fraction:
+        # distance from 3^(k-1) y to the nearest integer, exact
+        fr = 3 ** (k - 1) * y % 1
         return min(fr, 1 - fr)
 
     rng = stream(16)
@@ -401,9 +393,9 @@ def test_matched_prefix_moves_linearly():
         ell = int(rng.integers(2, 10))
         h = Fraction(1, 3**ell)
         k_lin = min(match_depth(3, x, h), match_depth_shifted(3, x, h))
+        slopes = sign_walk(3, x, max(k_lin, 1))
         for k in range(1, k_lin + 1):
-            lhs = dist(_sawtooth_frac(3, k, x + h)) - dist(_sawtooth_frac(3, k, x))
-            assert lhs == h * 3 ** (k - 1) * sawtooth_slope(3, k, x)
+            assert psi(k, x + h) - psi(k, x) == h * 3 ** (k - 1) * int(slopes[k - 1])
 
 
 def test_tail_vanishes_at_grid_step():

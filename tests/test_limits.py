@@ -19,7 +19,6 @@ from fractalwalk import (
     lil_experiment,
     modulus_experiment,
     sign_walk_grid,
-    sup_increment_trace,
     variance_profile,
 )
 from fractalwalk import experiments
@@ -548,23 +547,3 @@ def test_fclt_t_grid_validation():
         functional_clt_experiment(f, prof, 1.0, 40, [0.5, 1.5])
     with pytest.raises(ValueError):
         functional_clt_experiment(f, prof, 0.0, 40, [0.5, 1.0])
-
-
-# -- sup-increment diagnostic --------------------------------------------------
-
-
-def test_sup_increment_trace_monotone():
-    f = FractalFunction(2, CONST, 1.0)
-    grid = [Fraction(1, 2**k) for k in range(2, 9)]
-    h, trace = sup_increment_trace(f, Fraction(1, 5), grid)
-    assert h.size == len(grid) - 1 and trace.size == len(grid) - 1
-    assert np.all(np.diff(trace) >= 0)
-    np.testing.assert_allclose(h, [float(g) for g in grid[1:]])
-
-
-def test_sup_increment_trace_guards():
-    f = FractalFunction(2, CONST, 1.0)
-    with pytest.raises(ValueError):
-        sup_increment_trace(f, Fraction(1, 5), [Fraction(1, 4)])
-    with pytest.raises(ValueError):
-        sup_increment_trace(f, Fraction(1, 5), [Fraction(1, 8), Fraction(1, 4)])

@@ -7,11 +7,7 @@ from fractalwalk import (
     WalkParams,
     WeightSequence,
     doob_decompose,
-    exact_cross_moment,
     exact_second_moment,
-    odd_indicator_limit_ratio,
-    odd_indicator_second_moment,
-    phi_mixing_coefficient,
     second_moment_profile,
     simulate,
     variance_ratio_bound,
@@ -83,12 +79,6 @@ def test_sticky_chain_lag_one_agreement():
     path = simulate(params, seed=0)
     agree = float(np.mean(path.signs[1:] == path.signs[:-1]))
     assert abs(agree - 0.9) <= 3.0 * np.sqrt(0.09 / 100_000)
-
-
-def test_cross_moment_values():
-    assert exact_cross_moment(0.75, 3, 3) == 1.0
-    assert exact_cross_moment(0.75, 1, 3) == 0.25
-    assert exact_cross_moment(0.5, 1, 2) == 0.0
 
 
 def test_second_moment_memoryless_is_energy():
@@ -221,26 +211,26 @@ def test_variance_ratio_bound_values():
     assert variance_ratio_bound(0.25) == 3.0
 
 
-def test_phi_mixing_values():
-    assert phi_mixing_coefficient(0.75, 2) == pytest.approx(0.125)
-    assert phi_mixing_coefficient(0.5, 1) == 0.0
-    assert phi_mixing_coefficient(0.9, 3) == pytest.approx(0.256)
+def _odd_indicator_second_moment(p, n):
+    """E[S_n^2] for weights 1,0,1,0,...: c active steps at lag-2 correlation
+    alpha^2, so E[S_n^2] = c + 2 sum_{i<c} (c - i) alpha^{2i}, c = ceil(n/2)."""
+    alpha = 2.0 * p - 1.0
+    c = (n + 1) // 2
+    i = np.arange(1, c)
+    return float(c + 2.0 * np.sum((c - i) * alpha ** (2 * i)))
 
 
 def test_odd_indicator_closed_form():
     odd = WeightSequence.odd_indicator()
     prof = second_moment_profile(0.75, odd, 200)
     for n in range(1, 201):
-        assert prof[n - 1] == pytest.approx(
-            odd_indicator_second_moment(0.75, n), abs=1e-11
-        )
+        assert prof[n - 1] == pytest.approx(_odd_indicator_second_moment(0.75, n), abs=1e-11)
 
 
 def test_odd_indicator_limit_ratio():
-    # (2p^2 - 2p + 1) / (2p(1-p)) at p = 3/4
-    assert odd_indicator_limit_ratio(0.75) == pytest.approx(5.0 / 3.0)
-    big = odd_indicator_second_moment(0.75, 100_000) / 50_000
-    assert big == pytest.approx(5.0 / 3.0, rel=1e-4)
+    # E[S_n^2] / ceil(n/2) -> (1 + alpha^2) / (1 - alpha^2) = 5/3 at p = 3/4
+    prof = second_moment_profile(0.75, WeightSequence.odd_indicator(), 100_000)
+    assert prof[-1] / 50_000 == pytest.approx(5.0 / 3.0, rel=1e-4)
 
 
 def test_doob_memoryless_collapses():

@@ -145,6 +145,16 @@ def test_growth_geometric_within_budget():
     assert rep.exp_ok
 
 
+def test_one_point_horizon_is_refused():
+    # a trend fitted to one point reads slope 0 and passed geometric weights
+    seq = WeightSequence.geometric(3.0)
+    with pytest.raises(ValueError, match="n_max must be >= 2"):
+        validate_assumptions(seq, delta=1.0, n_max=1)
+    with pytest.raises(ValueError, match="n_max must be >= 2"):
+        growth_report(seq, delta=1.0, q=2.0, n_max=1)
+    assert not validate_assumptions(seq, delta=1.0, n_max=2).passed
+
+
 # -- tail-closure helpers ------------------------------------------------------
 
 
