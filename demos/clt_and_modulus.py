@@ -12,7 +12,6 @@ from fractalwalk import (
     WeightSequence,
     clt_experiment,
     modulus_experiment,
-    variance_profile,
 )
 
 CONST = WeightSequence.constant()
@@ -23,9 +22,8 @@ print(f"walk CLT: KS = {ks.value:.4f} (tolerance {ks.tolerance['max']}) ->"
       f" {'pass' if ks.passed else 'fail'}")
 
 f = FractalFunction(3, CONST, 1.0)
-prof = variance_profile(3, CONST, 12)
 rep = modulus_experiment(
-    f, prof, [Fraction(1, 3**6), Fraction(1, 3**9)],
+    f, [Fraction(1, 3**6), Fraction(1, 3**9)],
     x_samples=50_000, seed=0, ks_tol=0.05,
 )
 for i in (0, 1):

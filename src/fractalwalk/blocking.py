@@ -45,6 +45,9 @@ __all__ = [
     "martingale_blocks",
 ]
 
+# the longest index line `build_blocks` scans for a block target
+_MAX_INDEX = 10_000_000
+
 
 class BlockConstructionError(RuntimeError):
     """The weight energy cannot reach the next block target."""
@@ -102,13 +105,12 @@ def build_blocks(
     weights: WeightSequence,
     delta: float,
     count: int,
-    max_index: int = 10_000_000,
 ) -> BlockingScheme:
     """Boundaries h_1 = 0, h_{n+1} = min{h > h_n: A_h - A_{h_n} >= A_{h_n}^{1-delta/2}}.
 
     The first target is 0 (empty-sum convention), so h_2 = 1 always.  Raises
     BlockConstructionError if the energy plateaus below a target, overflows
-    float64 at a boundary, or the scan passes max_index.
+    float64 at a boundary, or the scan passes `_MAX_INDEX`.
     """
     delta = _check_delta(delta)
     count = int(count)
@@ -133,12 +135,12 @@ def build_blocks(
                     f"weights exhausted: energy plateaus at {energies[-1]:.6g} "
                     f"below the block target {target:.6g}"
                 )
-            if cap >= max_index:
+            if cap >= _MAX_INDEX:
                 raise BlockConstructionError(
-                    f"no index below {max_index} reaches the block target "
+                    f"no index below {_MAX_INDEX} reaches the block target "
                     f"{target:.6g}"
                 )
-            cap = min(4 * cap, max_index)
+            cap = min(4 * cap, _MAX_INDEX)
             energies = weights.energies(cap)
         h = max(h_prev + 1, idx + 1)
         bounds.append(h)
@@ -207,7 +209,6 @@ def gordin_corrector(
     j: int,
     anchor_sign: float = 1.0,
     tol: float = 1e-10,
-    max_terms: int | None = None,
 ) -> GordinValue:
     """u_j = anchor * sum_{k>=1} a_{h_j + k} alpha^{k+1}, certified to tol.
 
@@ -217,8 +218,8 @@ def gordin_corrector(
       |tail| <= sqrt(K_hat) A_{h_j+K}^{(1-delta)/2} |alpha|^{K+1} rho/(1-rho),
 
     rho = |alpha|^{(1+delta)/2}, doubled for safety.  The budget K doubles
-    from 64 up to max_terms, by default 64 + 4*H_j (the decoupling delay at
-    the boundary); raises CertificationError if the bound never lands under
+    from 64 up to 64 + 4*H_j terms (H_j the decoupling delay at the
+    boundary); raises CertificationError if the bound never lands under
     tol within the budget.
     """
     _check_scheme_params(params, scheme)
@@ -229,8 +230,7 @@ def gordin_corrector(
         return GordinValue(value=0.0, tail_bound=0.0, terms=0)
     if anchor_sign not in (-1.0, 1.0, -1, 1):
         raise ValueError(f"anchor sign must be +-1, got {anchor_sign}")
-    if max_terms is None:
-        max_terms = 64 + 4 * int(scheme.delays_for(alpha)[j - 1])
+    max_terms = 64 + 4 * int(scheme.delays_for(alpha)[j - 1])
     h_j = int(scheme.boundaries[j - 1])
     weights = scheme.weights
     delta = scheme.delta

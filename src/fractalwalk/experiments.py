@@ -27,11 +27,14 @@ agreement between walk and oracle is the checkable claim.
 
 `SPECS` holds one `Spec` per CLI experiment: its config keys with their
 defaults, its seed manifest's stream and replica counts, and its runner.
-The CLI parser, config normalization, run manifests and every report's
-params are read from it.
+`normalize_config` gives a config its canonical form, with one parser per
+key.  The CLI runs it on flags and config files, and each library
+experiment on its own arguments before it reads any, so a library call and
+the CLI run of the same values write the same params, manifest and bytes.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +99,6 @@ class VarianceProfile:
     """
 
     r: int
-    weights: WeightSequence
     p_memory: float
     values: np.ndarray  # V_1..V_n_max
 
@@ -146,7 +148,7 @@ def variance_profile(r: int, seq: WeightSequence, n_max: int) -> VarianceProfile
             "variance profile is not non-decreasing; no valid interpolant"
         )
     values.flags.writeable = False
-    return VarianceProfile(r=r, weights=seq, p_memory=p_mem, values=values)
+    return VarianceProfile(r=r, p_memory=p_mem, values=values)
 
 
 # -- reference process and statistics ----------------------------------------
@@ -289,7 +291,8 @@ def clt_experiment(
     ks_tol: float = 0.02,
 ) -> ExperimentReport:
     """KS distance of S_n/s_n (s_n exact) to the standard normal."""
-    replicas = int(replicas)
+    config = _config("clt", params, replicas=replicas, seed=seed, ks_tol=ks_tol)
+    replicas, seed, ks_tol = config["replicas"], config["seed"], config["ks_tol"]
     if replicas < 1_000:
         raise ValueError(f"need >= 1000 replicas, got {replicas}")
     n = params.horizon
@@ -306,7 +309,7 @@ def clt_experiment(
     ks = ks_statistic(samples)
     se_mean = float(np.std(samples, ddof=1) / math.sqrt(replicas))
 
-    report = _new_report(_config("clt", params, replicas=replicas, seed=seed, ks_tol=ks_tol))
+    report = _new_report(config)
     report.statistics.append(
         statistic("ks_distance", ks, {"max": ks_tol}, detail=f"s_n={s_n:.6g}")
     )
@@ -455,13 +458,13 @@ def lil_experiment(
     Each path is drawn and reduced in blocks, so a replica holds about 1 MB,
     and the replicas run on one thread per usable CPU (at most `replicas`).
     """
-    replicas = _as_positive_int(replicas, "replicas")
+    config = _config("lil", params, replicas=replicas, seed=seed, normalization=normalization,
+                     band=band, min_fraction=min_fraction)
+    replicas = _as_positive_int(config["replicas"], "replicas")
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"LIL runs need horizon >= 1e5, got {n}")
-    config = _config("lil", params, replicas=replicas, seed=seed, normalization=normalization,
-                     band=band, min_fraction=min_fraction)
-    lo, hi = config["band"]
+    seed, normalization, (lo, hi) = config["seed"], config["normalization"], config["band"]
     min_fraction, coverage = config["min_fraction"], config["coverage"]
     den = _clock(params, normalization)
     i0 = _start_index(den, "denominator")
@@ -524,7 +527,9 @@ def chung_experiment(
     Each path is drawn and reduced in blocks, so a replica holds about 1 MB,
     and the replicas run on one thread per usable CPU (at most `replicas`).
     """
-    replicas = _as_positive_int(replicas, "replicas")
+    config = _config("chung", params, replicas=replicas, seed=seed, median_tol=median_tol)
+    replicas = _as_positive_int(config["replicas"], "replicas")
+    seed, median_tol = config["seed"], config["median_tol"]
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"Chung runs need horizon >= 1e5, got {n}")
@@ -546,9 +551,7 @@ def chung_experiment(
         )
     )
 
-    report = _new_report(
-        _config("chung", params, replicas=replicas, seed=seed, median_tol=median_tol)
-    )
+    report = _new_report(config)
     report.statistics.append(
         statistic(
             "median_abs_difference",
@@ -585,7 +588,6 @@ def _exact_mantissa_step(h: Fraction) -> int:
 
 def modulus_experiment(
     f: FractalFunction,
-    profile: VarianceProfile,
     h_grid,
     x_samples: int = 100_000,
     seed: int = 0,
@@ -597,22 +599,25 @@ def modulus_experiment(
     One Philox stream of uniform grid x per h.  Each h also records the
     slope-walk correspondence: quantiles of (f(x+h) - f(x))/h - w_{m(h)}(x).
     KS verdicts apply only for m(h) >= 2; at m = 1 there are no asymptotics
-    and the row is report-only.
+    and the row is report-only.  sigma is f's own variance profile, to one
+    level past the smallest h.
     """
-    x_samples = int(x_samples)
+    config = _config("modulus", f, h_grid=h_grid, x_samples=x_samples, seed=seed,
+                     ks_tol=ks_tol, eps=eps)
+    x_samples, seed, ks_tol, eps = (config[k] for k in ("x_samples", "seed", "ks_tol", "eps"))
     if x_samples < 10:  # the fewest samples ks_statistic takes
         raise ValueError(f"need at least 10 x samples, got {x_samples}")
-    hs = [_exact(h) for h in h_grid]
+    hs = [Fraction(h) for h in config["h_grid"]]
     if not hs:
         raise ValueError("h_grid must be non-empty")
     if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
         raise ValueError("h_grid must be strictly decreasing")
     if hs[0] >= Fraction(1, f.r) or hs[-1] <= 0:
         raise ValueError(f"h_grid must lie inside (0, 1/{f.r})")
+    profile = variance_profile(f.r, f.weights, scale_index(f.r, hs[-1]) + 1)
 
+    report = _new_report(config)
     rows = []
-    stats = []
-    notes = []
     for i, hq in enumerate(hs):
         rng = stream(seed, i)
         mx = uniform_mantissas(rng, x_samples)
@@ -628,36 +633,16 @@ def modulus_experiment(
         resid_q = _quantiles(inc - walk)
         label = f"h=r^-{m}" if hq * f.r**m == 1 else f"h~r^-{m}"
         tol = {"max": ks_tol} if m >= 2 else None
-        stats.append(
-            statistic(
-                f"ks_{i}",
-                ks,
-                tol,
-                detail=f"{label}, sigma_l={sig:.6g}, m={m}",
-            )
+        report.statistics.append(
+            statistic(f"ks_{i}", ks, tol, detail=f"{label}, sigma_l={sig:.6g}, m={m}")
         )
         if m < 2:
-            notes.append(f"h index {i}: m(h)={m} < 2, no verdict (no asymptotics)")
+            report.notes.append(f"h index {i}: m(h)={m} < 2, no verdict (no asymptotics)")
         rows.append([str(hq), m, sig, ks] + resid_q)
 
-    report = _new_report(
-        _config("modulus", f, h_grid=[str(h) for h in hs], x_samples=x_samples, seed=seed,
-                ks_tol=ks_tol, eps=eps)
-    )
-    report.statistics.extend(stats)
-    report.notes.extend(notes)
     report.attachments["increments"] = {
-        "columns": [
-            "h",
-            "m",
-            "sigma_l",
-            "ks",
-            "resid_q05",
-            "resid_q25",
-            "resid_q50",
-            "resid_q75",
-            "resid_q95",
-        ],
+        "columns": ["h", "m", "sigma_l", "ks", "resid_q05", "resid_q25", "resid_q50",
+                    "resid_q75", "resid_q95"],
         "rows": rows,
     }
     return report
@@ -665,7 +650,6 @@ def modulus_experiment(
 
 def functional_clt_experiment(
     f: FractalFunction,
-    profile: VarianceProfile,
     beta: float,
     n: int,
     t_grid,
@@ -684,22 +668,23 @@ def functional_clt_experiment(
     covariance.  For r = 2 and unit weights the covariance of indices i < j
     falls short of i/V_n by (2 - 2^{1-i})/V_n up to O(2^{i-j}), which puts
     Cov(t=0.5, t=1) at n = 40 at 0.45000, the floor of the default band.
+    V is f's own variance profile to depth n.
     """
-    beta = float(beta)
+    config = _config("fclt", f, beta=beta, n=n, t_grid=t_grid, x_samples=x_samples,
+                     seed=seed, var_tol=var_tol, eps=eps)
+    beta, n, ts, x_samples, seed, var_tol, eps = (
+        config[k] for k in ("beta", "n", "t_grid", "x_samples", "seed", "var_tol", "eps")
+    )
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    x_samples = int(x_samples)
     if x_samples < 2:  # a sample variance needs two
         raise ValueError(f"need at least 2 x samples, got {x_samples}")
-    n = int(n)
-    ts = sorted(float(t) for t in t_grid)
     if not ts or ts[0] <= 0 or ts[-1] > 1:
         raise ValueError("t_grid must lie inside (0, 1]")
     idx = [int(math.floor(n * t ** (1.0 / beta))) for t in ts]
     if idx[0] < 1:
         raise ValueError(f"t={ts[0]} gives index 0; increase n or t")
-    if idx[-1] > profile.n_max:
-        raise ValueError("profile too short for the requested horizon")
+    profile = variance_profile(f.r, f.weights, n)
     v_n = profile.grid_value(n)
     for t, i in zip(ts, idx):
         ratio = profile.grid_value(i) / v_n
@@ -720,10 +705,7 @@ def functional_clt_experiment(
         vy = f.eval_grid(my, eps)
         paths[row] = (vy - vx) / (float(hq) * sqrt_vn)
 
-    report = _new_report(
-        _config("fclt", f, beta=beta, n=n, t_grid=ts, x_samples=x_samples, seed=seed,
-                var_tol=var_tol, eps=eps)
-    )
+    report = _new_report(config)
     rows = []
     for row, (t, i) in enumerate(zip(ts, idx)):
         var = float(np.var(paths[row], ddof=1))
@@ -781,17 +763,17 @@ class Spec:
 
 
 def _config(name: str, source, **values) -> dict:
-    """The resolved config of a run of `name`: its spec's keys, from these values.
+    """The resolved config of a library run of `name`, from these values.
 
     `source`, the run's WalkParams or FractalFunction, supplies p, weights
-    and n, or r, weights and delta.
+    and n, or r, weights and delta.  The values pass through the same
+    `normalize_config` a CLI run does, so both write the same params.
     """
     if isinstance(source, WalkParams):
         values.update(p=source.p, weights=source.weights.spec, n=source.horizon)
     else:
         values.update(r=source.r, weights=source.weights.spec, delta=source.delta)
-    spec = SPECS[name]
-    return spec.resolve({"experiment": name, **{k: values[k] for k in spec.defaults}})
+    return SPECS[name].resolve(normalize_config({"experiment": name, **values}))
 
 
 def _new_report(config: dict) -> ExperimentReport:
@@ -892,25 +874,6 @@ def _run_validate_weights(cfg: dict) -> ExperimentReport:
     return report
 
 
-def _run_modulus(cfg: dict) -> ExperimentReport:
-    f = _fractal(cfg)
-    hs = [Fraction(h) for h in cfg["h_grid"]]
-    n_max = max(scale_index(f.r, h) for h in hs) + 1
-    profile = variance_profile(f.r, f.weights, n_max)
-    return modulus_experiment(
-        f, profile, hs, cfg["x_samples"], cfg["seed"], cfg["ks_tol"], cfg["eps"]
-    )
-
-
-def _run_fclt(cfg: dict) -> ExperimentReport:
-    f = _fractal(cfg)
-    profile = variance_profile(f.r, f.weights, cfg["n"])
-    return functional_clt_experiment(
-        f, profile, cfg["beta"], cfg["n"], cfg["t_grid"], cfg["x_samples"], cfg["seed"],
-        cfg["var_tol"], eps=cfg["eps"],
-    )
-
-
 SPECS = {
     "eval": Spec(
         {"r": 2, "weights": "const", "delta": 1.0, "x": "0.5", "eps": 1e-12}, _run_eval
@@ -959,7 +922,10 @@ SPECS = {
     "modulus": Spec(
         {"r": 2, "weights": "const", "delta": 1.0, "h_grid": "2^-10,2^-20",
          "x_samples": 100_000, "seed": 0, "ks_tol": 0.02, "eps": 1e-12},
-        _run_modulus,
+        lambda cfg: modulus_experiment(
+            _fractal(cfg), cfg["h_grid"], cfg["x_samples"], cfg["seed"], cfg["ks_tol"],
+            cfg["eps"],
+        ),
         streams=lambda cfg: len(cfg["h_grid"]),
         replicas=lambda cfg: cfg["x_samples"],
     ),
@@ -967,8 +933,134 @@ SPECS = {
         {"r": 2, "weights": "const", "delta": 1.0, "beta": 1.0, "n": 40,
          "t_grid": "0.25,0.5,1", "x_samples": 100_000, "seed": 0, "var_tol": 0.05,
          "eps": 1e-12},
-        _run_fclt,
+        lambda cfg: functional_clt_experiment(
+            _fractal(cfg), cfg["beta"], cfg["n"], cfg["t_grid"], cfg["x_samples"],
+            cfg["seed"], cfg["var_tol"], cfg["eps"],
+        ),
         streams=lambda cfg: 1,
         replicas=lambda cfg: cfg["x_samples"],
     ),
 }
+
+
+# -- config values ----------------------------------------------------------------
+
+
+class UsageError(ValueError):
+    """Bad flags or config values; the CLI maps it to exit code 1."""
+
+
+def parse_weight_spec(text) -> dict:
+    """Weight spec from a compact string or a JSON object."""
+    if isinstance(text, dict):
+        return dict(text)
+    text = str(text).strip()
+    if text.startswith("{"):
+        return json.loads(text)
+    name, _, arg = text.partition(":")
+    name = name.replace("_", "-").lower()
+    if name in ("const", "constant"):
+        return {"kind": "constant", "c": float(arg) if arg else 1.0}
+    if name == "power":
+        if not arg:
+            raise UsageError("power weights need an exponent, e.g. power:0.5")
+        return {"kind": "power", "exponent": float(arg)}
+    if name == "alternating":
+        return {"kind": "alternating"}
+    if name in ("odd", "odd-indicator"):
+        return {"kind": "odd_indicator"}
+    if name == "geometric":
+        if not arg:
+            raise UsageError("geometric weights need a base, e.g. geometric:2")
+        return {"kind": "geometric", "base": float(arg)}
+    if name == "explicit":
+        if not arg:
+            raise UsageError("explicit weights need values, e.g. explicit:1,2,3")
+        return {"kind": "explicit", "values": [float(v) for v in arg.split(",")]}
+    raise UsageError(f"unknown weight spec {text!r}")
+
+
+def parse_step(text) -> Fraction:
+    """Step size: 'r^-k', 'num/den', or a decimal string."""
+    if isinstance(text, Fraction):
+        return text
+    s = str(text).strip()
+    if "^" in s:
+        base, _, expo = s.partition("^")
+        return Fraction(int(base)) ** int(expo)
+    if "/" in s:
+        return Fraction(s)
+    return Fraction(float(s))
+
+
+def _parse_list(text, parser=float) -> list:
+    """A comma-separated string, a scalar or any other iterable, item by item."""
+    if isinstance(text, str) or not np.iterable(text):
+        text = [v for v in str(text).split(",") if v.strip()]
+    return [parser(v) for v in text]
+
+
+def _weights(val) -> dict:
+    spec = parse_weight_spec(val)
+    WeightSequence.from_spec(spec)  # validates
+    return spec
+
+
+def _finite(val) -> float:
+    x = float(val)
+    if not math.isfinite(x):
+        raise UsageError(f"{val} is not a finite number")
+    return x
+
+
+def _optional(parse):
+    return lambda val: None if val is None else parse(val)
+
+
+# each config key's parser, whichever experiments have it; a key not listed
+# keeps its value as given
+_PARSERS = {
+    "weights": _weights,
+    "x": lambda val: str(parse_step(val)),
+    "h_grid": lambda val: [str(h) for h in _parse_list(val, parse_step)],
+    "t_grid": lambda val: sorted(_parse_list(val, _finite)),
+    "band": _optional(_parse_list),
+    **dict.fromkeys(
+        ("r", "n", "n_max", "n0", "count", "replicas", "seed", "stream", "x_samples"),
+        _optional(int),
+    ),
+    **dict.fromkeys(
+        ("p", "delta", "eps", "ks_tol", "q", "beta", "var_tol", "median_tol", "min_fraction"),
+        _optional(_finite),
+    ),
+}
+
+
+def normalize_config(raw: dict) -> dict:
+    """Validated canonical config: defaults filled, types fixed, keys sorted.
+
+    The one parser of config values: CLI runs and library calls both pass
+    through it.  Idempotent, so canonical configs round-trip through JSON
+    byte-identically.
+    """
+    if "experiment" not in raw:
+        raise UsageError("config needs an 'experiment' key")
+    kind = str(raw["experiment"])
+    if kind not in SPECS:
+        raise UsageError(f"unknown experiment {kind!r}; choose from {tuple(SPECS)}")
+    defaults = SPECS[kind].defaults
+    unknown = set(raw) - set(defaults) - {"experiment"}
+    if unknown:
+        raise UsageError(f"unknown config keys for {kind}: {sorted(unknown)}")
+    cfg = {"experiment": kind}
+    for key, default in defaults.items():
+        val = raw.get(key, default)
+        cfg[key] = _PARSERS[key](val) if key in _PARSERS else val
+    return cfg
+
+
+def manifest(config: dict) -> SeedManifest:
+    """Canonical seed manifest for a config (without running it)."""
+    cfg = normalize_config(config)
+    spec = SPECS[cfg["experiment"]]
+    return spec.manifest(spec.resolve(cfg))

@@ -63,9 +63,6 @@ def _evaluate(value: float, tolerance: dict | None) -> bool | None:
         ok = ok and value <= tolerance["max"]
     if "min" in tolerance:
         ok = ok and value >= tolerance["min"]
-    if "band" in tolerance:
-        lo, hi = tolerance["band"]
-        ok = ok and lo <= value <= hi
     if "target" in tolerance:
         ok = ok and abs(value - tolerance["target"]) <= tolerance["abs"]
     return bool(ok)

@@ -55,6 +55,12 @@ def _check_n_max(n_max) -> int:
     return n_max
 
 
+def _check_finite(kind: str, values) -> None:
+    """Refuse a NaN or infinite weight parameter, naming the weight kind."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{kind} weights need finite parameters")
+
+
 def _check_delta(delta) -> float:
     """delta as a float, refused outside (0, 1]."""
     if not 0.0 < delta <= 1.0:
@@ -82,11 +88,13 @@ class WeightSequence:
     @classmethod
     def constant(cls, c: float = 1.0) -> "WeightSequence":
         c = float(c)
+        _check_finite("constant", c)
         return cls("constant", {"c": c}, lambda k: np.full(k.shape, c))
 
     @classmethod
     def power(cls, exponent: float) -> "WeightSequence":
         e = float(exponent)
+        _check_finite("power", e)
         return cls("power", {"exponent": e}, lambda k: k.astype(float) ** e)
 
     @classmethod
@@ -102,6 +110,7 @@ class WeightSequence:
     @classmethod
     def geometric(cls, base: float) -> "WeightSequence":
         b = float(base)
+        _check_finite("geometric", b)
         if b <= 0:
             raise ValueError(f"geometric base must be positive, got {b}")
 
@@ -118,6 +127,7 @@ class WeightSequence:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("explicit weights need a non-empty 1-d array")
+        _check_finite("explicit", vals)
         vals = vals.copy()
         vals.flags.writeable = False
 

@@ -180,9 +180,7 @@ def test_criterion_7_modulus_of_continuity():
         f = FractalFunction(r, CONST, 1.0)
         prof = variance_profile(r, CONST, n_prof)
         h = Fraction(1, r**m)
-        rep = modulus_experiment(
-            f, prof, [h], x_samples=n_pts, seed=0, ks_tol=ks_tol
-        )
+        rep = modulus_experiment(f, [h], x_samples=n_pts, seed=0, ks_tol=ks_tol)
         ks_report = rep.find("ks_0").value
         law = increment_law(r, m)
         ks_exact[r] = law.distance_to_normal(prof.sigma_l(h))
@@ -255,9 +253,7 @@ def test_criterion_10_functional_clt_marginals():
     """
     n, ts, idx, n_pts = 40, (0.25, 0.5, 1.0), (10, 20, 40), 100_000
     f = FractalFunction(2, CONST, 1.0)
-    rep = functional_clt_experiment(
-        f, variance_profile(2, CONST, n), 1.0, n, list(ts), x_samples=n_pts, seed=0
-    )
+    rep = functional_clt_experiment(f, 1.0, n, list(ts), x_samples=n_pts, seed=0)
     paths = fclt_paths(f, n, idx, n_pts, seed=0)
     ok = all(rep.find(f"var_t={t:g}").passed for t in ts)
     parts = []

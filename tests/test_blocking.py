@@ -67,9 +67,10 @@ def test_finite_weights_exhaust():
         build_blocks(seq, 1.0, 10)
 
 
-def test_max_index_guard():
-    with pytest.raises(BlockConstructionError):
-        build_blocks(CONST, 0.1, 40, max_index=500)
+def test_max_index_guard(monkeypatch):
+    monkeypatch.setattr(blocking, "_MAX_INDEX", 500)
+    with pytest.raises(BlockConstructionError, match="no index below 500"):
+        build_blocks(CONST, 0.1, 40)
 
 
 def test_delays_from_boundary_energies():
@@ -163,7 +164,7 @@ def test_gordin_tail_bound_covers_truncation():
     scheme = build_blocks(seq, 1.0, 8)
     params = WalkParams(0.8, seq, 10)
     loose = gordin_corrector(params, scheme, 4, tol=1e-4)
-    tight = gordin_corrector(params, scheme, 4, tol=1e-12, max_terms=1 << 16)
+    tight = gordin_corrector(params, scheme, 4, tol=1e-12)
     assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound
 
 

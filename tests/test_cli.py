@@ -2,6 +2,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fractalwalk import experiments, fractal
+from fractalwalk import FractalFunction, WalkParams, WeightSequence, experiments, fractal
 from fractalwalk.cli import (
     EXPERIMENTS,
     UsageError,
@@ -100,11 +101,15 @@ def test_normalize_config_rejects_unknown():
     ],
 )
 def test_experiment_defaults_match_cli_defaults(name, fn):
-    # the API defaults are the one fact still written outside the spec
+    # the API defaults are the one fact still written outside the spec; every
+    # parameter but the walk or function is a config key, so none (a variance
+    # profile, say) can change a report without entering its params and hash
     defaults = experiments.SPECS[name].defaults
-    for param in inspect.signature(fn).parameters.values():
+    source, *params = inspect.signature(fn).parameters.values()
+    assert source.name in ("params", "f")
+    for param in params:
+        assert param.name in defaults
         if param.default is not param.empty:
-            assert param.name in defaults
             assert defaults[param.name] == param.default, param.name
 
 
@@ -141,13 +146,22 @@ _SMALL_CONFIGS = [
 ]
 
 
+def _config_id(config: dict) -> str:
+    return "-".join(f"{v}" for v in config.values())
+
+
 def test_small_configs_cover_every_experiment():
     assert {c["experiment"] for c in _SMALL_CONFIGS} == set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize(
-    "config", _SMALL_CONFIGS, ids=lambda c: "-".join(f"{v}" for v in c.values())
-)
+# an unsorted t_grid and decimal steps, which the run stores in canonical form
+_UNCANONICAL_CONFIGS = [
+    {"experiment": "fclt", "n": 12, "x_samples": 1000, "t_grid": "1,0.5"},
+    {"experiment": "modulus", "h_grid": "0.1,0.01", "x_samples": 1000},
+]
+
+
+@pytest.mark.parametrize("config", _SMALL_CONFIGS + _UNCANONICAL_CONFIGS, ids=_config_id)
 def test_manifest_predicts_the_written_manifest(config, tmp_path, capsys):
     predicted = manifest(config)
     run(config, outdir=tmp_path)
@@ -206,16 +220,82 @@ _GOLDEN_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "config", _SMALL_CONFIGS, ids=lambda c: "-".join(f"{v}" for v in c.values())
-)
+@pytest.mark.parametrize("config", _SMALL_CONFIGS, ids=_config_id)
 def test_small_config_outputs_match_goldens(config, tmp_path, capsys):
     run(config, outdir=tmp_path)
     (run_dir,) = [p.parent for p in tmp_path.glob("*/*/report.json")]
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run_dir.iterdir()
     }
-    assert digests == _GOLDEN_OUTPUTS["-".join(f"{v}" for v in config.values())]
+    assert digests == _GOLDEN_OUTPUTS[_config_id(config)]
+
+
+# -- library calls ------------------------------------------------------------
+
+_CONST = WeightSequence.constant()
+_LONG = WalkParams(0.75, _CONST, 100_000)
+_F = FractalFunction(2, _CONST, 1.0)
+
+# the library call with the values of each small config of a library experiment
+_LIBRARY_CALLS = {
+    "clt-100-1000-1": lambda: experiments.clt_experiment(
+        WalkParams(0.75, _CONST, 100), replicas=1000, seed=1
+    ),
+    "lil-100000-2-1": lambda: experiments.lil_experiment(_LONG, replicas=2, seed=1),
+    "lil-100000-2-plain_A": lambda: experiments.lil_experiment(
+        _LONG, replicas=2, normalization="plain_A"
+    ),
+    "lil-100000-2-0.4,1.3-0.5": lambda: experiments.lil_experiment(
+        _LONG, replicas=2, band=(0.4, 1.3), min_fraction=0.5
+    ),
+    "chung-100000-2-1": lambda: experiments.chung_experiment(_LONG, replicas=2, seed=1),
+    "modulus-2^-3,2^-6-1000": lambda: experiments.modulus_experiment(
+        _F, [Fraction(1, 8), Fraction(1, 64)], x_samples=1000
+    ),
+    "fclt-12-1000": lambda: experiments.functional_clt_experiment(
+        _F, 1.0, 12, [0.25, 0.5, 1.0], x_samples=1000
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c in _SMALL_CONFIGS if c["experiment"] in ("clt", "lil", "chung", "modulus", "fclt")],
+    ids=_config_id,
+)
+def test_library_call_writes_the_cli_report(config, tmp_path, capsys):
+    run(config, outdir=tmp_path)
+    (report_path,) = tmp_path.glob("*/*/report.json")
+    report = _LIBRARY_CALLS[_config_id(config)]()
+    assert (report.to_json() + "\n").encode() == report_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: experiments.clt_experiment(
+            WalkParams(0.75, _CONST, 100), replicas=1000, ks_tol=math.nan
+        ),
+        lambda: experiments.clt_experiment(
+            WalkParams(0.75, _CONST, 100), replicas=1000, ks_tol=math.inf
+        ),
+        lambda: experiments.lil_experiment(_LONG, replicas=2, min_fraction=math.nan),
+        lambda: experiments.functional_clt_experiment(
+            _F, 1.0, 12, [0.5, 1.0], x_samples=1000, var_tol=math.nan
+        ),
+        lambda: experiments.modulus_experiment(_F, [Fraction(1, 8)], x_samples=1000, eps=math.inf),
+    ],
+    ids=["clt-nan-tol", "clt-inf-tol", "lil-nan-fraction", "fclt-nan-tol", "modulus-inf-eps"],
+)
+def test_library_refuses_non_finite_tolerances(call, monkeypatch):
+    # a NaN tolerance once ran clt to FAIL and an infinite one to PASS, where
+    # the CLI refused both
+    def no_draws(*args):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(experiments, "stream", no_draws)
+    with pytest.raises(ValueError, match="is not a finite number"):
+        call()
 
 
 # -- exit codes and output ----------------------------------------------------
@@ -305,12 +385,19 @@ def test_overflowing_weights_refuse_without_warnings(args, rc, err, tmp_path, ca
         (["eval", "--eps", "inf"], "error: inf is not a finite number"),
         (["validate-weights", "--weights", "geometric:3", "--n-max", "1"],
          "error: n_max must be >= 2"),
+        (["simulate", "--weights", "const:inf", "--n", "10"],
+         "error: constant weights need finite parameters"),
+        (["eval", "--weights", "explicit:1,nan"],
+         "error: explicit weights need finite parameters"),
+        (["clt", "--weights", "const:nan", "--n", "100", "--replicas", "1000"],
+         "error: constant weights need finite parameters"),
     ],
     ids=[
         "lil-0", "lil-negative", "chung-0", "lil-band", "lil-nan-band", "fclt", "modulus",
         "clt-nan-tol", "lil-nan-fraction", "chung-nan-tol", "modulus-nan-tol",
         "fclt-nan-tol", "fclt-nan-beta", "validate-weights-nan-q", "clt-inf-tol",
-        "eval-inf-eps", "validate-weights-one-point",
+        "eval-inf-eps", "validate-weights-one-point", "simulate-inf-weight",
+        "eval-nan-weight", "clt-nan-weight",
     ],
 )
 def test_counts_without_a_statistic_are_refused(args, err, tmp_path, capsys, monkeypatch):

@@ -480,9 +480,8 @@ def test_unusable_variance_clock_is_refused(run, weights, p, message, monkeypatc
 
 def test_modulus_shallow_rows_get_no_verdict():
     f = FractalFunction(2, CONST, 1.0)
-    prof = variance_profile(2, CONST, 40)
     rep = modulus_experiment(
-        f, prof, [Fraction(1, 3), Fraction(1, 8)], x_samples=2000, seed=0, eps=1e-10
+        f, [Fraction(1, 3), Fraction(1, 8)], x_samples=2000, seed=0, eps=1e-10
     )
     s0, s1 = rep.find("ks_0"), rep.find("ks_1")
     assert s0.passed is None
@@ -492,13 +491,12 @@ def test_modulus_shallow_rows_get_no_verdict():
 
 def test_modulus_grid_validation():
     f = FractalFunction(2, CONST, 1.0)
-    prof = variance_profile(2, CONST, 10)
     with pytest.raises(ValueError):
-        modulus_experiment(f, prof, [], x_samples=100)
+        modulus_experiment(f, [], x_samples=100)
     with pytest.raises(ValueError):
-        modulus_experiment(f, prof, [Fraction(1, 8), Fraction(1, 4)], x_samples=100)
+        modulus_experiment(f, [Fraction(1, 8), Fraction(1, 4)], x_samples=100)
     with pytest.raises(ValueError):
-        modulus_experiment(f, prof, [Fraction(1, 2), Fraction(1, 8)], x_samples=100)
+        modulus_experiment(f, [Fraction(1, 2), Fraction(1, 8)], x_samples=100)
 
 
 # -- functional CLT -----------------------------------------------------------
@@ -507,9 +505,8 @@ def test_modulus_grid_validation():
 def test_fclt_requires_regular_variation():
     geo = WeightSequence.geometric(1.5)
     f = FractalFunction(2, geo, 0.5)
-    prof = variance_profile(2, geo, 40)
     with pytest.raises(RegularVariationError):
-        functional_clt_experiment(f, prof, 1.0, 40, [0.25, 0.5, 1.0], x_samples=100)
+        functional_clt_experiment(f, 1.0, 40, [0.25, 0.5, 1.0], x_samples=100)
 
 
 def test_fclt_marginals_at_moderate_depth():
@@ -518,11 +515,8 @@ def test_fclt_marginals_at_moderate_depth():
     # at this sample size; the verdicts depend on the seed, so each moment is
     # checked against its exact value within 4 standard errors instead
     f = FractalFunction(2, CONST, 1.0)
-    prof = variance_profile(2, CONST, 40)
     ts, idx, n_pts = (0.25, 0.5, 1.0), (10, 20, 40), 20_000
-    rep = functional_clt_experiment(
-        f, prof, 1.0, 40, list(ts), x_samples=n_pts, seed=5
-    )
+    rep = functional_clt_experiment(f, 1.0, 40, list(ts), x_samples=n_pts, seed=5)
     paths = fclt_paths(f, 40, idx, n_pts, seed=5)
     for row, (t, i) in enumerate(zip(ts, idx)):
         exact = float(fclt_covariance(i, i)) / 40
@@ -540,10 +534,9 @@ def test_fclt_covariance_closed_form_matches_enumeration(i, j):
 
 def test_fclt_t_grid_validation():
     f = FractalFunction(2, CONST, 1.0)
-    prof = variance_profile(2, CONST, 40)
     with pytest.raises(ValueError):
-        functional_clt_experiment(f, prof, 1.0, 40, [])
+        functional_clt_experiment(f, 1.0, 40, [])
     with pytest.raises(ValueError):
-        functional_clt_experiment(f, prof, 1.0, 40, [0.5, 1.5])
+        functional_clt_experiment(f, 1.0, 40, [0.5, 1.5])
     with pytest.raises(ValueError):
-        functional_clt_experiment(f, prof, 0.0, 40, [0.5, 1.0])
+        functional_clt_experiment(f, 0.0, 40, [0.5, 1.0])

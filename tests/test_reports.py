@@ -25,8 +25,6 @@ def test_tolerance_verdicts():
     assert statistic("a", 0.7, {"max": 0.6}).passed is False
     assert statistic("a", 0.5, {"min": 0.4}).passed is True
     assert statistic("a", 0.3, {"min": 0.4}).passed is False
-    assert statistic("a", 0.5, {"band": [0.4, 0.6]}).passed is True
-    assert statistic("a", 0.7, {"band": [0.4, 0.6]}).passed is False
     assert statistic("a", 1.04, {"target": 1.0, "abs": 0.05}).passed is True
     assert statistic("a", 1.06, {"target": 1.0, "abs": 0.05}).passed is False
     assert statistic("a", 0.5).passed is None

@@ -90,6 +90,24 @@ def test_from_spec_round_trip():
         np.testing.assert_array_equal(clone.values(3), seq.values(3))
 
 
+@pytest.mark.parametrize(
+    "kind,make",
+    [
+        ("constant", lambda v: WeightSequence.constant(v)),
+        ("power", lambda v: WeightSequence.power(v)),
+        ("geometric", lambda v: WeightSequence.geometric(v)),
+        ("explicit", lambda v: WeightSequence.explicit([1.0, v, 2.0])),
+    ],
+    ids=["constant", "power", "geometric", "explicit"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_non_finite_parameters_are_refused(kind, make, value):
+    # const:inf once simulated a walk of NaN sums, and explicit:1,nan
+    # certified an error bound of NaN
+    with pytest.raises(ValueError, match=f"^{kind} weights need finite parameters"):
+        make(value)
+
+
 def test_validate_constant_unit_ratio():
     # a_n^2 / A_n^0 == 1 everywhere, so the certified constant is exactly 1
     rep = validate_assumptions(WeightSequence.constant(), delta=1.0, n_max=100)
