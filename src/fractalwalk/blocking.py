@@ -31,7 +31,7 @@ import numpy as np
 
 from .fractal import CertificationError
 from .walks import WalkParams, WalkPath, exact_second_moment, second_moment_profile
-from .weights import WeightSequence, _check_delta, _growth_ok, _ratio_sequence
+from .weights import WeightSequence, _check_delta, _tail_constant
 
 __all__ = [
     "BlockConstructionError",
@@ -250,23 +250,8 @@ def gordin_corrector(
         powers = alpha ** np.arange(2, kk + 2, dtype=float)
         value = float(anchor_sign) * float(vals @ powers)
         if tail is None:
-            scan = h_j + kk + max(64, kk // 4)
-            energies = weights.energies(scan)
-            k_hat = float(np.max(_ratio_sequence(weights.values(scan), energies, delta)))
-            a_factor = 1.0
-            if delta != 1.0:
-                a_factor = float(energies[h_j + kk - 1]) ** ((1.0 - delta) / 2.0)
-            if np.isfinite(k_hat) and _growth_ok(energies[h_j + kk - 1 :], -math.log(abs_a)):
-                tail = (
-                    2.0
-                    * math.sqrt(k_hat)
-                    * a_factor
-                    * abs_a ** (kk + 1)
-                    * rho
-                    / (1.0 - rho)
-                )
-            else:
-                tail = math.inf
+            c = _tail_constant(weights, h_j + kk, max(64, kk // 4), delta, -math.log(abs_a))
+            tail = 2.0 * c * abs_a ** (kk + 1) * rho / (1.0 - rho)
         if tail <= tol:
             return GordinValue(value=value, tail_bound=float(tail), terms=kk)
         if kk >= max_terms:

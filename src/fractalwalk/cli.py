@@ -27,8 +27,7 @@ from pathlib import Path
 
 from . import experiments as ex
 from .blocking import BlockConstructionError
-# manifest and the two parsers are imported for callers that look them up here
-from .experiments import UsageError, manifest, normalize_config, parse_step, parse_weight_spec
+from .experiments import UsageError, normalize_config
 from .fractal import CertificationError
 from .reports import canonical_json
 

@@ -25,8 +25,9 @@ limits far beyond any desk-size horizon.  At n = 10^6, Brownian motion on
 the walk's clock lands in the default LIL bands only 56-66% of the time, so
 agreement between walk and oracle is the checkable claim.
 
-`SPECS` holds one `Spec` per CLI experiment: its config keys with their
-defaults, its seed manifest's stream and replica counts, and its runner.
+`SPECS` holds one `Spec` per CLI experiment, read off its runner's
+signature: its config keys with their defaults, its seed manifest's stream
+and replica counts, and the runner's name.
 `normalize_config` gives a config its canonical form, with one parser per
 key.  The CLI runs it on flags and config files, and each library
 experiment on its own arguments before it reads any, so a library call and
@@ -34,6 +35,7 @@ the CLI run of the same values write the same params, manifest and bytes.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -588,7 +590,7 @@ def _exact_mantissa_step(h: Fraction) -> int:
 
 def modulus_experiment(
     f: FractalFunction,
-    h_grid,
+    h_grid="2^-10,2^-20",
     x_samples: int = 100_000,
     seed: int = 0,
     ks_tol: float = 0.02,
@@ -650,9 +652,9 @@ def modulus_experiment(
 
 def functional_clt_experiment(
     f: FractalFunction,
-    beta: float,
-    n: int,
-    t_grid,
+    beta: float = 1.0,
+    n: int = 40,
+    t_grid="0.25,0.5,1",
     x_samples: int = 100_000,
     seed: int = 0,
     var_tol: float = 0.05,
@@ -739,79 +741,26 @@ def functional_clt_experiment(
 # -- experiment specs ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spec:
-    """One experiment's config schema and runner: the one place its keys live.
-
-    `defaults` lists every config key, in flag order, with its default; every
-    key enters the run hash.  `streams` and `replicas` give the seed
-    manifest's counts for a config, `run` runs a normalized config, and
-    `resolve` fills the defaults that depend on other keys.
-    """
-
-    defaults: dict
-    run: Callable[[dict], ExperimentReport]
-    streams: Callable[[dict], int] = lambda cfg: 0
-    replicas: Callable[[dict], int] = lambda cfg: 1
-    resolve: Callable[[dict], dict] = lambda cfg: cfg
-
-    def manifest(self, config: dict) -> SeedManifest:
-        """Seed manifest of a resolved config."""
-        return make_manifest(
-            config, config.get("seed", 0), self.streams(config), self.replicas(config)
-        )
-
-
-def _config(name: str, source, **values) -> dict:
-    """The resolved config of a library run of `name`, from these values.
-
-    `source`, the run's WalkParams or FractalFunction, supplies p, weights
-    and n, or r, weights and delta.  The values pass through the same
-    `normalize_config` a CLI run does, so both write the same params.
-    """
-    if isinstance(source, WalkParams):
-        values.update(p=source.p, weights=source.weights.spec, n=source.horizon)
-    else:
-        values.update(r=source.r, weights=source.weights.spec, delta=source.delta)
-    return SPECS[name].resolve(normalize_config({"experiment": name, **values}))
-
-
-def _new_report(config: dict) -> ExperimentReport:
-    """An empty report with the config as params and the spec's manifest."""
-    name = config["experiment"]
-    return ExperimentReport(name=name, params=config, manifest=SPECS[name].manifest(config))
-
-
-def _walk_params(cfg: dict) -> WalkParams:
-    return WalkParams(
-        p=cfg["p"], weights=WeightSequence.from_spec(cfg["weights"]), horizon=cfg["n"]
-    )
-
-
-def _fractal(cfg: dict) -> FractalFunction:
-    return FractalFunction(
-        r=cfg["r"], weights=WeightSequence.from_spec(cfg["weights"]), delta=cfg["delta"]
-    )
-
-
-def _run_eval(cfg: dict) -> ExperimentReport:
-    res = _fractal(cfg).eval(Fraction(cfg["x"]), cfg["eps"])
+def _run_eval(f: FractalFunction, x="0.5", eps: float = 1e-12) -> ExperimentReport:
+    config = _config("eval", f, x=x, eps=eps)
+    res = f.eval(Fraction(config["x"]), config["eps"])
     print(res.value)
-    report = _new_report(cfg)
+    report = _new_report(config)
     report.statistics.append(
         statistic(
             "certified_error",
             res.error_bound,
-            {"max": cfg["eps"]},
+            {"max": config["eps"]},
             detail=f"value={res.value!r}, terms={res.terms}",
         )
     )
     return report
 
 
-def _run_simulate(cfg: dict) -> ExperimentReport:
-    path = simulate(_walk_params(cfg), cfg["seed"], cfg["stream"])
-    report = _new_report(cfg)
+def _run_simulate(params: WalkParams, seed: int = 0, stream: int = 0) -> ExperimentReport:
+    config = _config("simulate", params, seed=seed, stream=stream)
+    path = simulate(params, config["seed"], config["stream"])
+    report = _new_report(config)
     report.statistics.append(statistic("terminal_sum", float(path.sums[-1])))
     report.statistics.append(statistic("terminal_sign", float(path.signs[-1])))
     report.attachments["path"] = {
@@ -825,11 +774,13 @@ def _run_simulate(cfg: dict) -> ExperimentReport:
     return report
 
 
-def _run_blocks(cfg: dict) -> ExperimentReport:
-    p = None if cfg["p"] is None else _check_p(cfg["p"])
-    seq = WeightSequence.from_spec(cfg["weights"])
-    scheme = build_blocks(seq, cfg["delta"], cfg["count"])
-    report = _new_report(cfg)
+def _run_blocks(weights="const", delta: float = 1.0, count: int = 6,
+                p: float | None = None) -> ExperimentReport:
+    config = _config("blocks", weights=weights, delta=delta, count=count, p=p)
+    p = None if config["p"] is None else _check_p(config["p"])
+    seq = WeightSequence.from_spec(config["weights"])
+    scheme = build_blocks(seq, config["delta"], config["count"])
+    report = _new_report(config)
     report.statistics.append(statistic("boundaries", float(scheme.boundaries.size)))
     rows = []
     delays = None if p is None else scheme.delays_for(2.0 * p - 1.0)
@@ -846,7 +797,9 @@ def _run_blocks(cfg: dict) -> ExperimentReport:
     return report
 
 
-def _run_validate_weights(cfg: dict) -> ExperimentReport:
+def _run_validate_weights(weights="const", delta: float = 1.0, n_max: int = 10_000,
+                          q: float = 2.0, n0: int | None = None) -> ExperimentReport:
+    cfg = _config("validate-weights", weights=weights, delta=delta, n_max=n_max, q=q, n0=n0)
     seq = WeightSequence.from_spec(cfg["weights"])
     rep = validate_assumptions(seq, cfg["delta"], cfg["n_max"])
     growth = growth_report(seq, cfg["delta"], cfg["q"], cfg["n0"], cfg["n_max"])
@@ -874,72 +827,99 @@ def _run_validate_weights(cfg: dict) -> ExperimentReport:
     return report
 
 
+@dataclass(frozen=True)
+class Spec:
+    """One experiment's config schema and runner.
+
+    `defaults` lists every config key, in flag order, with its default: the
+    keys the runner's `source` (WalkParams, FractalFunction or None) is built
+    from, then the runner's `keywords` with the defaults its signature
+    declares, the one place they are written.  Every key enters the
+    run hash.  `streams` and `replicas` give the seed manifest's counts for a
+    config, and `resolve` fills the defaults that depend on other keys.
+    """
+
+    runner: str  # the runner's name in this module
+    source: type | None
+    defaults: dict
+    keywords: tuple
+    streams: Callable[[dict], int] = lambda cfg: 0
+    replicas: Callable[[dict], int] = lambda cfg: 1
+    resolve: Callable[[dict], dict] = lambda cfg: cfg
+
+    def run(self, cfg: dict) -> ExperimentReport:
+        """Run a normalized config: its source built, every other key by keyword.
+
+        The runner is looked up on this module at each call, so a wrapper set
+        on the module attribute (the benchmark's tracer) sees every run.
+        """
+        args = [] if self.source is None else [_source(self.source, cfg)]
+        return globals()[self.runner](*args, **{k: cfg[k] for k in self.keywords})
+
+    def manifest(self, config: dict) -> SeedManifest:
+        """Seed manifest of a resolved config."""
+        return make_manifest(
+            config, config.get("seed", 0), self.streams(config), self.replicas(config)
+        )
+
+
+def _spec(runner, source=None, n=None, **counts) -> Spec:
+    """The spec of `runner`, whose first parameter is its source if it has one.
+
+    A walk's horizon n defaults per experiment, so it is given here; the
+    source's other keys default to p = 0.75 or r = 2, const weights and
+    delta = 1.
+    """
+    keys = {WalkParams: {"p": 0.75, "weights": "const", "n": n},
+            FractalFunction: {"r": 2, "weights": "const", "delta": 1.0}}.get(source, {})
+    params = list(inspect.signature(runner).parameters.values())[source is not None:]
+    keywords = {param.name: param.default for param in params}
+    return Spec(runner.__name__, source, {**keys, **keywords}, tuple(keywords), **counts)
+
+
+def _source(kind: type, cfg: dict):
+    """The WalkParams or FractalFunction a config's source keys describe."""
+    weights = WeightSequence.from_spec(cfg["weights"])
+    if kind is WalkParams:
+        return WalkParams(p=cfg["p"], weights=weights, horizon=cfg["n"])
+    return FractalFunction(r=cfg["r"], weights=weights, delta=cfg["delta"])
+
+
+def _config(name: str, source=None, **values) -> dict:
+    """The resolved config of a library run of `name`, from these values.
+
+    `source`, the run's WalkParams or FractalFunction if it has one, supplies
+    p, weights and n, or r, weights and delta.  The values pass through the
+    same `normalize_config` a CLI run does, so both write the same params.
+    """
+    if isinstance(source, WalkParams):
+        values.update(p=source.p, weights=source.weights.spec, n=source.horizon)
+    elif source is not None:
+        values.update(r=source.r, weights=source.weights.spec, delta=source.delta)
+    return SPECS[name].resolve(normalize_config({"experiment": name, **values}))
+
+
+def _new_report(config: dict) -> ExperimentReport:
+    """An empty report with the config as params and the spec's manifest."""
+    name = config["experiment"]
+    return ExperimentReport(name=name, params=config, manifest=SPECS[name].manifest(config))
+
+
 SPECS = {
-    "eval": Spec(
-        {"r": 2, "weights": "const", "delta": 1.0, "x": "0.5", "eps": 1e-12}, _run_eval
-    ),
-    "simulate": Spec(
-        {"p": 0.75, "weights": "const", "n": 1000, "seed": 0, "stream": 0},
-        _run_simulate,
-        streams=lambda cfg: 1,
-    ),
-    "blocks": Spec(
-        {"weights": "const", "delta": 1.0, "count": 6, "p": None}, _run_blocks
-    ),
-    "validate-weights": Spec(
-        {"weights": "const", "delta": 1.0, "n_max": 10_000, "q": 2.0, "n0": None},
-        _run_validate_weights,
-    ),
-    "clt": Spec(
-        {"p": 0.75, "weights": "const", "n": 5000, "replicas": 10_000, "seed": 0,
-         "ks_tol": 0.02},
-        lambda cfg: clt_experiment(
-            _walk_params(cfg), cfg["replicas"], cfg["seed"], cfg["ks_tol"]
-        ),
-        streams=lambda cfg: cfg["replicas"],
-        replicas=lambda cfg: cfg["replicas"],
-    ),
-    "lil": Spec(
-        {"p": 0.75, "weights": "const", "n": 1_000_000, "replicas": 50, "seed": 0,
-         "normalization": "exact_s", "band": None, "min_fraction": None},
-        lambda cfg: lil_experiment(
-            _walk_params(cfg), cfg["replicas"], cfg["seed"], cfg["normalization"],
-            cfg["band"], cfg["min_fraction"],
-        ),
-        streams=lambda cfg: 2 * cfg["replicas"],
-        replicas=lambda cfg: cfg["replicas"],
-        resolve=_resolve_lil,
-    ),
-    "chung": Spec(
-        {"p": 0.75, "weights": "const", "n": 1_000_000, "replicas": 50, "seed": 0,
-         "median_tol": 0.15},
-        lambda cfg: chung_experiment(
-            _walk_params(cfg), cfg["replicas"], cfg["seed"], cfg["median_tol"]
-        ),
-        streams=lambda cfg: 2 * cfg["replicas"],
-        replicas=lambda cfg: cfg["replicas"],
-    ),
-    "modulus": Spec(
-        {"r": 2, "weights": "const", "delta": 1.0, "h_grid": "2^-10,2^-20",
-         "x_samples": 100_000, "seed": 0, "ks_tol": 0.02, "eps": 1e-12},
-        lambda cfg: modulus_experiment(
-            _fractal(cfg), cfg["h_grid"], cfg["x_samples"], cfg["seed"], cfg["ks_tol"],
-            cfg["eps"],
-        ),
-        streams=lambda cfg: len(cfg["h_grid"]),
-        replicas=lambda cfg: cfg["x_samples"],
-    ),
-    "fclt": Spec(
-        {"r": 2, "weights": "const", "delta": 1.0, "beta": 1.0, "n": 40,
-         "t_grid": "0.25,0.5,1", "x_samples": 100_000, "seed": 0, "var_tol": 0.05,
-         "eps": 1e-12},
-        lambda cfg: functional_clt_experiment(
-            _fractal(cfg), cfg["beta"], cfg["n"], cfg["t_grid"], cfg["x_samples"],
-            cfg["seed"], cfg["var_tol"], cfg["eps"],
-        ),
-        streams=lambda cfg: 1,
-        replicas=lambda cfg: cfg["x_samples"],
-    ),
+    "eval": _spec(_run_eval, FractalFunction),
+    "simulate": _spec(_run_simulate, WalkParams, n=1000, streams=lambda cfg: 1),
+    "blocks": _spec(_run_blocks),
+    "validate-weights": _spec(_run_validate_weights),
+    "clt": _spec(clt_experiment, WalkParams, n=5000, streams=lambda cfg: cfg["replicas"],
+                 replicas=lambda cfg: cfg["replicas"]),
+    "lil": _spec(lil_experiment, WalkParams, n=1_000_000, streams=lambda cfg: 2 * cfg["replicas"],
+                 replicas=lambda cfg: cfg["replicas"], resolve=_resolve_lil),
+    "chung": _spec(chung_experiment, WalkParams, n=1_000_000,
+                   streams=lambda cfg: 2 * cfg["replicas"], replicas=lambda cfg: cfg["replicas"]),
+    "modulus": _spec(modulus_experiment, FractalFunction, streams=lambda cfg: len(cfg["h_grid"]),
+                     replicas=lambda cfg: cfg["x_samples"]),
+    "fclt": _spec(functional_clt_experiment, FractalFunction, streams=lambda cfg: 1,
+                  replicas=lambda cfg: cfg["x_samples"]),
 }
 
 
@@ -1013,8 +993,15 @@ def _finite(val) -> float:
     return x
 
 
-def _optional(parse):
-    return lambda val: None if val is None else parse(val)
+def _count(val) -> int:
+    """An integer, refused rather than truncated if it has a fractional part."""
+    try:
+        n = int(val)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{val} is not an integer") from None
+    if not isinstance(val, str) and n != val:
+        raise UsageError(f"{val} is not an integer")
+    return n
 
 
 # each config key's parser, whichever experiments have it; a key not listed
@@ -1024,14 +1011,13 @@ _PARSERS = {
     "x": lambda val: str(parse_step(val)),
     "h_grid": lambda val: [str(h) for h in _parse_list(val, parse_step)],
     "t_grid": lambda val: sorted(_parse_list(val, _finite)),
-    "band": _optional(_parse_list),
+    "band": _parse_list,
     **dict.fromkeys(
-        ("r", "n", "n_max", "n0", "count", "replicas", "seed", "stream", "x_samples"),
-        _optional(int),
+        ("r", "n", "n_max", "n0", "count", "replicas", "seed", "stream", "x_samples"), _count
     ),
     **dict.fromkeys(
         ("p", "delta", "eps", "ks_tol", "q", "beta", "var_tol", "median_tol", "min_fraction"),
-        _optional(_finite),
+        _finite,
     ),
 }
 
@@ -1055,7 +1041,9 @@ def normalize_config(raw: dict) -> dict:
     cfg = {"experiment": kind}
     for key, default in defaults.items():
         val = raw.get(key, default)
-        cfg[key] = _PARSERS[key](val) if key in _PARSERS else val
+        if val is None and default is not None:
+            raise UsageError(f"{key} needs a value, got null")
+        cfg[key] = val if val is None or key not in _PARSERS else _PARSERS[key](val)
     return cfg
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rng import GRID, MANTISSA_BITS
-from .weights import WeightSequence, _check_delta, _growth_ok, _ratio_sequence
+from .weights import WeightSequence, _check_delta, _tail_constant
 
 __all__ = [
     "CertificationError",
@@ -410,29 +410,13 @@ class FractalFunction:
 
     def _closure_bound(self, n: int) -> float:
         r, delta = self.r, self.delta
-        pad = max(64, n // 4)
-        scan = n + pad
-        energies = self.weights.energies(scan)
-        k_hat = float(np.max(_ratio_sequence(self.weights.values(scan), energies, delta)))
-        if not np.isfinite(k_hat):
-            return math.inf
+        # growth A_{m+1} <= A_m q past n, q = r^{1/(1-delta)}; none at delta = 1
+        log_q = None if delta == 1.0 else math.log(r) / (1.0 - delta)
+        c = _tail_constant(self.weights, n, max(64, n // 4), delta, log_q)
         if delta == 1.0:
-            raw = 0.5 * math.sqrt(k_hat) * r ** (1 - n) * r / (r - 1.0)
-            return 2.0 * raw
-        # growth check A_{m+1} <= A_m * q on the scanned window, q = r^{1/(1-delta)}
-        if not _growth_ok(energies[n - 1 :], math.log(r) / (1.0 - delta)):
-            return math.inf
+            return 2.0 * (0.5 * c * r ** (1 - n) * r / (r - 1.0))
         rho = r ** -0.5
-        a_n_energy = float(energies[n - 1])
-        raw = (
-            0.5
-            * math.sqrt(k_hat)
-            * a_n_energy ** ((1.0 - delta) / 2.0)
-            * r ** (1 - n)
-            * rho
-            / (1.0 - rho)
-        )
-        return 2.0 * raw
+        return 2.0 * (0.5 * c * r ** (1 - n) * rho / (1.0 - rho))
 
     def _certified(self, eps: float) -> tuple[Certificate, float]:
         """The certificate at eps and its error bound; refuses an eps out of reach."""

@@ -21,6 +21,7 @@ from some index n0 on.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -240,6 +241,22 @@ def _growth_ok(energies: np.ndarray, log_q: float) -> bool:
     with np.errstate(divide="ignore", invalid="ignore"):
         dg = np.diff(np.log(energies))
     return not (dg.size and (np.isnan(dg).any() or np.max(dg) > log_q + 1e-12))
+
+
+def _tail_constant(seq: WeightSequence, n: int, pad: int, delta: float,
+                   log_q: float | None) -> float:
+    """sqrt(K_hat) A_n^{(1-delta)/2}, the constant of a geometric tail past n.
+
+    K_hat and the growth A_{m+1} <= A_m e^{log_q} from m = n on are measured
+    on [1, n + pad]; inf when K_hat is not finite or the growth check fails.
+    log_q None skips the growth check.  Each caller keeps its own pad, rate
+    and factors.
+    """
+    energies = seq.energies(n + pad)
+    k_hat = float(np.max(_ratio_sequence(seq.values(n + pad), energies, delta)))
+    if not np.isfinite(k_hat) or not (log_q is None or _growth_ok(energies[n - 1:], log_q)):
+        return math.inf
+    return math.sqrt(k_hat) * float(energies[n - 1]) ** ((1.0 - delta) / 2.0)
 
 
 def _trailing_slope(ratios: np.ndarray, n_max: int) -> float:

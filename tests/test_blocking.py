@@ -186,6 +186,21 @@ def test_gordin_tail_bound_covers_truncation_below_delta_one(p):
     assert abs(g.value - math.fsum(kept)) <= rounding
 
 
+def test_gordin_tail_scans_a_pad_of_its_own_terms():
+    # a_k = k at delta = 1 makes K_hat the square of the last scanned index.
+    # The corrector scans max(64, K // 4) past h_j + K; the certificate's rule,
+    # max(64, n // 4) past its n terms, would scan further here.
+    seq = WeightSequence.power(1.0)
+    scheme = build_blocks(seq, 1.0, 8)
+    params = WalkParams(0.9, seq, 10)
+    g = gordin_corrector(params, scheme, 8, tol=1e-14)
+    end = int(scheme.boundaries[7]) + g.terms
+    assert end // 4 > max(64, g.terms // 4)
+    rho = abs(params.alpha)
+    closure = 2.0 * rho ** (g.terms + 1) * rho / (1.0 - rho)
+    assert math.isclose(g.tail_bound, (end + max(64, g.terms // 4)) * closure, rel_tol=1e-12)
+
+
 def test_gordin_refuses_energy_growth_past_one_over_alpha():
     # A_{m+1}/A_m tends to 2.25 > 1/|alpha| = 2: no geometric closure exists
     seq = WeightSequence.geometric(1.5)

@@ -12,16 +12,8 @@ from pathlib import Path
 import pytest
 
 from fractalwalk import FractalFunction, WalkParams, WeightSequence, experiments, fractal
-from fractalwalk.cli import (
-    EXPERIMENTS,
-    UsageError,
-    main,
-    manifest,
-    normalize_config,
-    parse_step,
-    parse_weight_spec,
-    run,
-)
+from fractalwalk.cli import EXPERIMENTS, UsageError, main, normalize_config, run
+from fractalwalk.experiments import manifest, parse_step, parse_weight_spec
 from fractalwalk.reports import canonical_json
 
 
@@ -88,6 +80,72 @@ def test_normalize_config_rejects_unknown():
         normalize_config({"experiment": "nonesuch"})
     with pytest.raises(UsageError):
         normalize_config({"p": 0.5})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"experiment": "clt", "replicas": None, "n": 100},
+        {"experiment": "clt", "p": None, "n": 100, "replicas": 1000},
+        {"experiment": "modulus", "h_grid": None},
+        {"experiment": "lil", "normalization": None},
+    ],
+    ids=["clt-replicas", "clt-p", "modulus-h-grid", "lil-normalization"],
+)
+def test_null_is_refused_where_the_default_is_not_null(raw):
+    # a JSON null once passed normalization and crashed the run with a TypeError
+    key = next(k for k, v in raw.items() if v is None)
+    with pytest.raises(UsageError, match=f"^{key} needs a value"):
+        normalize_config(raw)
+
+
+def test_null_keeps_a_null_default():
+    for kind, keys in [("lil", ("band", "min_fraction")), ("blocks", ("p",)),
+                       ("validate-weights", ("n0",))]:
+        raw = {"experiment": kind, **dict.fromkeys(keys)}
+        assert normalize_config(raw) == normalize_config({"experiment": kind})
+
+
+@pytest.mark.parametrize("value", [2.7, "2.7", 1e400, math.nan, "ten", [5]])
+def test_counts_are_refused_rather_than_truncated(value):
+    with pytest.raises(UsageError, match="is not an integer"):
+        normalize_config({"experiment": "clt", "n": value})
+
+
+def test_integral_counts_keep_their_hash():
+    # JSON reads 1e6 as a float; it names the same run as 1000000
+    raw = json.loads('{"experiment": "lil", "n": 1e6, "replicas": 50.0}')
+    assert normalize_config(raw) == normalize_config({"experiment": "lil"})
+    assert manifest(raw).hash == manifest({"experiment": "lil"}).hash
+
+
+def test_library_call_refuses_a_fractional_count():
+    with pytest.raises(UsageError, match="1000.9 is not an integer"):
+        experiments.clt_experiment(WalkParams(0.75, WeightSequence.constant(), 100),
+                                   replicas=1000.9)
+
+
+@pytest.mark.parametrize(
+    "config,err",
+    [
+        ({"replicas": None, "n": 100}, "error: replicas needs a value, got null"),
+        ({"p": None, "n": 100, "replicas": 1000}, "error: p needs a value, got null"),
+        ({"n": 2.7, "replicas": 1000}, "error: 2.7 is not an integer"),
+    ],
+    ids=["null-replicas", "null-p", "fractional-n"],
+)
+def test_config_file_values_are_refused_in_one_line(config, err, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["clt", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [err]
+    assert not list(tmp_path.rglob("report.json"))
+
+
+def test_config_file_null_p_runs_blocks_without_delays(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"p": None, "count": 5}))
+    assert main(["blocks", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -228,6 +286,43 @@ def test_small_config_outputs_match_goldens(config, tmp_path, capsys):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run_dir.iterdir()
     }
     assert digests == _GOLDEN_OUTPUTS[_config_id(config)]
+
+
+# each experiment's runner, by its name on the experiments module
+_RUNNERS = {
+    "eval": "_run_eval",
+    "simulate": "_run_simulate",
+    "blocks": "_run_blocks",
+    "validate-weights": "_run_validate_weights",
+    "clt": "clt_experiment",
+    "lil": "lil_experiment",
+    "chung": "chung_experiment",
+    "modulus": "modulus_experiment",
+    "fclt": "functional_clt_experiment",
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    list({c["experiment"]: c for c in reversed(_SMALL_CONFIGS)}.values()),
+    ids=_config_id,
+)
+def test_run_calls_the_runner_on_the_experiments_module(config, tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer wraps these module attributes; a spec that kept
+    # the function objects would bypass its wrappers and zero their counts
+    calls = dict.fromkeys(_RUNNERS.values(), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _RUNNERS.values():
+        monkeypatch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+    run(config, outdir=tmp_path)
+    expected = _RUNNERS[config["experiment"]]
+    assert calls == {name: int(name == expected) for name in calls}
 
 
 # -- library calls ------------------------------------------------------------
