@@ -106,7 +106,7 @@ def test_null_keeps_a_null_default():
         assert normalize_config(raw) == normalize_config({"experiment": kind})
 
 
-@pytest.mark.parametrize("value", [2.7, "2.7", 1e400, math.nan, "ten", [5]])
+@pytest.mark.parametrize("value", [2.7, "2.7", 1e400, math.nan, "ten", [5], "1e400"])
 def test_counts_are_refused_rather_than_truncated(value):
     with pytest.raises(UsageError, match="is not an integer"):
         normalize_config({"experiment": "clt", "n": value})
@@ -117,6 +117,10 @@ def test_integral_counts_keep_their_hash():
     raw = json.loads('{"experiment": "lil", "n": 1e6, "replicas": 50.0}')
     assert normalize_config(raw) == normalize_config({"experiment": "lil"})
     assert manifest(raw).hash == manifest({"experiment": "lil"}).hash
+    # and a flag, a string, names it as the JSON number does
+    for n in ("1e3", "1000.0", 1e3):
+        assert manifest({"experiment": "clt", "n": n}).hash == \
+            manifest({"experiment": "clt", "n": "1000"}).hash
 
 
 def test_library_call_refuses_a_fractional_count():
@@ -131,8 +135,9 @@ def test_library_call_refuses_a_fractional_count():
         ({"replicas": None, "n": 100}, "error: replicas needs a value, got null"),
         ({"p": None, "n": 100, "replicas": 1000}, "error: p needs a value, got null"),
         ({"n": 2.7, "replicas": 1000}, "error: 2.7 is not an integer"),
+        ({"n": True, "replicas": 1000}, "error: True is not an integer"),
     ],
-    ids=["null-replicas", "null-p", "fractional-n"],
+    ids=["null-replicas", "null-p", "fractional-n", "boolean-n"],
 )
 def test_config_file_values_are_refused_in_one_line(config, err, tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
@@ -148,27 +153,35 @@ def test_config_file_null_p_runs_blocks_without_delays(tmp_path, capsys):
     assert main(["blocks", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
 
 
+# manifest hash of each experiment's default config, recorded before the
+# defaults moved into the runners' signatures
+_DEFAULT_HASHES = {
+    "eval": "b6056e30e0ab25a215a2d5b9147c49479921396e517f51f6b855636f5788010d",
+    "simulate": "1c8d5729c7c54b1eceb4867d762e385f32c3b09a341000c9432acd22d934e290",
+    "blocks": "0efd30ca7c8ebe91d2b1b641b2b76d087e09f231299340b6bbe37715aef38cc2",
+    "validate-weights": "9466d95a7c811bb0e27bb574ddd98c2fe7f4a353da144f6ca49374fffa8f2d9c",
+    "clt": "9c7c95c7eb920d2e0a6c2237cf16bfec080ab57a8e4e0fca4b61751e6317ccb5",
+    "lil": "e6f5020185531543fde6470021977f78e3e20f02b7733c5a3f2889bcd09fc506",
+    "chung": "885262c4d95bb3a9aaa679a58e09033312c47d67f663e2ec469adf2143e6034d",
+    "modulus": "dbd170464032ce3b4784d5b7700d268f12144d1260c5cedaad56e2e79b26d764",
+    "fclt": "c1b958f0d9a5718f02719d3c992667bd1918cb6b17c5b2fe8869f93a4eac0679",
+}
+
+
 @pytest.mark.parametrize(
-    "name,fn",
-    [
-        ("clt", experiments.clt_experiment),
-        ("lil", experiments.lil_experiment),
-        ("chung", experiments.chung_experiment),
-        ("modulus", experiments.modulus_experiment),
-        ("fclt", experiments.functional_clt_experiment),
-    ],
+    "name,fn", [(name, getattr(experiments, spec.runner)) for name, spec in experiments.SPECS.items()]
 )
 def test_experiment_defaults_match_cli_defaults(name, fn):
-    # the API defaults are the one fact still written outside the spec; every
-    # parameter but the walk or function is a config key, so none (a variance
-    # profile, say) can change a report without entering its params and hash
-    defaults = experiments.SPECS[name].defaults
-    source, *params = inspect.signature(fn).parameters.values()
-    assert source.name in ("params", "f")
-    for param in params:
-        assert param.name in defaults
-        if param.default is not param.empty:
-            assert defaults[param.name] == param.default, param.name
+    # a CLI run with no flags and a library call that passes no keyword both
+    # name the recorded default run, so a changed, added or dropped default
+    # fails here
+    spec = experiments.SPECS[name]
+    cli_config = normalize_config({"experiment": name})
+    assert manifest(cli_config).hash == _DEFAULT_HASHES[name]
+    source = [] if spec.source is None else [experiments._source(spec.source, cli_config)]
+    keywords = list(inspect.signature(fn).parameters.values())[len(source):]
+    library_config = experiments._config(name, *source, **{p.name: p.default for p in keywords})
+    assert spec.manifest(library_config).hash == _DEFAULT_HASHES[name]
 
 
 def test_manifest_hash_ignores_workers(monkeypatch):
@@ -585,17 +598,27 @@ def test_rerun_layout_is_stable(tmp_path):
 # -- start-up -----------------------------------------------------------------
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # importing scipy.signal alone costs about 1 s of every process start;
-    # the package needs only scipy.special at run time
+def test_cli_leaves_out_scipy(tmp_path):
+    # importing scipy.special alone costs about 0.3 s of every process start;
+    # the package needs only numpy, neither at import nor inside a run
     src = Path(__file__).resolve().parents[1] / "src"
+    runs = [[c["experiment"], f"--outdir={tmp_path}",
+             *(f"--{k.replace('_', '-')}={v}" for k, v in c.items() if k != "experiment")]
+            for c in _SMALL_CONFIGS if c["experiment"] in ("clt", "modulus")]
+    code = (
+        "import json, sys\n"
+        "from fractalwalk import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fractalwalk.cli; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", code, json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert len(codes) == 2 and 1 not in codes  # both ran to a verdict
+    assert scipy_modules == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from fractalwalk import (
     FractalFunction,
@@ -150,8 +150,86 @@ def test_ks_statistic_on_exact_quantiles():
 
 def test_ks_statistic_degenerate_and_small():
     assert ks_statistic(np.zeros(50)) == pytest.approx(0.5)
+    assert math.isnan(ks_statistic(np.r_[np.zeros(49), np.nan]))
     with pytest.raises(ValueError):
         ks_statistic(np.zeros(5))
+
+
+# -- the normal CDF, bit for bit against scipy's cephes ndtr ------------------
+
+
+def _ulp_window(edge: float, ulps: int = 300) -> np.ndarray:
+    """The positive float `edge` and its `ulps` neighbours each side, both signs."""
+    w = (np.array(edge).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+    return np.concatenate([w, -w])
+
+
+def test_ndtr_port_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(13)
+    # the branch edges |a|/sqrt(2) = sqrt(1/2), 1 and 8, and the underflow
+    # cut a^2/2 = MAXLOG
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * experiments._MAXLOG)]
+    x = np.concatenate([
+        rng.standard_normal(400_000),
+        rng.uniform(-40.0, 40.0, 300_000),
+        rng.standard_normal(200_000) * 1e-3,
+        rng.uniform(-1.5, 1.5, 200_000),
+        *map(_ulp_window, edges),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324],
+    ])
+    assert x.size >= 10**6
+    np.testing.assert_array_equal(experiments._ndtr(x).view(np.uint64), ndtr(x).view(np.uint64))
+
+
+def _ks_reference(samples) -> float:
+    """KS distance to the normal over every index, with scipy's ndtr."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    cdf = ndtr(x)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+
+
+def _ks_sample(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "t3":
+        return rng.standard_t(3, n)
+    if kind == "lattice":  # quarter steps, so most samples tie
+        return np.round(4.0 * rng.standard_normal(n)) / 4.0
+    if kind == "shifted":
+        return rng.standard_normal(n) + 0.05
+    if kind == "wide":
+        return rng.uniform(-40.0, 40.0, n)
+    x = rng.standard_normal(n)  # "infinite": a few samples at each infinity
+    x[: max(1, n // 50)] = np.inf
+    x[-2:] = -np.inf
+    return x
+
+
+@pytest.mark.parametrize("n", [10, 137, 10_000, 200_000])
+@pytest.mark.parametrize("kind", ["normal", "t3", "lattice", "shifted", "wide", "infinite"])
+def test_ks_statistic_matches_the_scipy_reference(kind, n):
+    # the screened maximum must be the same float as the full scan's
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = _ks_sample(kind, rng, n)
+        assert ks_statistic(x) == _ks_reference(x)
+
+
+def test_ks_statistic_keeps_a_near_tie_the_screen_misorders():
+    # x[2] sits mid-cell near -1, where the interpolated CDF is 1.46e-7 too
+    # high; x[5] near -0.1, where it is within 3e-8.  Exactly, 0.3 - Phi(x[2])
+    # beats 0.6 - Phi(x[5]) by 5e-8, but the screen ranks them the other way
+    grid = experiments._SCREEN_X
+    k = np.searchsorted(grid, -1.0)
+    x_a = (grid[k - 1] + grid[k]) / 2
+    x_b = ndtri(0.6 - (0.3 - ndtr(x_a)) + 5e-8)
+    x = np.array([-2.0, -1.2, x_a, -0.5, -0.3, x_b, 0.3, 0.7, 1.2, 2.0])
+    screen = np.interp(x, grid, experiments._SCREEN_CDF)
+    assert 0.6 - screen[5] > 0.3 - screen[2]
+    for sample in (x, -x[::-1]):  # the plus side, then the minus side
+        assert ks_statistic(sample) == _ks_reference(sample) == pytest.approx(0.3 - ndtr(x_a))
 
 
 # -- CLT ----------------------------------------------------------------------
