@@ -31,7 +31,7 @@ import numpy as np
 
 from .fractal import CertificationError
 from .walks import WalkParams, WalkPath, exact_second_moment, second_moment_profile
-from .weights import WeightSequence, _check_delta, _tail_constant
+from .weights import WeightSequence, _as_int, _check_delta, _tail_constant
 
 __all__ = [
     "BlockConstructionError",
@@ -113,9 +113,7 @@ def build_blocks(
     float64 at a boundary, or the scan passes `_MAX_INDEX`.
     """
     delta = _check_delta(delta)
-    count = int(count)
-    if count < 2:
-        raise ValueError(f"count must be >= 2 boundaries, got {count}")
+    count = _as_int(count, "count", 2)
     exponent = 1.0 - delta / 2.0
     finite = weights.length
 
@@ -223,6 +221,7 @@ def gordin_corrector(
     tol within the budget.
     """
     _check_scheme_params(params, scheme)
+    j = _as_int(j, "boundary index j")
     if not 1 <= j <= scheme.boundaries.size:
         raise ValueError(f"boundary index j must be in 1..{scheme.boundaries.size}")
     alpha = params.alpha

@@ -13,8 +13,8 @@ same values always hash to the same manifest and output directory:
 outdir comes from --outdir, else $FRACTALWALK_OUT, else ./runs.  Exit codes:
 0 all verdicts pass, 2 a check failed, 1 usage or configuration error.
 
-Weight specs are compact strings: const[:c], power:e, alternating,
-odd-indicator, geometric:b, explicit:v1,v2,..., or a JSON object.  Step
+Weight specs are compact strings or JSON objects, all read by
+`weights.WeightSequence.from_spec`, which lists the grammar.  Step
 sizes accept r^-k, rationals, or decimals ("2^-20", "1/531441", "0.25").
 """
 from __future__ import annotations

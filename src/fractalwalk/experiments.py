@@ -36,7 +36,6 @@ the CLI run of the same values write the same params, manifest and bytes.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .blocking import build_blocks
-from .fractal import FractalFunction, _exact, _map_threads, scale_index
+from .fractal import FractalFunction, _check_base, _exact, _map_threads, scale_index
 from .reports import ExperimentReport, SeedManifest, make_manifest, statistic
 from .rng import GRID, stream, uniform_mantissas
 from .walks import (
@@ -58,7 +57,7 @@ from .walks import (
     simulate,
     variance_ratio_bound,
 )
-from .weights import WeightSequence, _as_positive_int, growth_report, validate_assumptions
+from .weights import _UNIT, WeightSequence, _as_int, growth_report, validate_assumptions
 
 __all__ = [
     "VarianceProfile",
@@ -136,8 +135,8 @@ class VarianceProfile:
 
 
 def variance_profile(r: int, seq: WeightSequence, n_max: int) -> VarianceProfile:
-    n_max = _as_positive_int(n_max, "n_max")
-    r = int(r)
+    n_max = _as_int(n_max, "n_max", 1)
+    r = _check_base(r)
     if r % 2 == 0:
         p_mem = 0.5
         values = seq.energies(n_max).copy()
@@ -550,7 +549,7 @@ def lil_experiment(
     """
     config = _config("lil", params, replicas=replicas, seed=seed, normalization=normalization,
                      band=band, min_fraction=min_fraction)
-    replicas = _as_positive_int(config["replicas"], "replicas")
+    replicas = _as_int(config["replicas"], "replicas", 1)
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"LIL runs need horizon >= 1e5, got {n}")
@@ -618,7 +617,7 @@ def chung_experiment(
     and the replicas run on one thread per usable CPU (at most `replicas`).
     """
     config = _config("chung", params, replicas=replicas, seed=seed, median_tol=median_tol)
-    replicas = _as_positive_int(config["replicas"], "replicas")
+    replicas = _as_int(config["replicas"], "replicas", 1)
     seed, median_tol = config["seed"], config["median_tol"]
     n = params.horizon
     if n < 100_000:
@@ -862,7 +861,7 @@ def _run_simulate(params: WalkParams, seed: int = 0, stream: int = 0) -> Experim
     return report
 
 
-def _run_blocks(weights="const", delta: float = 1.0, count: int = 6,
+def _run_blocks(weights=_UNIT, delta: float = 1.0, count: int = 6,
                 p: float | None = None) -> ExperimentReport:
     config = _config("blocks", weights=weights, delta=delta, count=count, p=p)
     p = None if config["p"] is None else _check_p(config["p"])
@@ -885,7 +884,7 @@ def _run_blocks(weights="const", delta: float = 1.0, count: int = 6,
     return report
 
 
-def _run_validate_weights(weights="const", delta: float = 1.0, n_max: int = 10_000,
+def _run_validate_weights(weights=_UNIT, delta: float = 1.0, n_max: int = 10_000,
                           q: float = 2.0, n0: int | None = None) -> ExperimentReport:
     cfg = _config("validate-weights", weights=weights, delta=delta, n_max=n_max, q=q, n0=n0)
     seq = WeightSequence.from_spec(cfg["weights"])
@@ -958,8 +957,8 @@ def _spec(runner, source=None, n=None, **counts) -> Spec:
     source's other keys default to p = 0.75 or r = 2, const weights and
     delta = 1.
     """
-    keys = {WalkParams: {"p": 0.75, "weights": "const", "n": n},
-            FractalFunction: {"r": 2, "weights": "const", "delta": 1.0}}.get(source, {})
+    keys = {WalkParams: {"p": 0.75, "weights": _UNIT, "n": n},
+            FractalFunction: {"r": 2, "weights": _UNIT, "delta": 1.0}}.get(source, {})
     params = list(inspect.signature(runner).parameters.values())[source is not None:]
     keywords = {param.name: param.default for param in params}
     return Spec(runner.__name__, source, {**keys, **keywords}, tuple(keywords), **counts)
@@ -1018,47 +1017,20 @@ class UsageError(ValueError):
     """Bad flags or config values; the CLI maps it to exit code 1."""
 
 
-def parse_weight_spec(text) -> dict:
-    """Weight spec from a compact string or a JSON object."""
-    if isinstance(text, dict):
-        return dict(text)
-    text = str(text).strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    name, _, arg = text.partition(":")
-    name = name.replace("_", "-").lower()
-    if name in ("const", "constant"):
-        return {"kind": "constant", "c": float(arg) if arg else 1.0}
-    if name == "power":
-        if not arg:
-            raise UsageError("power weights need an exponent, e.g. power:0.5")
-        return {"kind": "power", "exponent": float(arg)}
-    if name == "alternating":
-        return {"kind": "alternating"}
-    if name in ("odd", "odd-indicator"):
-        return {"kind": "odd_indicator"}
-    if name == "geometric":
-        if not arg:
-            raise UsageError("geometric weights need a base, e.g. geometric:2")
-        return {"kind": "geometric", "base": float(arg)}
-    if name == "explicit":
-        if not arg:
-            raise UsageError("explicit weights need values, e.g. explicit:1,2,3")
-        return {"kind": "explicit", "values": [float(v) for v in arg.split(",")]}
-    raise UsageError(f"unknown weight spec {text!r}")
-
-
 def parse_step(text) -> Fraction:
-    """Step size: 'r^-k', 'num/den', or a decimal string."""
+    """Step size: 'r^-k', 'num/den' or a decimal; a UsageError names one it cannot read."""
     if isinstance(text, Fraction):
         return text
     s = str(text).strip()
-    if "^" in s:
-        base, _, expo = s.partition("^")
-        return Fraction(int(base)) ** int(expo)
-    if "/" in s:
-        return Fraction(s)
-    return Fraction(float(s))
+    try:
+        if "^" in s:
+            base, _, expo = s.partition("^")
+            return Fraction(int(base)) ** int(expo)
+        if "/" in s:
+            return Fraction(s)
+        return Fraction(float(s))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise UsageError(f"cannot read the step {s!r}: not r^-k, num/den or a decimal") from None
 
 
 def _parse_list(text, parser=float) -> list:
@@ -1066,12 +1038,6 @@ def _parse_list(text, parser=float) -> list:
     if isinstance(text, str) or not np.iterable(text):
         text = [v for v in str(text).split(",") if v.strip()]
     return [parser(v) for v in text]
-
-
-def _weights(val) -> dict:
-    spec = parse_weight_spec(val)
-    WeightSequence.from_spec(spec)  # validates
-    return spec
 
 
 def _finite(val) -> float:
@@ -1087,7 +1053,7 @@ def _count(val) -> int:
     A string `int` refuses is read as an exact `Fraction`, so "1e3" and
     "1000.0" count 1000, as the JSON number 1e3 does.  One beyond float
     range is refused first, as JSON's 1e400 (inf) is, so that `Fraction`
-    never builds a huge power of ten.  A boolean is refused.
+    never builds a huge power of ten.  The rest is `_as_int`'s, as in a library call.
     """
     try:
         num = val
@@ -1098,18 +1064,16 @@ def _count(val) -> int:
                 if not math.isfinite(float(val)):
                     raise OverflowError(val) from None
                 num = Fraction(val)
-        n = int(num)
-    except (TypeError, ValueError, OverflowError):
+        return _as_int(num, "count")
+    except (ValueError, OverflowError):
         raise UsageError(f"{val} is not an integer") from None
-    if n != num or isinstance(val, (bool, np.bool_)):
-        raise UsageError(f"{val} is not an integer")
-    return n
 
 
 # each config key's parser, whichever experiments have it; a key not listed
 # keeps its value as given
 _PARSERS = {
-    "weights": _weights,
+    # every spelling of a weight spec is stored as the spec its run writes
+    "weights": lambda val: WeightSequence.from_spec(val).spec,
     "x": lambda val: str(parse_step(val)),
     "h_grid": lambda val: [str(h) for h in _parse_list(val, parse_step)],
     "t_grid": lambda val: sorted(_parse_list(val, _finite)),
@@ -1145,7 +1109,10 @@ def normalize_config(raw: dict) -> dict:
         val = raw.get(key, default)
         if val is None and default is not None:
             raise UsageError(f"{key} needs a value, got null")
-        cfg[key] = val if val is None or key not in _PARSERS else _PARSERS[key](val)
+        try:
+            cfg[key] = val if val is None or key not in _PARSERS else _PARSERS[key](val)
+        except ValueError as err:  # a parser's refusal is a usage error
+            raise UsageError(str(err)) from None
     return cfg
 
 

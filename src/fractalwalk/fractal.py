@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rng import GRID, MANTISSA_BITS
-from .weights import WeightSequence, _check_delta, _tail_constant
+from .weights import WeightSequence, _as_int, _check_delta, _tail_constant
 
 __all__ = [
     "CertificationError",
@@ -87,10 +87,7 @@ class CertificationError(RuntimeError):
 
 
 def _check_base(r: int) -> int:
-    r = int(r)
-    if r < 2:
-        raise ValueError(f"base r must be an integer >= 2, got {r}")
-    return r
+    return _as_int(r, "base r", 2)
 
 
 def _check_grid_base(r: int) -> np.uint64:
@@ -159,8 +156,7 @@ def _as_unit_fraction(x) -> Fraction:
 def sign_walk(r: int, x, n: int) -> np.ndarray:
     """Slope signs (psi_1^+, ..., psi_n^+) at x, exact, as an int8 array."""
     r = _check_base(r)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _as_int(n, "n", 1)
     f = _as_unit_fraction(x)
     num, den = f.numerator, f.denominator
     out = np.empty(n, dtype=np.int8)
@@ -245,8 +241,7 @@ def match_depth_grid(r: int, mantissas: np.ndarray, ell: int) -> np.ndarray:
     k0 = i* - 1, or -1 when all of the first ell digits are r-1 (wrap).
     """
     ru = _check_grid_base(r)
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    ell = _as_int(ell, "ell", 1)
     m = np.ascontiguousarray(mantissas, dtype=np.uint64)
     top = np.uint64(int(ru) - 1)
     last_nonmax = np.zeros(m.size, dtype=np.int64)
@@ -344,8 +339,6 @@ class FractalFunction:
     _certs: dict = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if int(self.r) != self.r:
-            raise ValueError(f"base r must be an integer, got {self.r}")
         object.__setattr__(self, "r", _check_base(self.r))
         _check_delta(self.delta)
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .weights import _as_int
+
 __all__ = ["stream", "uniform_mantissas"]
 
 MANTISSA_BITS = 53
@@ -15,7 +17,8 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     Philox is counter-based, so a replica keyed by (seed, stream) produces
     the same numbers no matter how many threads run or in which order.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
+    ss = np.random.SeedSequence(entropy=_as_int(seed, "seed", 0),
+                                spawn_key=(_as_int(stream_id, "stream_id", 0),))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .weights import WeightSequence, _as_positive_int
+from .weights import WeightSequence, _as_int
 
 __all__ = [
     "WalkParams",
@@ -61,7 +61,7 @@ class WalkParams:
 
     def __post_init__(self):
         _check_p(self.p)
-        object.__setattr__(self, "horizon", _as_positive_int(self.horizon, "horizon"))
+        object.__setattr__(self, "horizon", _as_int(self.horizon, "horizon", 1))
 
     @property
     def alpha(self) -> float:
@@ -169,7 +169,7 @@ def exact_second_moment(p: float, weights: WeightSequence, m: int, n: int) -> fl
     `second_moment_profile`, so the two are not interchangeable bit for bit.
     """
     _check_p(p)
-    m, n = int(m), int(n)
+    m, n = _as_int(m, "m"), _as_int(n, "n")
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     return float(np.sum(_moment_increments(p, weights.values(n)[m:])))

@@ -21,6 +21,7 @@ from some index n0 on.
 """
 from __future__ import annotations
 
+import json
 import math
 import threading
 from dataclasses import dataclass, field
@@ -41,19 +42,44 @@ __all__ = [
 _SLOPE_TOL = 0.01
 
 
-def _as_positive_int(n, name: str) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
-    return n
+# each weight kind: its compact names, its parameter (None if it has none)
+# and whether a spec must give it
+_KINDS = {
+    "constant": (("const", "constant"), "c", False),
+    "power": (("power",), "exponent", True),
+    "alternating": (("alternating",), None, False),
+    "odd_indicator": (("odd", "odd-indicator"), None, False),
+    "geometric": (("geometric",), "base", True),
+    "explicit": (("explicit",), "values", True),
+}
+_COMPACT = {name: kind for kind, (names, _, _) in _KINDS.items() for name in names}
+# the weights every run defaults to: unit weights
+_UNIT = "const"
 
 
-def _check_n_max(n_max) -> int:
-    """n_max as an int, refused below 2: a trailing trend needs two points."""
-    n_max = int(n_max)
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    return n_max
+def _as_int(val, name: str, lo: int | None = None) -> int:
+    """val as an int; a bool, a value with a fractional part or one below lo is refused."""
+    if type(val) is not int:  # a plain int, the common case, skips the conversion
+        try:
+            whole = int(val) == val and not isinstance(val, (bool, np.bool_))
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"{name} must be an integer, got {val!r}")
+        val = int(val)
+    if lo is not None and val < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {val}")
+    return val
+
+
+def _read_param(kind: str, name: str, val):
+    """A spec's parameter as the float, or for explicit the floats, it names."""
+    try:
+        if name == "values":
+            return [float(v) for v in (val.split(",") if isinstance(val, str) else val)]
+        return float(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} weights cannot read {name}={val!r}") from None
 
 
 def _check_finite(kind: str, values) -> None:
@@ -74,7 +100,7 @@ class WeightSequence:
     """Lazily evaluated weight sequence with a shared energy cache.
 
     Build one through the classmethods (`constant`, `power`, ...) or from a
-    serializable spec dict via `from_spec`; `explicit` sequences are zero
+    spec via `from_spec`; `explicit` sequences are zero
     beyond their stored values.
     """
 
@@ -141,20 +167,37 @@ class WeightSequence:
         return cls("explicit", {"values": [float(v) for v in vals]}, fn)
 
     @classmethod
-    def from_spec(cls, spec: dict) -> "WeightSequence":
-        kind = spec.get("kind")
-        params = {k: v for k, v in spec.items() if k != "kind"}
-        makers = {
-            "constant": cls.constant,
-            "power": cls.power,
-            "alternating": cls.alternating,
-            "odd_indicator": cls.odd_indicator,
-            "geometric": cls.geometric,
-            "explicit": cls.explicit,
-        }
-        if kind not in makers:
-            raise ValueError(f"unknown weight kind {kind!r}")
-        return makers[kind](**params)
+    def from_spec(cls, spec) -> "WeightSequence":
+        """The sequence a spec names; the one reader of weight specs.
+
+        A spec is a dict or JSON object holding `kind` and that kind's
+        parameter, or a compact string: `const[:c]`, `power:e`, `alternating`,
+        `odd` (or `odd-indicator`), `geometric:b`, `explicit:v1,v2,...`.
+        An unknown kind, and a parameter that is unknown, missing or not a
+        number, are refused with a ValueError naming the kind.  `spec` of the
+        result is the canonical form of every spelling.
+        """
+        if isinstance(spec, str) and spec.strip().startswith("{"):
+            spec = json.loads(spec)
+        elif isinstance(spec, str):
+            name, _, arg = spec.strip().partition(":")
+            kind = _COMPACT.get(name.replace("_", "-").lower())
+            if kind is None:
+                raise ValueError(f"unknown weight spec {spec!r}")
+            if arg and _KINDS[kind][1] is None:
+                raise ValueError(f"{kind} weights take no parameter, got {spec!r}")
+            spec = {"kind": kind, _KINDS[kind][1]: arg} if arg else {"kind": kind}
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValueError(f"unknown weight spec {spec!r}")
+        _, param, required = _KINDS[kind]
+        extra = sorted(set(spec) - {"kind", param}, key=str)
+        if extra:
+            raise ValueError(f"{kind} weights take no parameter {extra[0]!r}")
+        if required and param not in spec:
+            raise ValueError(f"{kind} weights need a value for {param!r}")
+        args = [_read_param(kind, param, spec[param])] if param in spec else []
+        return getattr(cls, kind)(*args)
 
     @property
     def spec(self) -> dict:
@@ -198,22 +241,22 @@ class WeightSequence:
 
     def values(self, n: int) -> np.ndarray:
         """Read-only array (a_1, ..., a_n)."""
-        n = _as_positive_int(n, "n")
+        n = _as_int(n, "n", 1)
         return self._cached(n, "values")[:n]
 
     def a(self, k: int) -> float:
         """Single weight a_k, k >= 1."""
-        k = _as_positive_int(k, "k")
+        k = _as_int(k, "k", 1)
         return float(self.values(k)[k - 1])
 
     def energies(self, n: int) -> np.ndarray:
         """Read-only array (A_1, ..., A_n) of partial energies."""
-        n = _as_positive_int(n, "n")
+        n = _as_int(n, "n", 1)
         return self._cached(n, "energies")[:n]
 
     def partial_energy(self, n: int) -> float:
         """A_n = sum_{k<=n} a_k^2, with A_0 = 0."""
-        if n == 0:
+        if _as_int(n, "n", 0) == 0:
             return 0.0
         return float(self.energies(n)[-1])
 
@@ -291,7 +334,7 @@ def validate_assumptions(
     and slope <= `_SLOPE_TOL`.
     """
     delta = _check_delta(delta)
-    n_max = _check_n_max(n_max)
+    n_max = _as_int(n_max, "n_max", 2)  # a trailing trend needs two points
     vals = seq.values(n_max)
     energies = seq.energies(n_max)
     ratios = _ratio_sequence(vals, energies, delta)
@@ -319,8 +362,6 @@ def validate_assumptions(
 @dataclass(frozen=True)
 class GrowthReport:
     poly_sup: float
-    poly_sup_index: int
-    poly_trend_slope: float
     poly_bounded: bool
     exp_ok: bool
     n0_min: int | None
@@ -346,9 +387,9 @@ def growth_report(
     delta = _check_delta(delta)
     if q <= 1.0:
         raise ValueError(f"q must be > 1, got {q}")
-    n_max = _check_n_max(n_max)
+    n_max = _as_int(n_max, "n_max", 2)
     if n0 is not None:
-        n0 = _as_positive_int(n0, "n0")
+        n0 = _as_int(n0, "n0", 1)
         if n0 >= n_max:
             raise ValueError(f"need n0 < n_max, got n0={n0}, n_max={n_max}")
     energies = seq.energies(n_max)
@@ -356,10 +397,8 @@ def growth_report(
     ks = np.arange(1, n_max + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         poly_ratio = energies / ks ** (1.0 / delta)
-    sup_idx = int(np.nanargmax(poly_ratio)) + 1
-    poly_sup = float(poly_ratio[sup_idx - 1])
-    poly_slope = _trailing_slope(poly_ratio, n_max)
-    poly_bounded = bool(np.isfinite(poly_sup) and poly_slope <= _SLOPE_TOL)
+    poly_sup = float(poly_ratio[np.nanargmax(poly_ratio)])
+    poly_bounded = bool(np.isfinite(poly_sup) and _trailing_slope(poly_ratio, n_max) <= _SLOPE_TOL)
 
     # A_{n+k} <= A_n q^k for all n >= n0 iff g is non-increasing from n0 on;
     # nan steps (inf - inf after overflow) count as violations
@@ -380,8 +419,6 @@ def growth_report(
 
     return GrowthReport(
         poly_sup=poly_sup,
-        poly_sup_index=sup_idx,
-        poly_trend_slope=poly_slope,
         poly_bounded=poly_bounded,
         exp_ok=bool(exp_ok),
         n0_min=n0_min,

@@ -11,9 +11,22 @@ from pathlib import Path
 
 import pytest
 
-from fractalwalk import FractalFunction, WalkParams, WeightSequence, experiments, fractal
+from fractalwalk import (
+    FractalFunction,
+    WalkParams,
+    WeightSequence,
+    build_blocks,
+    exact_second_moment,
+    experiments,
+    fractal,
+    growth_report,
+    scale_index,
+    sign_walk,
+    stream,
+    variance_profile,
+)
 from fractalwalk.cli import EXPERIMENTS, UsageError, main, normalize_config, run
-from fractalwalk.experiments import manifest, parse_step, parse_weight_spec
+from fractalwalk.experiments import manifest, parse_step
 from fractalwalk.reports import canonical_json
 
 
@@ -21,14 +34,14 @@ from fractalwalk.reports import canonical_json
 
 
 def test_parse_weight_spec_names():
-    assert parse_weight_spec("const") == {"kind": "constant", "c": 1.0}
-    assert parse_weight_spec("const:2.5") == {"kind": "constant", "c": 2.5}
-    assert parse_weight_spec("power:0.5") == {"kind": "power", "exponent": 0.5}
-    assert parse_weight_spec("alternating") == {"kind": "alternating"}
-    assert parse_weight_spec("odd") == {"kind": "odd_indicator"}
-    assert parse_weight_spec("odd-indicator") == {"kind": "odd_indicator"}
-    assert parse_weight_spec("geometric:2") == {"kind": "geometric", "base": 2.0}
-    assert parse_weight_spec("explicit:1,2,3") == {
+    assert WeightSequence.from_spec("const").spec == {"kind": "constant", "c": 1.0}
+    assert WeightSequence.from_spec("const:2.5").spec == {"kind": "constant", "c": 2.5}
+    assert WeightSequence.from_spec("power:0.5").spec == {"kind": "power", "exponent": 0.5}
+    assert WeightSequence.from_spec("alternating").spec == {"kind": "alternating"}
+    assert WeightSequence.from_spec("odd").spec == {"kind": "odd_indicator"}
+    assert WeightSequence.from_spec("odd-indicator").spec == {"kind": "odd_indicator"}
+    assert WeightSequence.from_spec("geometric:2").spec == {"kind": "geometric", "base": 2.0}
+    assert WeightSequence.from_spec("explicit:1,2,3").spec == {
         "kind": "explicit",
         "values": [1.0, 2.0, 3.0],
     }
@@ -36,15 +49,45 @@ def test_parse_weight_spec_names():
 
 def test_parse_weight_spec_json_and_dict():
     spec = {"kind": "power", "exponent": 1.0}
-    assert parse_weight_spec(json.dumps(spec)) == spec
-    assert parse_weight_spec(spec) == spec
+    assert WeightSequence.from_spec(json.dumps(spec)).spec == spec
+    assert WeightSequence.from_spec(spec).spec == spec
 
 
 def test_parse_weight_spec_errors():
     with pytest.raises(UsageError):
-        parse_weight_spec("power")
+        normalize_config({"experiment": "clt", "weights": "power"})
     with pytest.raises(UsageError):
-        parse_weight_spec("bogus")
+        normalize_config({"experiment": "clt", "weights": "bogus"})
+
+
+@pytest.mark.parametrize(
+    "spec,err",
+    [
+        ('{"kind":"power","exponent":0.5,"foo":1}', "power weights take no parameter 'foo'"),
+        ('{"kind":"power"}', "power weights need a value for 'exponent'"),
+        ('{"kind":"power","exponent":[0.5]}', "power weights cannot read exponent=[0.5]"),
+        ('{"kind":"explicit","values":[[1,2]]}', "explicit weights cannot read values=[[1, 2]]"),
+    ],
+    ids=["unknown-key", "missing-parameter", "list-parameter", "nested-values"],
+)
+def test_malformed_json_weight_spec_is_refused_in_one_line(spec, err, tmp_path, capsys):
+    # each once ended in a TypeError traceback from the weight constructor
+    args = ["simulate", "--n", "10", "--weights", spec, "--outdir", str(tmp_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: " + err]
+    assert not list(tmp_path.rglob("report.json"))
+
+
+@pytest.mark.parametrize(
+    "args", [["modulus", "--h-grid", "1/0"], ["eval", "--x", "1/0"], ["eval", "--x", "2^-0.5"]],
+    ids=["h-grid-1/0", "x-1/0", "x-2^-0.5"],
+)
+def test_unreadable_steps_are_refused_in_one_line(args, tmp_path, capsys):
+    # 1/0 once died in a ZeroDivisionError traceback, and 2^-0.5 printed
+    # int()'s complaint about '-0.5' without naming the step
+    assert main(args + ["--outdir", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot read the step '{args[-1]}'")
 
 
 def test_parse_step():
@@ -127,6 +170,36 @@ def test_library_call_refuses_a_fractional_count():
     with pytest.raises(UsageError, match="1000.9 is not an integer"):
         experiments.clt_experiment(WalkParams(0.75, WeightSequence.constant(), 100),
                                    replicas=1000.9)
+
+
+@pytest.mark.parametrize("value", [2.7, True], ids=["fractional", "boolean"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: WalkParams(0.75, _CONST, v),
+        lambda v: _CONST.values(v),
+        lambda v: _CONST.energies(v),
+        lambda v: variance_profile(v, _CONST, 5),
+        lambda v: variance_profile(3, _CONST, v),
+        lambda v: build_blocks(_CONST, 1.0, v),
+        lambda v: exact_second_moment(0.75, _CONST, v, 10),
+        lambda v: exact_second_moment(0.75, _CONST, 0, v),
+        lambda v: sign_walk(v, Fraction(1, 3), 5),
+        lambda v: scale_index(v, Fraction(1, 8)),
+        lambda v: growth_report(_CONST, 1.0, 2.0, n_max=v),
+        lambda v: growth_report(_CONST, 1.0, 2.0, n0=v, n_max=100),
+        lambda v: stream(v),
+    ],
+    ids=["WalkParams-horizon", "values", "energies", "variance_profile-r",
+         "variance_profile-n_max", "build_blocks-count", "exact_second_moment-m",
+         "exact_second_moment-n", "sign_walk-r", "scale_index-r", "growth_report-n_max",
+         "growth_report-n0", "stream-seed"],
+)
+def test_library_calls_refuse_a_non_integral_count(call, value):
+    # each once ran at the truncated value: WalkParams(0.75, w, 2.7) at
+    # horizon 2, variance_profile(3.9, w, 5) at r = 3, stream(1.5) as stream(1)
+    with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
+        call(value)
 
 
 @pytest.mark.parametrize(
@@ -225,14 +298,30 @@ def test_small_configs_cover_every_experiment():
     assert {c["experiment"] for c in _SMALL_CONFIGS} == set(EXPERIMENTS)
 
 
-# an unsorted t_grid and decimal steps, which the run stores in canonical form
+# the small configs of clt, chung and modulus again, with power:0.5 weights:
+# with unit weights every walk sum is an exact integer in any order, so only
+# non-integer weights pin the order of a float sum
+_POWER_CONFIGS = [
+    {"experiment": "clt", "n": 100, "replicas": 1000, "seed": 1, "weights": "power:0.5"},
+    {"experiment": "chung", "n": 100_000, "replicas": 2, "seed": 1, "weights": "power:0.5"},
+    {"experiment": "modulus", "r": 3, "delta": 0.5, "h_grid": "3^-2,3^-5", "x_samples": 1000,
+     "weights": "power:0.5"},
+]
+
+# an unsorted t_grid, decimal steps and JSON weight specs, which the run
+# stores in canonical form
 _UNCANONICAL_CONFIGS = [
     {"experiment": "fclt", "n": 12, "x_samples": 1000, "t_grid": "1,0.5"},
     {"experiment": "modulus", "h_grid": "0.1,0.01", "x_samples": 1000},
+    {"experiment": "clt", "n": 100, "replicas": 1000, "seed": 1,
+     "weights": {"kind": "constant"}},
+    {"experiment": "blocks", "count": 8, "p": 0.75, "weights": {"kind": "constant", "c": 1}},
 ]
 
 
-@pytest.mark.parametrize("config", _SMALL_CONFIGS + _UNCANONICAL_CONFIGS, ids=_config_id)
+@pytest.mark.parametrize(
+    "config", _SMALL_CONFIGS + _POWER_CONFIGS + _UNCANONICAL_CONFIGS, ids=_config_id
+)
 def test_manifest_predicts_the_written_manifest(config, tmp_path, capsys):
     predicted = manifest(config)
     run(config, outdir=tmp_path)
@@ -241,6 +330,13 @@ def test_manifest_predicts_the_written_manifest(config, tmp_path, capsys):
     assert report["manifest"] == predicted.to_dict()
     assert report["manifest_hash"] == predicted.hash
     assert report_path.parent.name == predicted.hash[:12]
+
+
+def test_every_spelling_of_the_weights_lands_in_one_directory(tmp_path, capsys):
+    # blocks once wrote these three to three directories
+    for weights in ("const", '{"kind": "constant"}', '{"kind": "constant", "c": 1}'):
+        assert main(["blocks", "--weights", weights, "--outdir", str(tmp_path)]) == 0
+    assert [p.name for p in (tmp_path / "blocks").iterdir()] == ["0efd30ca7c8e"]
 
 
 # sha256 of every file each small config writes; a refactor that changes
@@ -288,10 +384,24 @@ _GOLDEN_OUTPUTS = {
         "marginals.csv": "0587d9b1953d084713f4c254840716c39a66b421a93b3a4bcd978bada00206b7",
         "report.json": "a39ad7b3c44e45c08ce05be33a6f6bd4150390642b5e8646561c24926deb6710",
     },
+    # the power:0.5 configs, recorded before weight specs and integers got
+    # one reader each
+    "clt-100-1000-1-power:0.5": {
+        "normalized_sums.csv": "7bafd658e79c2ba26e46f05e12a093392cec0a253ace0e31e715d60dd4c86cc0",
+        "report.json": "8afe6b4c2802d6047a28b5268afb5b713efefba59e64b88523263cf234c2f024",
+    },
+    "chung-100000-2-1-power:0.5": {
+        "report.json": "1d99b3d26b8d08501f6f654a127eff696b325793c7cfb75f6ad03ab5c7dbd5a0",
+        "terminals.csv": "69da5ff4a52d7e8e6514cfe2797ba08de9231171b9884e4a3fd71a06bd4691fe",
+    },
+    "modulus-3-0.5-3^-2,3^-5-1000-power:0.5": {
+        "increments.csv": "f07e05e6e1bf599c6967bb600cef18167273c099f20dd15528f43690f053972b",
+        "report.json": "3a3bd54918d3e05b46ed90519dd30378b9e15ecbb72960aaa6b6fc9f426106ff",
+    },
 }
 
 
-@pytest.mark.parametrize("config", _SMALL_CONFIGS, ids=_config_id)
+@pytest.mark.parametrize("config", _SMALL_CONFIGS + _POWER_CONFIGS, ids=_config_id)
 def test_small_config_outputs_match_goldens(config, tmp_path, capsys):
     run(config, outdir=tmp_path)
     (run_dir,) = [p.parent for p in tmp_path.glob("*/*/report.json")]
@@ -343,6 +453,7 @@ def test_run_calls_the_runner_on_the_experiments_module(config, tmp_path, monkey
 _CONST = WeightSequence.constant()
 _LONG = WalkParams(0.75, _CONST, 100_000)
 _F = FractalFunction(2, _CONST, 1.0)
+_ROOT = WeightSequence.power(0.5)
 
 # the library call with the values of each small config of a library experiment
 _LIBRARY_CALLS = {
@@ -363,12 +474,22 @@ _LIBRARY_CALLS = {
     "fclt-12-1000": lambda: experiments.functional_clt_experiment(
         _F, 1.0, 12, [0.25, 0.5, 1.0], x_samples=1000
     ),
+    "clt-100-1000-1-power:0.5": lambda: experiments.clt_experiment(
+        WalkParams(0.75, _ROOT, 100), replicas=1000, seed=1
+    ),
+    "chung-100000-2-1-power:0.5": lambda: experiments.chung_experiment(
+        WalkParams(0.75, _ROOT, 100_000), replicas=2, seed=1
+    ),
+    "modulus-3-0.5-3^-2,3^-5-1000-power:0.5": lambda: experiments.modulus_experiment(
+        FractalFunction(3, _ROOT, 0.5), [Fraction(1, 9), Fraction(1, 243)], x_samples=1000
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "config",
-    [c for c in _SMALL_CONFIGS if c["experiment"] in ("clt", "lil", "chung", "modulus", "fclt")],
+    [c for c in _SMALL_CONFIGS if c["experiment"] in ("clt", "lil", "chung", "modulus", "fclt")]
+    + _POWER_CONFIGS,
     ids=_config_id,
 )
 def test_library_call_writes_the_cli_report(config, tmp_path, capsys):
