@@ -172,6 +172,7 @@ def sign_walk_grid(r: int, mantissas: np.ndarray, n: int) -> np.ndarray:
     Row k-1 holds psi_k^+ at x = m * 2^-53 for each mantissa m.
     """
     ru = _check_grid_base(r)
+    n = _as_int(n, "n", 1)
     m = np.ascontiguousarray(mantissas, dtype=np.uint64)
     out = np.empty((n, m.size), dtype=np.int8)
     res = m.copy()

@@ -22,6 +22,7 @@ from fractalwalk import (
     growth_report,
     scale_index,
     sign_walk,
+    sign_walk_grid,
     stream,
     variance_profile,
 )
@@ -79,12 +80,16 @@ def test_malformed_json_weight_spec_is_refused_in_one_line(spec, err, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "args", [["modulus", "--h-grid", "1/0"], ["eval", "--x", "1/0"], ["eval", "--x", "2^-0.5"]],
-    ids=["h-grid-1/0", "x-1/0", "x-2^-0.5"],
+    "args",
+    [["modulus", "--h-grid", "1/0"], ["eval", "--x", "1/0"], ["eval", "--x", "2^-0.5"],
+     ["eval", "--x", "2^-100000"], ["modulus", "--h-grid", "10^-10000000"]],
+    ids=["h-grid-1/0", "x-1/0", "x-2^-0.5", "x-2^-100000", "h-grid-10^-10000000"],
 )
 def test_unreadable_steps_are_refused_in_one_line(args, tmp_path, capsys):
     # 1/0 once died in a ZeroDivisionError traceback, and 2^-0.5 printed
-    # int()'s complaint about '-0.5' without naming the step
+    # int()'s complaint about '-0.5' without naming the step; 2^-100000
+    # printed Python's int-to-text digit limit without naming the step, and
+    # 10^-10000000 spent seconds computing its power first
     assert main(args + ["--outdir", str(tmp_path)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: cannot read the step '{args[-1]}'")
@@ -95,6 +100,9 @@ def test_parse_step():
     assert parse_step("1/8") == Fraction(1, 8)
     assert parse_step("0.25") == Fraction(1, 4)
     assert parse_step(Fraction(3, 7)) == Fraction(3, 7)
+    assert parse_step("2^-14284") == Fraction(1, 2**14284)  # 4300 digits
+    with pytest.raises(UsageError, match="more than 4300 digits"):
+        parse_step("2^-14285")
 
 
 # -- config canon -------------------------------------------------------------
@@ -185,6 +193,7 @@ def test_library_call_refuses_a_fractional_count():
         lambda v: exact_second_moment(0.75, _CONST, v, 10),
         lambda v: exact_second_moment(0.75, _CONST, 0, v),
         lambda v: sign_walk(v, Fraction(1, 3), 5),
+        lambda v: sign_walk_grid(2, [1], v),
         lambda v: scale_index(v, Fraction(1, 8)),
         lambda v: growth_report(_CONST, 1.0, 2.0, n_max=v),
         lambda v: growth_report(_CONST, 1.0, 2.0, n0=v, n_max=100),
@@ -192,14 +201,31 @@ def test_library_call_refuses_a_fractional_count():
     ],
     ids=["WalkParams-horizon", "values", "energies", "variance_profile-r",
          "variance_profile-n_max", "build_blocks-count", "exact_second_moment-m",
-         "exact_second_moment-n", "sign_walk-r", "scale_index-r", "growth_report-n_max",
-         "growth_report-n0", "stream-seed"],
+         "exact_second_moment-n", "sign_walk-r", "sign_walk_grid-n", "scale_index-r",
+         "growth_report-n_max", "growth_report-n0", "stream-seed"],
 )
 def test_library_calls_refuse_a_non_integral_count(call, value):
     # each once ran at the truncated value: WalkParams(0.75, w, 2.7) at
     # horizon 2, variance_profile(3.9, w, 5) at r = 3, stream(1.5) as stream(1)
     with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call,err",
+    [
+        (lambda: sign_walk_grid(2, [1], -1), "n must be >= 1, got -1"),
+        (lambda: sign_walk_grid(2, [1], 0), "n must be >= 1, got 0"),
+        (lambda: WalkParams(0.75, _CONST, 0), "horizon must be >= 1, got 0"),
+        (lambda: stream(0, -1), "stream_id must be >= 0, got -1"),
+    ],
+    ids=["sign_walk_grid-negative-n", "sign_walk_grid-zero-n", "WalkParams-zero-horizon",
+         "stream-negative-id"],
+)
+def test_library_calls_refuse_a_count_below_its_bound(call, err):
+    # sign_walk_grid once raised numpy's "negative dimensions" for n = -1
+    with pytest.raises(ValueError, match=err):
+        call()
 
 
 @pytest.mark.parametrize(

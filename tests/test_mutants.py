@@ -15,8 +15,9 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from fractalwalk import WeightSequence, experiments, validate_assumptions, weights
+from fractalwalk import WeightSequence, experiments, rng, validate_assumptions, weights
 from fractalwalk.experiments import UsageError, manifest, normalize_config
+from test_rng import LEFT_PART_WAY, rekeyed_draws_match
 
 
 def _growth_ok_without_nan_check(energies, log_q):
@@ -48,6 +49,12 @@ def _truncating_count(val):
     return int(float(val))
 
 
+def _rekey_keeping_buffer_position(bit_generator, key):
+    state = bit_generator.state
+    state["state"] = {"counter": np.zeros(4, np.uint64), "key": key}
+    bit_generator.state = state
+
+
 def _nan_steps_fail_growth() -> bool:
     # past the overflow of 4^k energies every log step is inf - inf = NaN
     energies = WeightSequence.geometric(2.0).energies(700)
@@ -77,6 +84,10 @@ def _fractional_horizon_is_refused() -> bool:
     return False
 
 
+def _rekey_after_a_mid_buffer_stop() -> bool:
+    return rekeyed_draws_match(LEFT_PART_WAY["doubles-mid-buffer"])
+
+
 def _on_module(module, name: str, replacement):
     return lambda mp: mp.setattr(module, name, replacement, raising=True)
 
@@ -98,6 +109,7 @@ class Mutant:
 
 _TAIL_CLOSURE = "tail-closure checks, commit 206180f"
 _ONE_READER = "one reader per weight spec and per integer"
+_REKEY = "clt streams keyed in one pass and re-keyed on one Philox"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -118,6 +130,10 @@ MUTANTS = {
     ),
     "count-reader-truncates": Mutant(
         _ONE_READER, _as_parser("n", _truncating_count), _fractional_horizon_is_refused,
+    ),
+    "rekey-keeps-buffer-position": Mutant(
+        _REKEY, _on_module(rng, "_rekey", _rekey_keeping_buffer_position),
+        _rekey_after_a_mid_buffer_stop,
     ),
 }
 

@@ -14,7 +14,7 @@ from fractalwalk import (
     lil_experiment,
     statistic,
 )
-from fractalwalk import fractal
+from fractalwalk import experiments, fractal
 from fractalwalk.reports import canonical_json, config_hash, make_manifest
 
 CONST = WeightSequence.constant()
@@ -73,10 +73,13 @@ def test_rerun_is_bit_identical():
     "run",
     [
         lambda: clt_experiment(WalkParams(0.75, CONST, 200), replicas=1000, seed=4),
+        # 1001 replicas: the last clt chunk is short
+        lambda: clt_experiment(WalkParams(0.75, WeightSequence.from_spec("power:0.5"), 200),
+                               replicas=1001, seed=4),
         lambda: lil_experiment(WalkParams(0.75, CONST, 100_000), replicas=5, seed=4),
         lambda: chung_experiment(WalkParams(0.75, CONST, 100_000), replicas=5, seed=4),
     ],
-    ids=["clt", "lil", "chung"],
+    ids=["clt", "clt-power-1001", "lil", "chung"],
 )
 def test_workers_do_not_change_results(run, monkeypatch):
     # the replicas run on one thread per usable CPU
@@ -84,6 +87,15 @@ def test_workers_do_not_change_results(run, monkeypatch):
     one = run().to_json()
     monkeypatch.setattr(fractal, "_usable_cpus", lambda: 3)
     assert run().to_json() == one
+
+
+def test_clt_chunk_size_does_not_change_results(monkeypatch):
+    def run():
+        return clt_experiment(WalkParams(0.75, CONST, 200), replicas=1001, seed=4).to_json()
+
+    one = run()
+    monkeypatch.setattr(experiments, "_CLT_CHUNK", 7)
+    assert run() == one
 
 
 def test_run_dir_layout(tmp_path):
