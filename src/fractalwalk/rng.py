@@ -94,20 +94,19 @@ def _rekey(bit_generator: np.random.Philox, key: np.ndarray) -> None:
     }
 
 
-def _map_streams(fn, seed: int, lo: int, hi: int) -> list:
-    """[fn(stream(seed, i)) for i in range(lo, hi)] on one Philox, re-keyed per stream.
+def _streams(seed: int, lo: int, hi: int):
+    """stream(seed, i) for i in range(lo, hi), as one Philox re-keyed per stream.
 
     Philox is counter-based, so a generator re-keyed to stream i draws what
     `stream(seed, i)` does, and the keys of the whole range take one
-    `_stream_keys` pass instead of one SeedSequence hash each.  `fn` must not
-    keep the generator: the next stream re-keys it.
+    `_stream_keys` pass instead of one SeedSequence hash each.  Take each
+    generator only once done with the one before: the next stream re-keys it.
     """
     rng = stream(seed, lo)
-    out = [fn(rng)]
+    yield rng
     for key in _stream_keys(seed, lo + 1, hi):
         _rekey(rng.bit_generator, key)
-        out.append(fn(rng))
-    return out
+        yield rng
 
 
 def uniform_mantissas(rng: np.random.Generator, size: int) -> np.ndarray:

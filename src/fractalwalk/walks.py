@@ -13,7 +13,11 @@ T_k = alpha (T_{k-1} + a_{k-1}) for the cross terms.  In floats each step is
 evaluated as alpha*a_{k-1} + alpha*T_{k-1}, two rounded products and one
 rounded sum with no fused multiply-add (`_cross_accumulator` covers zero and
 infinite weights).  That is the order scipy's lfilter used when the reports
-were first computed, and any other order changes their last bits.
+were first computed, and any other order changes their last bits, so the
+recursion runs one step at a time.  Each step is a function of its state and
+weight alone: on a run of equal weights, once the state repeats its bits
+from one or two steps before, every later step repeats too, and the rest of
+the run is filled in without computing it, bit for bit the same.
 
 `doob_decompose` rewrites the walk as a martingale plus controlled drift:
 d_k = X_k - alpha X_{k-1} are martingale differences, and
@@ -25,6 +29,7 @@ is pure float noise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,37 +86,64 @@ class WalkPath:
         return self.signs.size
 
 
-def _signs_into(rng: np.random.Generator, p: float, u: np.ndarray, flips: np.ndarray,
-                out: np.ndarray, parity=None):
-    """Fill `out` with the next u.size signs as float64 +-1; return the parity.
+def _signs_into(rng, p: float, u: np.ndarray, flips: np.ndarray, out: np.ndarray,
+                parity=None):
+    """Fill `out` with signs as float64 +-1: one path, or one path per row.
 
     One uniform per step, drawn into `u`; the step flips when it is >= p.
-    `parity is None` starts a path: its first draw doubles as the fair initial
-    sign.  Otherwise `parity` is the flip parity the path has reached, so a
-    path drawn in pieces is the same as one drawn whole.  `flips` is a uint8
-    buffer of u's size; the scan leaves the parities in u's first bytes.
+    `flips` is a uint8 buffer of u's shape, both C-contiguous; the scan
+    leaves the parities in the first byte of each of u's doubles.
+
+    A 1-D `u` is one path drawn from the Generator `rng`, and the flip parity
+    it reaches is returned.  `parity is None` starts the path: its first draw
+    doubles as the fair initial sign.  Otherwise `parity` is the flip parity
+    the path has reached, so a path drawn in pieces is the same as one drawn
+    whole.  A 2-D `u` holds one whole path per row: `rng` is then an iterator
+    that yields one Generator per row, and each row takes all its draws
+    before the next Generator is taken, so one re-keyed Philox may serve
+    every row.
     """
-    rng.random(out=u)
+    if u.ndim == 1:
+        rng.random(out=u)
+    else:
+        for row in u:
+            next(rng).random(out=row)
     np.greater_equal(u, p, out=flips.view(bool))
-    if parity is None:
+    if parity is not None:
+        flips[0] ^= parity
+    elif u.ndim == 1:
         flips[0] = u[0] >= 0.5
     else:
-        flips[0] ^= parity
-    # X_k = (-1)^(number of flips up to k): a running parity of the flip bits.
-    # The scan writes into u's bytes, which are not read again: numpy holds
-    # the GIL through an in-place accumulate.  Two threads each scanning 2^16
-    # flips ran 0.92-0.97x one thread in place, 1.82-2.00x out of place
-    # (2-vCPU VM).
-    parities = np.bitwise_xor.accumulate(flips, out=u.view(np.uint8)[:u.size])
-    np.multiply(parities, -2.0, out=out)
+        flips[:, 0] = u[:, 0] >= 0.5
+    # X_k = (-1)^(number of flips up to k): a running parity of the flip bits,
+    # taken in one flat scan over all rows.  It writes into the first byte of
+    # each of u's doubles, which are not read again.  numpy holds the GIL
+    # through an in-place accumulate and through one along an axis of a 2-D
+    # array: two threads each taking 13 rows of 5,000 steps from the compare
+    # to the +-1 map ran 0.92-1.01x one thread with the scan along axis 1,
+    # 1.52-1.91x with it flat (2-vCPU VM).  The stride-8 output also runs at
+    # 1.1 ns a step against 3.1 ns for a contiguous one.
+    parities = np.bitwise_xor.accumulate(flips.reshape(-1),
+                                         out=u.reshape(-1).view(np.uint8)[::8])
+    np.multiply(parities.reshape(u.shape), -2.0, out=out)
     np.add(out, 1.0, out=out)
-    return parities[-1]
+    if u.ndim == 1:
+        return parities[-1]
+    # A row's scan started from the parity the row before ended on, the sign
+    # of that row's last step: multiplying by it (+-1, exact) takes it out.
+    out[1:] *= out[:-1, -1:].copy()
+    return None
 
 
-def _draw_signs(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
-    """X_1..X_n as float64 +-1: fair start, then repeat w.p. p."""
-    out = np.empty(n)
-    _signs_into(rng, p, np.empty(n), np.empty(n, dtype=np.uint8), out)
+def _draw_signs(rng, p: float, shape) -> np.ndarray:
+    """X_1..X_n as float64 +-1: fair start, then repeat w.p. p.
+
+    `shape` n draws one path from the Generator `rng`; `shape` (rows, n)
+    draws one path per row, each from the next Generator the iterator `rng`
+    yields.
+    """
+    out = np.empty(shape)
+    _signs_into(rng, p, np.empty(shape), np.empty(shape, dtype=np.uint8), out)
     return out
 
 
@@ -128,6 +160,58 @@ def simulate(params: WalkParams, seed: int, stream_id: int = 0) -> WalkPath:
     return WalkPath(signs=x.astype(np.int8), sums=sums)
 
 
+# Runs of equal weights shorter than this stay on the plain loop: at
+# p = 2/3-3/4 and weight 1 the state repeats only after 35-56 steps.
+_MIN_RUN = 64
+
+
+def _steps(xs, alpha: float, u: float):
+    """The outputs T of the recursion along the weights xs, from state u."""
+    for x in xs:
+        t = u + 0.0 * x
+        yield t
+        u = alpha * x + alpha * t
+
+
+def _equal_runs(a: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of at least `_MIN_RUN` weights equal bit for bit."""
+    bits = a.view(np.int64)
+    same = bits[1:] == bits[:-1]
+    if not same.any():
+        return []
+    # same[i] says a[i+1] repeats a[i]; a stretch same[s:e] is the run a[s:e+1]
+    edges = np.flatnonzero(np.diff(same, prepend=False, append=False)).reshape(-1, 2)
+    return [(lo, hi + 1) for lo, hi in edges.tolist() if hi + 1 - lo >= _MIN_RUN]
+
+
+def _constant_run(out: np.ndarray, x: float, lo: int, hi: int, u: float,
+                  alpha: float) -> float:
+    """Steps lo..hi-1 of the recursion on the one weight x into out; the state after.
+
+    Each step is a function of its state u_j and weight alone, so once u_j
+    has the bits of u_{j-2}, every later step of the run repeats the one two
+    steps before it: the outputs alternate T_{j-2}, T_{j-1} and are filled in
+    by two slice assignments, with every bit the loop would give.  A state
+    that repeats its predecessor (period 1) is caught one step later.  NaN
+    never compares equal, so a NaN state stays on the loop.
+    """
+    ts = []
+    back2 = back1 = None  # the states two steps and one step back
+    for _ in range(lo, hi):
+        if u == back2 and (u != 0.0 or math.copysign(1.0, u) == math.copysign(1.0, back2)):
+            break
+        t = u + 0.0 * x
+        ts.append(t)
+        back2, back1, u = back1, u, alpha * x + alpha * t
+    j = lo + len(ts)
+    out[lo:j] = ts
+    if j == hi:
+        return u
+    out[j:hi:2] = ts[-2]
+    out[j + 1:hi:2] = ts[-1]
+    return back2 if (hi - j) % 2 == 0 else back1
+
+
 def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
     """T_j = sum_{i<j} a_i alpha^{j-i}, one sequential step per weight.
 
@@ -137,20 +221,32 @@ def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
     on its own, so the output matches scipy.signal.lfilter in every bit but
     the sign of a NaN.  The 0*a_j term keeps lfilter's sign on zero entries
     and its NaN from the first infinite weight on; without it an overflowing
-    geometric sequence gives inf where the reports have NaN.  The recursion
-    cannot be vectorized without reordering the sums, and a Python loop
-    spares every process the ~1 s import of scipy.signal for this one call.
+    geometric sequence gives inf where the reports have NaN.  Reordering the
+    sums to vectorize would change their last bits, so the steps run in a
+    Python loop, which also spares every process the ~1 s import of
+    scipy.signal.  On a run of weights equal bit for bit the state reaches a
+    fixed point (or, for alpha < 0, may reach a 2-cycle): in 56 steps at
+    p = 0.75 and weight 1, about 30,000 at p = 0.9995.  From there
+    `_constant_run` fills the rest of the run without looping, with the very
+    bits the loop would compute, since each step depends only on its state
+    and its weight.
     """
     alpha = float(alpha)
-
-    def steps(xs):
-        u = 0.0
-        for x in xs:
-            t = u + 0.0 * x
-            yield t
-            u = alpha * x + alpha * t
-
-    return np.fromiter(steps(a.tolist()), dtype=float, count=a.size)
+    runs = _equal_runs(a)
+    if not runs:
+        return np.fromiter(_steps(a.tolist(), alpha, 0.0), dtype=float, count=a.size)
+    out = np.empty(a.size)
+    u, done = 0.0, 0
+    for lo, hi in [*runs, (a.size, a.size)]:
+        if done < lo:
+            out[done:lo] = np.fromiter(_steps(a[done:lo].tolist(), alpha, u),
+                                       dtype=float, count=lo - done)
+            # the state after the stretch, by the loop's own products and sum
+            u = alpha * float(a[lo - 1]) + alpha * float(out[lo - 1])
+        if lo < hi:
+            u = _constant_run(out, float(a[lo]), lo, hi, u, alpha)
+        done = hi
+    return out
 
 
 def _moment_increments(p: float, a: np.ndarray) -> np.ndarray:

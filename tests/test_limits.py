@@ -30,10 +30,11 @@ from fractalwalk.experiments import (
     _lil_terminal,
     _oracle_steps,
     _prefix_sums,
+    _running_max,
     _walk_steps,
 )
 from fractalwalk.rng import stream, uniform_mantissas
-from fractalwalk.walks import second_moment_profile
+from fractalwalk.walks import exact_second_moment, second_moment_profile
 
 from finite_depth import (
     covariance_se,
@@ -477,6 +478,97 @@ def test_chung_blocks_match_full_array_reference(seq, n):
     rows = rep.attachments["terminals"]["rows"]
     assert _bits([r[1] for r in rows]) == _bits([w for w, _ in want])
     assert _bits([r[2] for r in rows]) == _bits([o for _, o in want])
+
+
+# -- clt's row blocks, chung's int64 scan, lil's coverage screen ---------------
+
+
+def _clt_reference(params, seed, ids):
+    """S_n/s_n of the given replicas, each drawn whole on its own stream."""
+    n = params.horizon
+    a = params.weights.values(n)
+    s_n = math.sqrt(exact_second_moment(params.p, params.weights, 0, n))
+    return [float(a @ _signs(stream(seed, i), params.p, n)) / s_n for i in ids]
+
+
+# power(0.3) sums are not integers, so a sum taken in another order (a dgemv
+# over the block) gives other bits.  1003 replicas fill neither the 13-row
+# blocks of n = 5000 nor the 250-replica tasks; past _BLOCK steps a block is
+# one row.
+@pytest.mark.parametrize("n,replicas", [(5000, 1003), (_BLOCK + 1, 1000)],
+                         ids=["13-rows", "one-row"])
+def test_clt_row_blocks_match_per_replica_reference(n, replicas):
+    params = WalkParams(0.75, POWER, n)
+    rows = clt_experiment(params, replicas=replicas, seed=6).attachments["normalized_sums"]["rows"]
+    ids = range(replicas) if n < _BLOCK else [*range(3), 249, 250, 251, replicas - 1]
+    assert [rows[i][0] for i in ids] == list(ids)
+    assert _bits([rows[i][1] for i in ids]) == _bits(_clt_reference(params, 6, ids))
+
+
+# +0.0 (also from -0.0), +inf (also from -inf) and NaN on either side of a
+# block boundary; the carry enters the second block's first value
+RUNNING_MAX_CASES = {
+    "zeros": [[0.0, -0.0, 0.0], [-0.0, 0.0]],
+    "zero-after-peak": [[0.0, -2.5, 1.5], [-0.0, 0.5, -3.0]],
+    "inf-before": [[1.0, -np.inf, 2.0], [0.0, -3.0]],
+    "inf-after": [[1.0, -2.0], [np.inf, -1.0, 0.0]],
+    "nan-before": [[1.0, np.nan, 0.0], [5.0, -np.inf]],
+    "nan-after": [[-0.0, 4.0, np.inf], [np.nan, 9.0, 0.0]],
+    "nan-at-the-boundary": [[-1.0, np.nan], [-0.0, np.inf]],
+}
+
+
+@pytest.mark.parametrize("blocks", RUNNING_MAX_CASES.values(), ids=RUNNING_MAX_CASES)
+def test_running_max_on_int64_bits_matches_float_scan(blocks):
+    want = np.maximum.accumulate(np.abs(np.concatenate(blocks)))
+    got, carry = [], 0.0
+    for b in blocks:
+        peaks = _running_max(np.array(b), carry, np.empty(len(b), dtype=np.int64))
+        carry = peaks[-1]
+        got.append(peaks)
+    assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def _around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+EDGE_VALUES = [v for e in _COVER_EDGES for v in _around(e)]
+SCREEN_TRACES = {
+    "edges-and-neighbours": EDGE_VALUES,
+    "jump-over-seven-bins": [-0.85, 0.85],
+    "jumps": [0.05, -0.65, 0.45, -0.25],
+    "outside-only": [-5.0, *_around(-0.9)[:1], *_around(0.9)[2:], 3.0],
+    "outside-on-both-sides": [-2.0, 0.3, 2.0],
+    "first-edge-between": [-2.0, _COVER_EDGES[0], 2.0],
+    "last-edge-between": [-2.0, _COVER_EDGES[-1], 2.0],  # the last bin is closed
+    "infinities": [-np.inf, np.inf],
+    "infinities-and-a-value": [np.inf, 0.15, -np.inf],
+    "nan": [0.1, np.nan, -0.5],
+    "nan-only": [np.nan],
+}
+
+
+def screen_matches_histogram(trace, seen=None) -> bool:
+    """Whether `_mark_bins` leaves seen | (np.histogram counts > 0)."""
+    trace = np.array(trace, dtype=float)
+    seen = np.zeros(_COVER_EDGES.size - 1, dtype=bool) if seen is None else seen
+    want = seen | (np.histogram(trace, bins=_COVER_EDGES)[0] > 0)
+    experiments._mark_bins(trace, seen)  # looked up at call time, so it can be patched
+    return seen.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("trace", SCREEN_TRACES.values(), ids=SCREEN_TRACES)
+def test_coverage_screen_matches_histogram(trace):
+    assert screen_matches_histogram(trace)
+    assert screen_matches_histogram(trace, np.arange(9) % 3 == 0)
+
+
+def test_coverage_screen_matches_histogram_on_every_pair_of_edge_values():
+    # a pair puts its min and max in two bins and leaves those between empty
+    for lo in EDGE_VALUES:
+        for hi in EDGE_VALUES:
+            assert screen_matches_histogram([lo, hi]), (lo, hi)
 
 
 # -- Chung --------------------------------------------------------------------

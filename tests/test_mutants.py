@@ -8,6 +8,8 @@ module with `raising=True`, and dict entries only once the key is asserted
 present, so a rename fails here rather than leaving a mutant unapplied.
 `origin` names the change that added the rule.
 """
+import dataclasses
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -15,9 +17,12 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from fractalwalk import WeightSequence, experiments, rng, validate_assumptions, weights
+from fractalwalk import WeightSequence, experiments, rng, validate_assumptions, walks, weights
 from fractalwalk.experiments import UsageError, manifest, normalize_config
+from test_cli import _GOLDEN_OUTPUTS, _LIBRARY_CALLS
+from test_limits import screen_matches_histogram
 from test_rng import LEFT_PART_WAY, rekeyed_draws_match
+from test_walks import CONST, clock_matches_lfilter
 
 
 def _growth_ok_without_nan_check(energies, log_q):
@@ -53,6 +58,72 @@ def _rekey_keeping_buffer_position(bit_generator, key):
     state = bit_generator.state
     state["state"] = {"counter": np.zeros(4, np.uint64), "key": key}
     bit_generator.state = state
+
+
+def _constant_run_within_an_ulp(out, x, lo, hi, u, alpha):
+    """`walks._constant_run` with a fill that starts on states 1 ulp apart."""
+    ts = []
+    back2 = back1 = None
+    for _ in range(lo, hi):
+        if back2 is not None and abs(u - back2) <= math.ulp(back2):
+            break
+        t = u + 0.0 * x
+        ts.append(t)
+        back2, back1, u = back1, u, alpha * x + alpha * t
+    j = lo + len(ts)
+    out[lo:j] = ts
+    if j == hi:
+        return u
+    out[j:hi:2] = ts[-2]
+    out[j + 1:hi:2] = ts[-1]
+    return back2 if (hi - j) % 2 == 0 else back1
+
+
+def _mark_bins_between_min_and_max(trace, seen):
+    """`experiments._mark_bins` that takes every bin between the min and max as seen."""
+    lo, hi = float(np.min(trace)), float(np.max(trace))
+    if math.isnan(lo):
+        seen |= np.histogram(trace, bins=experiments._COVER_EDGES)[0] > 0
+        return
+    first, last = experiments._bin_of(lo), experiments._bin_of(hi)
+    seen[max(first, 0):min(last, seen.size - 1) + 1] = True
+
+
+def _walks_and_oracles_on_walk_streams(params, replicas, seed, s_sq, walk_reduce,
+                                       oracle_reduce):
+    """`experiments._walks_and_oracles` with oracle i on stream i, not replicas + i."""
+    step_sd = np.sqrt(np.diff(s_sq, prepend=0.0))
+    a = params.weights.values(params.horizon)
+    stream, steps, sums = experiments.stream, experiments._walk_steps, experiments._prefix_sums
+
+    def walk_one(i):
+        return walk_reduce(sums(steps(stream(seed, i), params.p, a)))
+
+    def oracle_one(i):
+        return oracle_reduce(sums(experiments._oracle_steps(stream(seed, i), step_sd)))
+
+    return [walk_one(i) for i in range(replicas)], [oracle_one(i) for i in range(replicas)]
+
+
+def _coverage_for_every_normalization(cfg):
+    return {**experiments._resolve_lil(cfg), "coverage": True}
+
+
+def _clock_past_the_fixed_point_matches() -> bool:
+    # alpha = 0.999: about 30,000 steps until the state repeats its bits
+    return clock_matches_lfilter(0.9995, CONST, 10**5)
+
+
+def _screen_sees_a_jump() -> bool:
+    return screen_matches_histogram([-0.85, 0.85])
+
+
+def _report_matches_golden(name: str) -> Callable[[], bool]:
+    def check() -> bool:
+        text = _LIBRARY_CALLS[name]().to_json() + "\n"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        return digest == _GOLDEN_OUTPUTS[name]["report.json"]
+    return check
 
 
 def _nan_steps_fail_growth() -> bool:
@@ -100,6 +171,15 @@ def _as_parser(key: str, replacement):
     return patch
 
 
+def _as_resolver(name: str, replacement):
+    # a spec holds its resolver function, so the spec entry is replaced
+    def patch(mp):
+        assert name in experiments.SPECS
+        mp.setitem(experiments.SPECS, name,
+                   dataclasses.replace(experiments.SPECS[name], resolve=replacement))
+    return patch
+
+
 @dataclass(frozen=True)
 class Mutant:
     origin: str
@@ -110,6 +190,8 @@ class Mutant:
 _TAIL_CLOSURE = "tail-closure checks, commit 206180f"
 _ONE_READER = "one reader per weight spec and per integer"
 _REKEY = "clt streams keyed in one pass and re-keyed on one Philox"
+_STREAMED = "lil and chung streamed in blocks, one thread per CPU"
+_AROUND_THE_DRAWS = "walk_mc's work around the Philox draws cut, bit for bit"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -134,6 +216,24 @@ MUTANTS = {
     "rekey-keeps-buffer-position": Mutant(
         _REKEY, _on_module(rng, "_rekey", _rekey_keeping_buffer_position),
         _rekey_after_a_mid_buffer_stop,
+    ),
+    "lil-oracle-on-walk-streams": Mutant(
+        _STREAMED,
+        _on_module(experiments, "_walks_and_oracles", _walks_and_oracles_on_walk_streams),
+        _report_matches_golden("lil-100000-2-1"),
+    ),
+    "lil-coverage-for-plain-A": Mutant(
+        _STREAMED, _as_resolver("lil", _coverage_for_every_normalization),
+        _report_matches_golden("lil-100000-2-plain_A"),
+    ),
+    "clock-fill-within-an-ulp": Mutant(
+        _AROUND_THE_DRAWS, _on_module(walks, "_constant_run", _constant_run_within_an_ulp),
+        _clock_past_the_fixed_point_matches,
+    ),
+    "coverage-screen-untested-bins": Mutant(
+        _AROUND_THE_DRAWS,
+        _on_module(experiments, "_mark_bins", _mark_bins_between_min_and_max),
+        _screen_sees_a_jump,
     ),
 }
 

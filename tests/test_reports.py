@@ -98,6 +98,18 @@ def test_clt_chunk_size_does_not_change_results(monkeypatch):
     assert run() == one
 
 
+def test_clt_block_rows_do_not_change_results(monkeypatch):
+    # n = 200 draws a whole 250-replica task as one block; a _BLOCK of 1003
+    # makes it blocks of 5 rows and a last block of 1 in the last task
+    def run():
+        params = WalkParams(0.75, WeightSequence.power(0.3), 200)
+        return clt_experiment(params, replicas=1001, seed=4).to_json()
+
+    one = run()
+    monkeypatch.setattr(experiments, "_BLOCK", 1003)
+    assert run() == one
+
+
 def test_run_dir_layout(tmp_path):
     rep = clt_experiment(WalkParams(0.75, CONST, 100), replicas=1000, seed=0)
     dest = rep.run_dir(tmp_path)

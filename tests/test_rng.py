@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fractalwalk.rng import _map_streams, _stream_keys, stream
+from fractalwalk.rng import _stream_keys, _streams, stream
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**70 + 3])
@@ -29,7 +29,7 @@ def _sample(gen: np.random.Generator) -> list:
 
 
 def rekeyed_draws_match(leave) -> bool:
-    """Whether `_map_streams` draws what fresh streams do, when each replica
+    """Whether `_streams` draws what fresh streams do, when each replica
     samples and then leaves its generator as `leave` does."""
     seed, lo, hi = 7, 3, 8
 
@@ -38,7 +38,8 @@ def rekeyed_draws_match(leave) -> bool:
         leave(gen)
         return sample
 
-    return _map_streams(replica, seed, lo, hi) == [_sample(stream(seed, i)) for i in range(lo, hi)]
+    got = [replica(gen) for gen in _streams(seed, lo, hi)]
+    return got == [_sample(stream(seed, i)) for i in range(lo, hi)]
 
 
 LEFT_PART_WAY = {

@@ -13,7 +13,7 @@ from fractalwalk import (
     variance_ratio_bound,
 )
 from fractalwalk.rng import stream
-from fractalwalk.walks import _draw_signs
+from fractalwalk.walks import _constant_run, _cross_accumulator, _draw_signs, _equal_runs
 
 CONST = WeightSequence.constant()
 
@@ -200,6 +200,72 @@ def test_moments_match_lfilter_bytes_on_special_values():
 @pytest.mark.parametrize("weights", [CONST, WeightSequence.power(0.3)], ids=["const", "power0.3"])
 def test_moments_match_lfilter_bytes_at_a_million_steps(p, weights):
     _assert_matches_lfilter(p, weights, 10**6, [(1, 10**6)])
+
+
+# -- the fixed-point fill of the clock on runs of equal weights ----------------
+
+# runs shorter (40) and longer than the fixed point takes to reach, a signed
+# zero run, and 3.7, which ends in a 2-cycle at p = 0.35
+RUNS = [1.0] * 40 + [2.5] * 3000 + [-0.0] * 500 + [3.7] * 2000
+
+
+def clock_matches_lfilter(p, weights, n) -> bool:
+    """Whether the cross terms and the clock over n finite weights have lfilter's bits.
+
+    The cross terms come first: the clock's rounding can hide a last-bit
+    change of T, as it does for a fill that starts one ulp early.
+    """
+    alpha = 2.0 * p - 1.0
+    a = weights.values(n)
+    t = _cross_accumulator(a, alpha)
+    if t.tobytes() != lfilter([0.0, alpha], [1.0, -alpha], a).tobytes():
+        return False
+    ref = np.cumsum(_lfilter_increments(p, weights, 0, n)).astype(float)
+    return second_moment_profile(p, weights, n).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("p", MEMORY_PS)
+def test_constant_weights_match_lfilter_bytes_past_the_fixed_point(p):
+    # n = 1000 stops short of p = 0.9995's fixed point (about 30,000 steps)
+    assert clock_matches_lfilter(p, CONST, 10**5)
+    _assert_matches_lfilter(p, CONST, 10**5, [(1, 10**5), (40_000, 10**5)])
+
+
+@pytest.mark.parametrize("p", [0.35, 0.05, 0.75])  # alpha < 0 may end in a 2-cycle
+def test_runs_of_equal_weights_match_lfilter_bytes(p):
+    weights = WeightSequence.explicit(RUNS)
+    n = len(RUNS) + 100  # zero weights past the values: one more run
+    assert clock_matches_lfilter(p, weights, n)
+    _assert_matches_lfilter(p, weights, n, [(0, n), (39, 3100), (3040, 3541), (5000, n)])
+
+
+def test_equal_runs_compare_bits():
+    a = np.array(RUNS + [0.0] * 70 + [1.0] * 63)
+    assert _equal_runs(a) == [(40, 3040), (3040, 3540), (3540, 5540), (5540, 5610)]
+    assert _equal_runs(WeightSequence.power(0.3).values(1000)) == []
+
+
+class _Writes:
+    """An `out` that records the slices written to it."""
+
+    def __init__(self):
+        self.slices = []
+
+    def __setitem__(self, key, value):
+        self.slices.append(key)
+
+
+@pytest.mark.parametrize(
+    "p,x,looped", [(0.75, 1.0, 56), (0.35, 3.7, 33), (0.05, 1.0, 340), (0.9995, 1.0, 30369)]
+)
+def test_constant_run_loops_only_until_the_state_repeats(p, x, looped):
+    # the loop writes the steps it ran as one slice, then the fill follows
+    out = _Writes()
+    _constant_run(out, x, 0, 10**6, 0.0, 2.0 * p - 1.0)
+    assert out.slices[0] == slice(0, looped)
+    assert [(s.start, s.step) for s in out.slices[1:]] == [
+        (out.slices[0].stop, 2), (out.slices[0].stop + 1, 2)
+    ]
 
 
 def test_variance_sandwich_randomized():
