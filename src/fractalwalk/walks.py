@@ -232,12 +232,9 @@ def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
     and its weight.
     """
     alpha = float(alpha)
-    runs = _equal_runs(a)
-    if not runs:
-        return np.fromiter(_steps(a.tolist(), alpha, 0.0), dtype=float, count=a.size)
     out = np.empty(a.size)
     u, done = 0.0, 0
-    for lo, hi in [*runs, (a.size, a.size)]:
+    for lo, hi in [*_equal_runs(a), (a.size, a.size)]:
         if done < lo:
             out[done:lo] = np.fromiter(_steps(a[done:lo].tolist(), alpha, u),
                                        dtype=float, count=lo - done)

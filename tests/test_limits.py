@@ -546,6 +546,8 @@ SCREEN_TRACES = {
     "infinities-and-a-value": [np.inf, 0.15, -np.inf],
     "nan": [0.1, np.nan, -0.5],
     "nan-only": [np.nan],
+    "nan-and-edges": [np.nan, *EDGE_VALUES],
+    "nan-and-infinities": [np.inf, np.nan, -np.inf],
 }
 
 

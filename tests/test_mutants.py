@@ -83,9 +83,9 @@ def _mark_bins_between_min_and_max(trace, seen):
     """`experiments._mark_bins` that takes every bin between the min and max as seen."""
     lo, hi = float(np.min(trace)), float(np.max(trace))
     if math.isnan(lo):
-        seen |= np.histogram(trace, bins=experiments._COVER_EDGES)[0] > 0
-        return
-    first, last = experiments._bin_of(lo), experiments._bin_of(hi)
+        first, last = -1, seen.size
+    else:
+        first, last = experiments._bin_of(lo), experiments._bin_of(hi)
     seen[max(first, 0):min(last, seen.size - 1) + 1] = True
 
 
