@@ -52,7 +52,6 @@ from .walks import (
     WalkParams,
     _check_p,
     _draw_signs,
-    _signs_into,
     exact_second_moment,
     second_moment_profile,
     simulate,
@@ -178,10 +177,7 @@ def brownian_path(times, seed: int = 0, stream_id: int = 0) -> np.ndarray:
 
 def _brownian_from_rng(rng: np.random.Generator, step_sd: np.ndarray) -> np.ndarray:
     """Brownian path whose k-th increment has standard deviation step_sd[k]."""
-    path = np.empty(step_sd.size)
-    for start, b in _prefix_sums(_oracle_steps(rng, step_sd)):
-        path[start:start + b.size] = b
-    return path
+    return np.concatenate([b for _, b in _prefix_sums(_oracle_steps(rng, step_sd))])
 
 
 # cephes' erf/erfc coefficients (Moshier), descending powers
@@ -314,42 +310,34 @@ def _quantiles(x: np.ndarray, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> list[float]:
 
 # -- long paths, one block at a time --------------------------------------------
 
-_BLOCK = 1 << 16  # steps per block: a replica's buffers take about 2 MB
+_BLOCK = 1 << 16  # steps per block: a replica's arrays take about 2 MB
 
 
 def _walk_steps(rng: np.random.Generator, p: float, a: np.ndarray):
-    """Weighted steps a_k X_k in blocks of reused buffers, as (start, block).
+    """Weighted steps a_k X_k in blocks, as (start, block), each a fresh array.
 
     The same numbers as `a * _draw_signs(rng, p, a.size)`: the blocks draw
-    the same Philox uniforms in order, and the flip parity carries into the
-    next block.
+    the same Philox uniforms in order, and each block continues from the sign
+    the one before ended on.
     """
-    n = a.size
-    u = np.empty(min(n, _BLOCK))
-    flips = np.empty(u.size, dtype=np.uint8)
-    steps = np.empty(u.size)
-    parity = None
-    for start in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - start)
-        xb = steps[:m]
-        parity = _signs_into(rng, p, u[:m], flips[:m], xb, parity)
-        np.multiply(xb, a[start:start + m], out=xb)
-        yield start, xb
+    last = None
+    for start in range(0, a.size, _BLOCK):
+        x = _draw_signs(rng, p, min(_BLOCK, a.size - start), last)
+        last = x[-1]
+        x *= a[start:start + x.size]
+        yield start, x
 
 
 def _oracle_steps(rng: np.random.Generator, step_sd: np.ndarray):
     """Gaussian increments with sd step_sd[k] in blocks, as (start, block)."""
-    n = step_sd.size
-    buf = np.empty(min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        b = buf[:min(_BLOCK, n - start)]
-        rng.standard_normal(out=b)
-        np.multiply(b, step_sd[start:start + b.size], out=b)
+    for start in range(0, step_sd.size, _BLOCK):
+        b = rng.standard_normal(min(_BLOCK, step_sd.size - start))
+        b *= step_sd[start:start + b.size]
         yield start, b
 
 
 def _prefix_sums(blocks):
-    """Running sums of the step blocks, as (start, block) in one reused buffer.
+    """Running sums of the step blocks, as (start, block), each a fresh array.
 
     The carry enters each block's first step before the cumsum, so every
     partial sum is the same float addition `np.cumsum` of the whole path
@@ -357,16 +345,13 @@ def _prefix_sums(blocks):
     The caller may overwrite a block: the carry is read before it is yielded.
     """
     carry = 0.0
-    sums = None
     for start, b in blocks:
         if start:  # the first sum is the first step itself, even -0.0
             b[0] += carry
-        if sums is None:  # the first block is the longest
-            sums = np.empty(b.size)
         # Out of place: numpy holds the GIL through an in-place accumulate.
         # Two threads each summing 2^16 steps ran 0.84-0.98x one thread in
         # place, 1.55-1.97x out of place (2-vCPU VM).
-        s = np.cumsum(b, out=sums[:b.size])
+        s = np.cumsum(b)
         carry = s[-1]
         yield start, s
 
@@ -545,15 +530,15 @@ def _lil_terminal(sums, i0: int, scale: np.ndarray, coverage: bool) -> tuple[flo
     return top, covered
 
 
-def _running_max(b: np.ndarray, start: float, out: np.ndarray) -> np.ndarray:
-    """max(start, |b_0|, ..., |b_k|) for each k, as a float view of `out`.
+def _running_max(b: np.ndarray, start: float) -> np.ndarray:
+    """max(start, |b_0|, ..., |b_k|) for each k, as a fresh float array.
 
-    `out` is an int64 buffer of b's size; b is overwritten by |b|.  After
-    np.abs, b holds +0.0, positive finite values, +inf or a positive NaN.
-    With the sign bit clear their float64 bits order as int64 just as the
-    values do, NaN above inf, so the running maximum of the bits is that of
-    the values and a NaN still carries forward (if NaNs with other bits met,
-    the one kept could differ, which no later step of chung tells apart).
+    b is overwritten by |b|.  After np.abs, b holds +0.0, positive finite
+    values, +inf or a positive NaN.  With the sign bit clear their float64
+    bits order as int64 just as the values do, NaN above inf, so the running
+    maximum of the bits is that of the values and a NaN still carries
+    forward (if NaNs with other bits met, the one kept could differ, which
+    no later step of chung tells apart).
     It ran 272 against 452 us per 2^16 block as floats.  Out of place: numpy
     holds the GIL through an in-place accumulate.  Two threads each scanning
     2^16 values ran 0.92-1.10x one thread in place, 1.88-1.95x out of place
@@ -561,18 +546,15 @@ def _running_max(b: np.ndarray, start: float, out: np.ndarray) -> np.ndarray:
     """
     np.abs(b, out=b)
     b[0] = np.maximum(b[0], start)
-    return np.maximum.accumulate(b.view(np.int64), out=out).view(np.float64)
+    return np.maximum.accumulate(b.view(np.int64)).view(np.float64)
 
 
 def _chung_terminal(sums, i0: int, coef: np.ndarray) -> float:
     """min over k >= i0 of coef[k - i0] max_{j<=k} |S_j|."""
     runmax = 0.0
     low = math.inf
-    peaks = None
     for start, b in sums:
-        if peaks is None:  # the first block is the longest
-            peaks = np.empty(b.size, dtype=np.int64)
-        b = _running_max(b, runmax, peaks[:b.size])
+        b = _running_max(b, runmax)
         runmax = b[-1]
         off, tail = _from_index(i0, start, b)
         if tail.size:

@@ -16,10 +16,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 VERSION = "0.1.0"
 SCHEMA = "fractalwalk.report/1"
@@ -28,20 +27,16 @@ __all__ = ["Statistic", "SeedManifest", "ExperimentReport", "statistic"]
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
+    """A JSON-ready copy: string keys, tuples as lists, non-finite floats as strings.
+
+    Reports hold Python ints, floats, strings and bools only; a numpy scalar
+    other than float64 makes json.dumps raise.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)  # inf/nan are not valid JSON
     return obj
 

@@ -86,31 +86,27 @@ class WalkPath:
         return self.signs.size
 
 
-def _signs_into(rng, p: float, u: np.ndarray, flips: np.ndarray, out: np.ndarray,
-                parity=None):
-    """Fill `out` with signs as float64 +-1: one path, or one path per row.
+def _draw_signs(rng, p: float, shape, last=None) -> np.ndarray:
+    """X_1..X_n as float64 +-1: fair start, then repeat w.p. p.
 
-    One uniform per step, drawn into `u`; the step flips when it is >= p.
-    `flips` is a uint8 buffer of u's shape, both C-contiguous; the scan
-    leaves the parities in the first byte of each of u's doubles.
-
-    A 1-D `u` is one path drawn from the Generator `rng`, and the flip parity
-    it reaches is returned.  `parity is None` starts the path: its first draw
-    doubles as the fair initial sign.  Otherwise `parity` is the flip parity
-    the path has reached, so a path drawn in pieces is the same as one drawn
-    whole.  A 2-D `u` holds one whole path per row: `rng` is then an iterator
-    that yields one Generator per row, and each row takes all its draws
-    before the next Generator is taken, so one re-keyed Philox may serve
-    every row.
+    One uniform per step; the step flips when it is >= p.  `shape` n draws
+    one path from the Generator `rng`.  `last` is None to start the path: its
+    first draw doubles as the fair initial sign.  Otherwise `last` is the +-1
+    sign a previous piece of the path ended on, so a path drawn in pieces is
+    the same as one drawn whole.  `shape` (rows, n) draws one whole path per
+    row: `rng` is then an iterator that yields one Generator per row, and
+    each row takes all its draws before the next Generator is taken, so one
+    re-keyed Philox may serve every row.
     """
+    u = np.empty(shape)
     if u.ndim == 1:
         rng.random(out=u)
     else:
         for row in u:
             next(rng).random(out=row)
-    np.greater_equal(u, p, out=flips.view(bool))
-    if parity is not None:
-        flips[0] ^= parity
+    flips = u >= p
+    if last is not None:
+        flips[0] ^= last < 0
     elif u.ndim == 1:
         flips[0] = u[0] >= 0.5
     else:
@@ -123,27 +119,15 @@ def _signs_into(rng, p: float, u: np.ndarray, flips: np.ndarray, out: np.ndarray
     # to the +-1 map ran 0.92-1.01x one thread with the scan along axis 1,
     # 1.52-1.91x with it flat (2-vCPU VM).  The stride-8 output also runs at
     # 1.1 ns a step against 3.1 ns for a contiguous one.
-    parities = np.bitwise_xor.accumulate(flips.reshape(-1),
+    parities = np.bitwise_xor.accumulate(flips.reshape(-1).view(np.uint8),
                                          out=u.reshape(-1).view(np.uint8)[::8])
-    np.multiply(parities.reshape(u.shape), -2.0, out=out)
-    np.add(out, 1.0, out=out)
+    out = np.multiply(parities.reshape(u.shape), -2.0)
+    out += 1.0
     if u.ndim == 1:
-        return parities[-1]
+        return out
     # A row's scan started from the parity the row before ended on, the sign
     # of that row's last step: multiplying by it (+-1, exact) takes it out.
     out[1:] *= out[:-1, -1:].copy()
-    return None
-
-
-def _draw_signs(rng, p: float, shape) -> np.ndarray:
-    """X_1..X_n as float64 +-1: fair start, then repeat w.p. p.
-
-    `shape` n draws one path from the Generator `rng`; `shape` (rows, n)
-    draws one path per row, each from the next Generator the iterator `rng`
-    yields.
-    """
-    out = np.empty(shape)
-    _signs_into(rng, p, np.empty(shape), np.empty(shape, dtype=np.uint8), out)
     return out
 
 

@@ -1,5 +1,6 @@
 """Blocking scheme, block moments, and the martingale correction."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,12 +169,14 @@ def test_gordin_tail_bound_covers_truncation():
     assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound
 
 
-@pytest.mark.parametrize("p", [0.75, 0.9])
-def test_gordin_tail_bound_covers_truncation_below_delta_one(p):
-    # delta < 1 scales the closure by A^{(1-delta)/2}.  alpha^2001 underflows,
-    # so the 2000-term sum is the whole series: its part past the corrector's
-    # terms is the truncation the tail bound certifies, and the corrector's
-    # dot product matches the kept head within the dot product's rounding bound.
+def gordin_tail_covers_truncation(p: float) -> bool:
+    """Whether u_5 of power(0.25) weights at delta = 0.5 is certified honestly.
+
+    delta < 1 scales the closure by A^{(1-delta)/2}.  alpha^2001 underflows,
+    so the 2000-term sum is the whole series: its part past the corrector's
+    terms is the truncation the tail bound certifies, and the corrector's dot
+    product must match the kept head within the dot product's rounding bound.
+    """
     seq = WeightSequence.power(0.25)
     scheme = build_blocks(seq, 0.5, 12)
     params = WalkParams(p, seq, 10)
@@ -181,9 +184,14 @@ def test_gordin_tail_bound_covers_truncation_below_delta_one(p):
     h = int(scheme.boundaries[4])
     terms = seq.values(h + 2000)[h:] * params.alpha ** np.arange(2, 2002.0)
     kept, rest = terms[:g.terms], terms[g.terms:]
-    assert 0.0 < math.fsum(rest) <= g.tail_bound <= 1e-10
     rounding = g.terms * 2.0**-53 * math.fsum(np.abs(kept))
-    assert abs(g.value - math.fsum(kept)) <= rounding
+    return (0.0 < math.fsum(rest) <= g.tail_bound <= 1e-10
+            and abs(g.value - math.fsum(kept)) <= rounding)
+
+
+@pytest.mark.parametrize("p", [0.75, 0.9])
+def test_gordin_tail_bound_covers_truncation_below_delta_one(p):
+    assert gordin_tail_covers_truncation(p)
 
 
 def test_gordin_tail_scans_a_pad_of_its_own_terms():
@@ -363,3 +371,31 @@ def test_block_lln_over_seeds():
         stats = block_statistics(params, scheme, path)
         vals.append(float(np.sum(stats.y**2)))
     assert abs(float(np.mean(vals)) - s_sq) / s_sq <= 0.1
+
+
+_SCHEME = build_blocks(CONST, 1.0, 6)  # boundaries 0, 1, 2, 4, 6, 9
+BLOCKING_REFUSALS = {
+    "corrector-j-0": (
+        lambda: gordin_corrector(WalkParams(0.75, CONST, 10), _SCHEME, 0),
+        "boundary index j must be in 1..6",
+    ),
+    "corrector-j-past-M+1": (
+        lambda: gordin_corrector(WalkParams(0.75, CONST, 10), _SCHEME, 7),
+        "boundary index j must be in 1..6",
+    ),
+    "corrector-anchor-0.5": (
+        lambda: gordin_corrector(WalkParams(0.75, CONST, 10), _SCHEME, 2, anchor_sign=0.5),
+        "anchor sign must be +-1, got 0.5",
+    ),
+    "martingale-blocks-short-path": (
+        lambda: martingale_blocks(WalkParams(0.75, CONST, 5), _SCHEME,
+                                  simulate(WalkParams(0.75, CONST, 5), 0)),
+        "path horizon 5 shorter than last boundary 9",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", BLOCKING_REFUSALS.values(), ids=BLOCKING_REFUSALS)
+def test_blocking_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -724,6 +724,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert report["params"]["n"] == 200  # file beats default
 
 
+def test_config_file_holding_a_list_is_refused(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps([{"n": 200}]))
+    assert main(["clt", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg_path} does not hold a JSON object"
+    ]
+    assert not list(tmp_path.rglob("report.json"))
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"nope": 1}))

@@ -1,6 +1,7 @@
 """Fractal surface: certified evaluation, digit machinery, increment algebra."""
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -414,3 +415,30 @@ def test_decompose_residual_band_random_panel():
         expo = int(rng.integers(2, 30))
         d = f.decompose_increment(x, Fraction(1, 2**expo), eps=1e-12)
         assert abs(d.residual) <= 4e-12
+
+
+_F = FractalFunction(2, CONST, 1.0)
+FRACTAL_REFUSALS = {
+    "scale-index-h-0": (lambda: scale_index(2, 0), "h must lie in (0, 1], got 0"),
+    "scale-index-h-above-1": (lambda: scale_index(2, Fraction(3, 2)),
+                              "h must lie in (0, 1], got 3/2"),
+    "match-depth-h-0": (lambda: match_depth(2, 0.5, 0), "h must be positive, got 0"),
+    "decompose-increment-h-negative": (lambda: _F.decompose_increment(0.5, -0.25),
+                                       "h must be positive, got -0.25"),
+    "certificate-eps-0": (lambda: _F.certificate(0.0), "eps must be positive, got 0.0"),
+    "certificate-eps-below-floor": (
+        lambda: _F.certificate(1e-14), "eps=1e-14 is below the float64 evaluation floor (1e-13)"
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", FRACTAL_REFUSALS.values(), ids=FRACTAL_REFUSALS)
+def test_fractal_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("x,exact", [(np.float32(0.375), Fraction(3, 8)), (np.int64(3), 3)],
+                         ids=["float32", "int64"])
+def test_eval_reads_numpy_scalars_exactly(x, exact):
+    assert _F.eval(x) == _F.eval(exact)

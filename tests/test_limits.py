@@ -1,5 +1,6 @@
 """Variance profiles, reference statistics, and the limit-theorem experiments."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -523,7 +524,7 @@ def test_running_max_on_int64_bits_matches_float_scan(blocks):
     want = np.maximum.accumulate(np.abs(np.concatenate(blocks)))
     got, carry = [], 0.0
     for b in blocks:
-        peaks = _running_max(np.array(b), carry, np.empty(len(b), dtype=np.int64))
+        peaks = _running_max(np.array(b), carry)
         carry = peaks[-1]
         got.append(peaks)
     assert np.concatenate(got).tobytes() == want.tobytes()
@@ -681,22 +682,28 @@ def test_fclt_requires_regular_variation():
         functional_clt_experiment(f, 1.0, 40, [0.25, 0.5, 1.0], x_samples=100)
 
 
+def fclt_moments_match_exact(x_samples: int, seed: int) -> bool:
+    """Whether fclt's variances and its (0.5, 1) covariance at depth 40 lie
+    within 4 standard errors of their exact values (r = 2, unit weights)."""
+    f = FractalFunction(2, CONST, 1.0)
+    ts, idx = (0.25, 0.5, 1.0), (10, 20, 40)
+    rep = functional_clt_experiment(f, 1.0, 40, list(ts), x_samples=x_samples, seed=seed)
+    paths = fclt_paths(f, 40, idx, x_samples, seed)
+    checks = [(f"var_t={t:g}", i, i, row, row) for row, (t, i) in enumerate(zip(ts, idx))]
+    checks.append(("cov_t=0.5,1", 20, 40, 1, 2))
+    return all(
+        abs(rep.find(name).value - float(fclt_covariance(i, j)) / 40)
+        <= 4.0 * covariance_se(paths[a], paths[b])
+        for name, i, j, a, b in checks
+    )
+
+
 def test_fclt_marginals_at_moderate_depth():
     # at depth 40 the covariance is exactly 0.45000, the floor of the 0.05
     # band, and Var(t=1) is 0.9667, under 2 standard errors above its floor
     # at this sample size; the verdicts depend on the seed, so each moment is
     # checked against its exact value within 4 standard errors instead
-    f = FractalFunction(2, CONST, 1.0)
-    ts, idx, n_pts = (0.25, 0.5, 1.0), (10, 20, 40), 20_000
-    rep = functional_clt_experiment(f, 1.0, 40, list(ts), x_samples=n_pts, seed=5)
-    paths = fclt_paths(f, 40, idx, n_pts, seed=5)
-    for row, (t, i) in enumerate(zip(ts, idx)):
-        exact = float(fclt_covariance(i, i)) / 40
-        se = covariance_se(paths[row], paths[row])
-        assert rep.find(f"var_t={t:g}").value == pytest.approx(exact, abs=4.0 * se)
-    se = covariance_se(paths[1], paths[2])
-    cov = rep.find("cov_t=0.5,1")
-    assert cov.value == pytest.approx(float(fclt_covariance(20, 40)) / 40, abs=4.0 * se)
+    assert fclt_moments_match_exact(20_000, 5)
 
 
 @pytest.mark.parametrize("i,j", [(1, 1), (3, 3), (4, 5), (3, 6), (5, 10), (8, 16)])
@@ -712,3 +719,34 @@ def test_fclt_t_grid_validation():
         functional_clt_experiment(f, 1.0, 40, [0.5, 1.5])
     with pytest.raises(ValueError):
         functional_clt_experiment(f, 0.0, 40, [0.5, 1.0])
+
+
+EXPERIMENTS_REFUSALS = {
+    # r = 3 runs the p = 2/3 clock: s_2^2 = 101 - 20/3 < s_1^2 = 100
+    "decreasing-variance-profile": (
+        lambda: variance_profile(3, WeightSequence.from_spec("explicit:10,-1"), 2),
+        "variance profile is not non-decreasing; no valid interpolant",
+    ),
+    "brownian-times-below-0": (lambda: brownian_path([-1.0, 0.5]),
+                               "times must start at >= 0, got -1.0"),
+    "lil-band-of-three": (
+        lambda: lil_experiment(WalkParams(0.75, CONST, 100_000), band=(0.1, 0.5, 1.0)),
+        "band needs two values lo,hi, got [0.1, 0.5, 1.0]",
+    ),
+    "modulus-h-below-the-grid": (
+        lambda: modulus_experiment(FractalFunction(2, CONST, 1.0), [Fraction(1, 2**60)],
+                                   x_samples=10),
+        "h=1/1152921504606846976 is below the 2^-53 grid resolution",
+    ),
+    "fclt-index-0": (
+        lambda: functional_clt_experiment(FractalFunction(2, CONST, 1.0), 1.0, 40, [0.01, 1.0],
+                                          x_samples=10),
+        "t=0.01 gives index 0; increase n or t",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", EXPERIMENTS_REFUSALS.values(), ids=EXPERIMENTS_REFUSALS)
+def test_experiments_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,9 +1,9 @@
 """Mutants that the checks of the package must kill.
 
-Each case replaces one private function with a copy that drops one rule,
-runs the check that rule guards and asserts that it fails, and runs the same
-check on the unpatched package and asserts that it passes, so a case cannot
-"kill" its mutant on a broken baseline.  Functions are patched on their
+Each case replaces one private function with a copy or a wrapper that drops
+one rule, runs the check that rule guards and asserts that it fails, and runs
+the same check on the unpatched package and asserts that it passes, so a case
+cannot "kill" its mutant on a broken baseline.  Functions are patched on their
 module with `raising=True`, and dict entries only once the key is asserted
 present, so a rename fails here rather than leaving a mutant unapplied.
 `origin` names the change that added the rule.
@@ -12,17 +12,36 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp, kstwo
 
-from fractalwalk import WeightSequence, experiments, rng, validate_assumptions, walks, weights
+from fractalwalk import (
+    FractalFunction,
+    WalkParams,
+    WeightSequence,
+    blocking,
+    chung_experiment,
+    experiments,
+    fractal,
+    lil_experiment,
+    rng,
+    validate_assumptions,
+    walks,
+    weights,
+)
 from fractalwalk.experiments import UsageError, manifest, normalize_config
+from finite_depth import grid_difference, increment_law
+from test_blocking import gordin_tail_covers_truncation
 from test_cli import _GOLDEN_OUTPUTS, _LIBRARY_CALLS
-from test_limits import screen_matches_histogram
+from test_limits import POWER, _signs, fclt_moments_match_exact, screen_matches_histogram
 from test_rng import LEFT_PART_WAY, rekeyed_draws_match
 from test_walks import CONST, clock_matches_lfilter
+
+ALPHA = 1e-3  # the level of the acceptance tests' statistical checks
 
 
 def _growth_ok_without_nan_check(energies, log_q):
@@ -105,6 +124,77 @@ def _walks_and_oracles_on_walk_streams(params, replicas, seed, s_sq, walk_reduce
     return [walk_one(i) for i in range(replicas)], [oracle_one(i) for i in range(replicas)]
 
 
+def _walks_and_oracles_without_monotone_check(params, replicas, seed, s_sq, walk_reduce,
+                                              oracle_reduce):
+    """`experiments._walks_and_oracles` that takes any clock for the oracles."""
+    step_sd = np.sqrt(np.diff(s_sq, prepend=0.0))
+    a = params.weights.values(params.horizon)
+    stream, steps, sums = experiments.stream, experiments._walk_steps, experiments._prefix_sums
+
+    def walk_one(i):
+        return walk_reduce(sums(steps(stream(seed, i), params.p, a)))
+
+    def oracle_one(i):
+        return oracle_reduce(sums(experiments._oracle_steps(stream(seed, replicas + i), step_sd)))
+
+    return [walk_one(i) for i in range(replicas)], [oracle_one(i) for i in range(replicas)]
+
+
+_WALKS_AND_ORACLES = experiments._walks_and_oracles
+
+
+def _walks_and_oracles_with_a_shrunk_walk(params, replicas, seed, s_sq, walk_reduce,
+                                          oracle_reduce):
+    """`experiments._walks_and_oracles` with the walk sums divided by an extra sqrt(3)."""
+    def shrunk(sums):
+        return walk_reduce((start, b / math.sqrt(3.0)) for start, b in sums)
+    return _WALKS_AND_ORACLES(params, replicas, seed, s_sq, shrunk, oracle_reduce)
+
+
+def _start_index_without_dip_check(clock, what):
+    valid = clock > experiments._E_SQUARED
+    if not valid.any():
+        raise ValueError(f"{what} never exceeds e^2; horizon too short")
+    return int(np.argmax(valid))
+
+
+def _tail_constant_without_energy_factor(seq, n, pad, delta, log_q):
+    """`weights._tail_constant` with A_n^{(1-delta)/2} set to 1."""
+    energies = seq.energies(n + pad)
+    k_hat = float(np.max(weights._ratio_sequence(seq.values(n + pad), energies, delta)))
+    if not np.isfinite(k_hat) or not (log_q is None or weights._growth_ok(energies[n - 1:], log_q)):
+        return math.inf
+    return math.sqrt(k_hat)
+
+
+_EVAL_GRID_BLOCK = fractal._eval_grid_block
+
+
+def _eval_grid_block_without_term_5(m, val, scales, ru):
+    _EVAL_GRID_BLOCK(m, val, [None if k == 4 else s for k, s in enumerate(scales)], ru)
+
+
+_EXACT_MANTISSA_STEP = experiments._exact_mantissa_step
+
+
+def _mantissa_step_of_half(h):
+    """The grid step of h / 2: fclt's increments at 2^-(idx+1), still scaled by 2^idx."""
+    return _EXACT_MANTISSA_STEP(h / 2)
+
+
+def _draw_signs_forgetting_last(source, p, shape, last=None):
+    """`walks._draw_signs` that starts every piece of a path on a fair sign."""
+    return walks._draw_signs(source, p, shape)
+
+
+def _prefix_sums_adding_the_carry_after(blocks):
+    carry = 0.0
+    for start, b in blocks:
+        s = np.cumsum(b) + carry
+        carry = s[-1]
+        yield start, s
+
+
 def _coverage_for_every_normalization(cfg):
     return {**experiments._resolve_lil(cfg), "coverage": True}
 
@@ -116,6 +206,56 @@ def _clock_past_the_fixed_point_matches() -> bool:
 
 def _screen_sees_a_jump() -> bool:
     return screen_matches_histogram([-0.85, 0.85])
+
+
+def _increments_follow_exact_law() -> bool:
+    # criterion 7 at h = 2^-8 on 5000 points
+    f = FractalFunction(2, CONST, 1.0)
+    h = Fraction(1, 2**8)
+    mx = rng.uniform_mantissas(rng.stream(0), 5000)
+    fit = increment_law(2, 8).distance_to_sample(grid_difference(f, mx, h) / float(h))
+    return fit <= float(kstwo.isf(ALPHA, mx.size))
+
+
+def _lil_walk_matches_oracle() -> bool:
+    # criterion 8's two-sample KS of walk against oracle terminals, at n = 10^5
+    rep = lil_experiment(WalkParams(0.75, CONST, 100_000), replicas=50, seed=0)
+    rows = np.array(rep.attachments["terminals"]["rows"])
+    return bool(ks_2samp(rows[:, 1], rows[:, 2]).pvalue >= ALPHA)
+
+
+def _fclt_moments_match() -> bool:
+    return fclt_moments_match_exact(1000, 5)
+
+
+def _clock_is_refused(seq: WeightSequence, p: float, message: str) -> Callable[[], bool]:
+    def check() -> bool:
+        # the mutants run on through the NaN scales the check keeps out
+        with np.errstate(all="ignore"):
+            try:
+                chung_experiment(WalkParams(p, seq, 100_000), replicas=1)
+            except ValueError as err:
+                return message in str(err)
+        return False
+    return check
+
+
+def _gordin_tail_covers_truncation() -> bool:
+    return gordin_tail_covers_truncation(0.9)
+
+
+def _walk_blocks_match_whole_path() -> bool:
+    # two blocks of power(0.3) steps: their sums round, so a carry added after
+    # the cumsum shows, and a walk that restarts its second block on a fair
+    # sign departs from the whole path in one of the three
+    n = 2 * experiments._BLOCK
+    a = POWER.values(n)
+    for i in range(3):
+        blocks = experiments._prefix_sums(experiments._walk_steps(rng.stream(4, i), 0.7, a))
+        want = np.cumsum(a * _signs(rng.stream(4, i), 0.7, n))
+        if np.concatenate([b for _, b in blocks]).tobytes() != want.tobytes():
+            return False
+    return True
 
 
 def _report_matches_golden(name: str) -> Callable[[], bool]:
@@ -192,6 +332,9 @@ _ONE_READER = "one reader per weight spec and per integer"
 _REKEY = "clt streams keyed in one pass and re-keyed on one Philox"
 _STREAMED = "lil and chung streamed in blocks, one thread per CPU"
 _AROUND_THE_DRAWS = "walk_mc's work around the Philox draws cut, bit for bit"
+_FINITE_SIZE = "finite-size references for criteria 7, 8 and 10, commit b246b1f"
+_WRITTEN_ONCE = "lil/chung clock checks and the tail closure written once, commit 094f4dc"
+_ONE_DRAW = "one sign draw for every walk, each block a fresh array"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -234,6 +377,48 @@ MUTANTS = {
         _AROUND_THE_DRAWS,
         _on_module(experiments, "_mark_bins", _mark_bins_between_min_and_max),
         _screen_sees_a_jump,
+    ),
+    "eval-grid-drops-term-5": Mutant(
+        _FINITE_SIZE,
+        _on_module(fractal, "_eval_grid_block", _eval_grid_block_without_term_5),
+        _increments_follow_exact_law,
+    ),
+    "lil-walk-over-sqrt-3": Mutant(
+        _FINITE_SIZE,
+        _on_module(experiments, "_walks_and_oracles", _walks_and_oracles_with_a_shrunk_walk),
+        _lil_walk_matches_oracle,
+    ),
+    "fclt-increments-at-half-h": Mutant(
+        _FINITE_SIZE,
+        _on_module(experiments, "_exact_mantissa_step", _mantissa_step_of_half),
+        _fclt_moments_match,
+    ),
+    "tail-constant-without-energy-factor": Mutant(
+        _WRITTEN_ONCE,
+        _on_module(blocking, "_tail_constant", _tail_constant_without_energy_factor),
+        _gordin_tail_covers_truncation,
+    ),
+    "start-index-without-dip-check": Mutant(
+        _WRITTEN_ONCE,
+        _on_module(experiments, "_start_index", _start_index_without_dip_check),
+        # s_1^2 = 9, then alpha = -0.98 cancels it down to 0.36 for good
+        _clock_is_refused(WeightSequence.explicit([3.0, 3.0]), 0.01, "dips below e^2"),
+    ),
+    "oracles-without-monotone-check": Mutant(
+        _WRITTEN_ONCE,
+        _on_module(experiments, "_walks_and_oracles", _walks_and_oracles_without_monotone_check),
+        # s_2^2 = 0.4 < s_1^2 = 1
+        _clock_is_refused(CONST, 0.1, "not monotone"),
+    ),
+    "draw-signs-forgets-last": Mutant(
+        _ONE_DRAW,
+        _on_module(experiments, "_draw_signs", _draw_signs_forgetting_last),
+        _walk_blocks_match_whole_path,
+    ),
+    "prefix-sums-add-the-carry-after": Mutant(
+        _ONE_DRAW,
+        _on_module(experiments, "_prefix_sums", _prefix_sums_adding_the_carry_after),
+        _walk_blocks_match_whole_path,
     ),
 }
 

@@ -1,4 +1,6 @@
 """One-step-memory walks: simulation, exact moments, Doob pieces."""
+import re
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -117,6 +119,12 @@ def test_second_moment_recursion_vs_double_sum():
         assert fast == pytest.approx(slow, rel=1e-11, abs=1e-11)
 
 
+@pytest.mark.parametrize("m,n", [(5, 5), (6, 5)], ids=["m-equals-n", "m-past-n"])
+def test_window_moment_refuses_an_empty_window(m, n):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'need 0 <= m < n, got m={m}, n={n}')}$"):
+        exact_second_moment(0.75, CONST, m, n)
+
+
 def test_profile_matches_pointwise_moments():
     seq = WeightSequence.power(0.5)
     prof = second_moment_profile(0.6, seq, 50)
@@ -139,14 +147,32 @@ def _lfilter_increments(p, weights, m, n):
     return (a * (a + 2.0 * t)).astype(np.longdouble)
 
 
-def _assert_matches_lfilter(p, weights, n, windows):
+def clock_matches_lfilter(p, weights, n, windows=()) -> bool:
+    """Whether the cross terms T, the clock and the window moments over n
+    weights have lfilter's bits.
+
+    T is compared first and on its own: the clock's longdouble running sums
+    can hide a last-bit change of T, as they do for a fill that starts one
+    ulp early.  A NaN of T matches a NaN of either sign, as
+    `_cross_accumulator` promises no more.
+    """
+    alpha = 2.0 * p - 1.0
+    a = weights.values(n)
     with np.errstate(invalid="ignore", over="ignore"):
+        t = _cross_accumulator(a, alpha)
+        want = lfilter([0.0, alpha], [1.0, -alpha], a)
+        nan = np.isnan(want)
+        if not (np.array_equal(np.isnan(t), nan) and t[~nan].tobytes() == want[~nan].tobytes()):
+            return False
         ref = np.cumsum(_lfilter_increments(p, weights, 0, n)).astype(float)
-        assert second_moment_profile(p, weights, n).tobytes() == ref.tobytes()
+        if second_moment_profile(p, weights, n).tobytes() != ref.tobytes():
+            return False
         for m, hi in windows:
             want = float(np.sum(_lfilter_increments(p, weights, m, hi)))
             got = exact_second_moment(p, weights, m, hi)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (m, hi)
+            if np.float64(got).tobytes() != np.float64(want).tobytes():
+                return False
+    return True
 
 
 MEMORY_PS = (0.75, 0.35, 2.0 / 3.0, 0.9995)  # alpha = 0.5, -0.3, 1/3, 0.999
@@ -168,9 +194,9 @@ MEMORY_PS = (0.75, 0.35, 2.0 / 3.0, 0.9995)  # alpha = 0.5, -0.3, 1/3, 0.999
 )
 def test_moments_match_lfilter_bytes(p, weights):
     for n in (1, 2, 3):
-        _assert_matches_lfilter(p, weights, n, [(m, n) for m in range(n)])
+        assert clock_matches_lfilter(p, weights, n, [(m, n) for m in range(n)])
     n = 1100 if weights.kind == "geometric" else 1000
-    _assert_matches_lfilter(p, weights, n, [(0, n), (1, n), (17, 640), (n - 1, n)])
+    assert clock_matches_lfilter(p, weights, n, [(0, n), (1, n), (17, 640), (n - 1, n)])
 
 
 def _special_weights(values) -> WeightSequence:
@@ -193,13 +219,13 @@ def test_moments_match_lfilter_bytes_on_special_values():
         n = int(rng.integers(1, 7))
         weights = _special_weights(rng.choice(pool, n))
         for p in MEMORY_PS:
-            _assert_matches_lfilter(p, weights, n, [(m, n) for m in range(n)])
+            assert clock_matches_lfilter(p, weights, n, [(m, n) for m in range(n)])
 
 
 @pytest.mark.parametrize("p", MEMORY_PS)
 @pytest.mark.parametrize("weights", [CONST, WeightSequence.power(0.3)], ids=["const", "power0.3"])
 def test_moments_match_lfilter_bytes_at_a_million_steps(p, weights):
-    _assert_matches_lfilter(p, weights, 10**6, [(1, 10**6)])
+    assert clock_matches_lfilter(p, weights, 10**6, [(1, 10**6)])
 
 
 # -- the fixed-point fill of the clock on runs of equal weights ----------------
@@ -209,34 +235,17 @@ def test_moments_match_lfilter_bytes_at_a_million_steps(p, weights):
 RUNS = [1.0] * 40 + [2.5] * 3000 + [-0.0] * 500 + [3.7] * 2000
 
 
-def clock_matches_lfilter(p, weights, n) -> bool:
-    """Whether the cross terms and the clock over n finite weights have lfilter's bits.
-
-    The cross terms come first: the clock's rounding can hide a last-bit
-    change of T, as it does for a fill that starts one ulp early.
-    """
-    alpha = 2.0 * p - 1.0
-    a = weights.values(n)
-    t = _cross_accumulator(a, alpha)
-    if t.tobytes() != lfilter([0.0, alpha], [1.0, -alpha], a).tobytes():
-        return False
-    ref = np.cumsum(_lfilter_increments(p, weights, 0, n)).astype(float)
-    return second_moment_profile(p, weights, n).tobytes() == ref.tobytes()
-
-
 @pytest.mark.parametrize("p", MEMORY_PS)
 def test_constant_weights_match_lfilter_bytes_past_the_fixed_point(p):
     # n = 1000 stops short of p = 0.9995's fixed point (about 30,000 steps)
-    assert clock_matches_lfilter(p, CONST, 10**5)
-    _assert_matches_lfilter(p, CONST, 10**5, [(1, 10**5), (40_000, 10**5)])
+    assert clock_matches_lfilter(p, CONST, 10**5, [(1, 10**5), (40_000, 10**5)])
 
 
 @pytest.mark.parametrize("p", [0.35, 0.05, 0.75])  # alpha < 0 may end in a 2-cycle
 def test_runs_of_equal_weights_match_lfilter_bytes(p):
     weights = WeightSequence.explicit(RUNS)
     n = len(RUNS) + 100  # zero weights past the values: one more run
-    assert clock_matches_lfilter(p, weights, n)
-    _assert_matches_lfilter(p, weights, n, [(0, n), (39, 3100), (3040, 3541), (5000, n)])
+    assert clock_matches_lfilter(p, weights, n, [(0, n), (39, 3100), (3040, 3541), (5000, n)])
 
 
 def test_equal_runs_compare_bits():

@@ -1,5 +1,6 @@
 """Weight sequences: generators, energy cache, and assumption checks."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,3 +204,34 @@ def test_growth_ok_slack_is_1e_minus_12():
     assert _growth_ok(energies, step)
     assert _growth_ok(energies, step - 5e-13)  # over log q, inside the slack
     assert not _growth_ok(energies, step - 2e-12)
+
+
+CONST = WeightSequence.constant()
+WEIGHTS_REFUSALS = {
+    "delta-above-one": (lambda: validate_assumptions(CONST, 1.5),
+                        "delta must be in (0, 1], got 1.5"),
+    "delta-zero": (lambda: growth_report(CONST, 0.0, 2.0), "delta must be in (0, 1], got 0.0"),
+    "geometric-negative": (lambda: WeightSequence.from_spec("geometric:-1"),
+                           "geometric base must be positive, got -1.0"),
+    "explicit-empty": (lambda: WeightSequence.explicit([]),
+                       "explicit weights need a non-empty 1-d array"),
+    "alternating-with-a-parameter": (lambda: WeightSequence.from_spec("alternating:3"),
+                                     "alternating weights take no parameter, got 'alternating:3'"),
+    "unknown-kind": (lambda: WeightSequence.from_spec({"kind": "nope"}),
+                     "unknown weight spec {'kind': 'nope'}"),
+    "growth-q-one": (lambda: growth_report(CONST, 1.0, 1.0), "q must be > 1, got 1.0"),
+    "growth-n0-at-n-max": (lambda: growth_report(CONST, 1.0, 2.0, n0=10, n_max=10),
+                           "need n0 < n_max, got n0=10, n_max=10"),
+}
+
+
+@pytest.mark.parametrize("call,message", WEIGHTS_REFUSALS.values(), ids=WEIGHTS_REFUSALS)
+def test_weights_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_all_zero_weights_pass_with_a_zero_constant():
+    # every ratio is 0/0 := 0, so K_hat is 0 at the first index
+    rep = validate_assumptions(WeightSequence.constant(0.0), 0.5, n_max=10)
+    assert (rep.k_hat, rep.worst_index, rep.tail_slope, rep.passed) == (0.0, 1, 0.0, True)
