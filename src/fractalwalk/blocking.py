@@ -224,11 +224,11 @@ def gordin_corrector(
     j = _as_int(j, "boundary index j")
     if not 1 <= j <= scheme.boundaries.size:
         raise ValueError(f"boundary index j must be in 1..{scheme.boundaries.size}")
+    if anchor_sign not in (-1.0, 1.0, -1, 1):
+        raise ValueError(f"anchor sign must be +-1, got {anchor_sign}")
     alpha = params.alpha
     if alpha == 0.0:
         return GordinValue(value=0.0, tail_bound=0.0, terms=0)
-    if anchor_sign not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"anchor sign must be +-1, got {anchor_sign}")
     max_terms = 64 + 4 * int(scheme.delays_for(alpha)[j - 1])
     h_j = int(scheme.boundaries[j - 1])
     weights = scheme.weights

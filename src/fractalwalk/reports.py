@@ -37,7 +37,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)  # inf/nan are not valid JSON
+        # inf/nan are not valid JSON; float() gives a float64 the plain repr
+        return repr(float(obj))
     return obj
 
 

@@ -387,6 +387,10 @@ BLOCKING_REFUSALS = {
         lambda: gordin_corrector(WalkParams(0.75, CONST, 10), _SCHEME, 2, anchor_sign=0.5),
         "anchor sign must be +-1, got 0.5",
     ),
+    "corrector-anchor-0.5-memoryless": (
+        lambda: gordin_corrector(WalkParams(0.5, CONST, 10), _SCHEME, 2, anchor_sign=0.5),
+        "anchor sign must be +-1, got 0.5",
+    ),
     "martingale-blocks-short-path": (
         lambda: martingale_blocks(WalkParams(0.75, CONST, 5), _SCHEME,
                                   simulate(WalkParams(0.75, CONST, 5), 0)),

@@ -108,36 +108,24 @@ def _mark_bins_between_min_and_max(trace, seen):
     seen[max(first, 0):min(last, seen.size - 1) + 1] = True
 
 
-def _walks_and_oracles_on_walk_streams(params, replicas, seed, s_sq, walk_reduce,
-                                       oracle_reduce):
-    """`experiments._walks_and_oracles` with oracle i on stream i, not replicas + i."""
-    step_sd = np.sqrt(np.diff(s_sq, prepend=0.0))
-    a = params.weights.values(params.horizon)
-    stream, steps, sums = experiments.stream, experiments._walk_steps, experiments._prefix_sums
+def _unchecked_walks_and_oracles(on_walk_streams: bool):
+    """`experiments._walks_and_oracles` on one thread without its monotone-clock
+    check; with `on_walk_streams`, oracle i draws from stream i, not replicas + i."""
+    def run(params, replicas, seed, s_sq, walk_reduce, oracle_reduce):
+        step_sd = np.sqrt(np.diff(s_sq, prepend=0.0))
+        a = params.weights.values(params.horizon)
+        stream, steps, sums = experiments.stream, experiments._walk_steps, experiments._prefix_sums
+        first_oracle = 0 if on_walk_streams else replicas
 
-    def walk_one(i):
-        return walk_reduce(sums(steps(stream(seed, i), params.p, a)))
+        def walk_one(i):
+            return walk_reduce(sums(steps(stream(seed, i), params.p, a)))
 
-    def oracle_one(i):
-        return oracle_reduce(sums(experiments._oracle_steps(stream(seed, i), step_sd)))
+        def oracle_one(i):
+            return oracle_reduce(sums(experiments._oracle_steps(stream(seed, first_oracle + i),
+                                                                step_sd)))
 
-    return [walk_one(i) for i in range(replicas)], [oracle_one(i) for i in range(replicas)]
-
-
-def _walks_and_oracles_without_monotone_check(params, replicas, seed, s_sq, walk_reduce,
-                                              oracle_reduce):
-    """`experiments._walks_and_oracles` that takes any clock for the oracles."""
-    step_sd = np.sqrt(np.diff(s_sq, prepend=0.0))
-    a = params.weights.values(params.horizon)
-    stream, steps, sums = experiments.stream, experiments._walk_steps, experiments._prefix_sums
-
-    def walk_one(i):
-        return walk_reduce(sums(steps(stream(seed, i), params.p, a)))
-
-    def oracle_one(i):
-        return oracle_reduce(sums(experiments._oracle_steps(stream(seed, replicas + i), step_sd)))
-
-    return [walk_one(i) for i in range(replicas)], [oracle_one(i) for i in range(replicas)]
+        return [walk_one(i) for i in range(replicas)], [oracle_one(i) for i in range(replicas)]
+    return run
 
 
 _WALKS_AND_ORACLES = experiments._walks_and_oracles
@@ -362,7 +350,7 @@ MUTANTS = {
     ),
     "lil-oracle-on-walk-streams": Mutant(
         _STREAMED,
-        _on_module(experiments, "_walks_and_oracles", _walks_and_oracles_on_walk_streams),
+        _on_module(experiments, "_walks_and_oracles", _unchecked_walks_and_oracles(True)),
         _report_matches_golden("lil-100000-2-1"),
     ),
     "lil-coverage-for-plain-A": Mutant(
@@ -406,7 +394,7 @@ MUTANTS = {
     ),
     "oracles-without-monotone-check": Mutant(
         _WRITTEN_ONCE,
-        _on_module(experiments, "_walks_and_oracles", _walks_and_oracles_without_monotone_check),
+        _on_module(experiments, "_walks_and_oracles", _unchecked_walks_and_oracles(False)),
         # s_2^2 = 0.4 < s_1^2 = 1
         _clock_is_refused(CONST, 0.1, "not monotone"),
     ),

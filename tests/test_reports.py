@@ -2,6 +2,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from fractalwalk import (
@@ -50,6 +51,11 @@ def test_canonical_json_is_order_free():
     assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
     assert config_hash({"b": 1, "a": 2}) == config_hash({"a": 2, "b": 1})
     assert config_hash({"a": 2}) != config_hash({"a": 3})
+
+
+def test_canonical_json_writes_non_finite_floats_as_strings():
+    obj = {"a": float("nan"), "b": np.float64(-np.inf), 3: (1, 2.5)}
+    assert canonical_json(obj) == '{"3":[1,2.5],"a":"nan","b":"-inf"}'
 
 
 def test_manifest_hash_tracks_config():
