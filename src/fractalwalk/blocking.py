@@ -162,6 +162,17 @@ def _check_scheme_params(params: WalkParams, scheme: BlockingScheme) -> None:
         raise ValueError("walk and blocking scheme use different weights")
 
 
+def _block_sums(params: WalkParams, scheme: BlockingScheme, path: WalkPath) -> np.ndarray:
+    """Y_j = S_{h_{j+1}} - S_{h_j} of a path that reaches the last boundary."""
+    _check_scheme_params(params, scheme)
+    b = scheme.boundaries
+    if path.horizon < b[-1]:
+        raise ValueError(
+            f"path horizon {path.horizon} shorter than last boundary {b[-1]}"
+        )
+    return path.sums[b[1:]] - path.sums[b[:-1]]
+
+
 @dataclass(frozen=True)
 class BlockStats:
     """Per-block sums of one path and the exact moments to compare against."""
@@ -176,13 +187,8 @@ def block_statistics(
     params: WalkParams, scheme: BlockingScheme, path: WalkPath
 ) -> BlockStats:
     """Block sums of a simulated path next to their exact second moments."""
-    _check_scheme_params(params, scheme)
+    y = _block_sums(params, scheme, path)
     b = scheme.boundaries
-    if path.horizon < b[-1]:
-        raise ValueError(
-            f"path horizon {path.horizon} shorter than last boundary {b[-1]}"
-        )
-    y = path.sums[b[1:]] - path.sums[b[:-1]]
     sigma_sq = np.array(
         [
             exact_second_moment(params.p, params.weights, int(lo), int(hi))
@@ -310,14 +316,9 @@ def martingale_blocks(
     of this path applied to them; a sign flip is exact, so u_j is the value
     `gordin_corrector` returns for that anchor, to the bit.
     """
-    _check_scheme_params(params, scheme)
+    y = _block_sums(params, scheme, path)
     b = scheme.boundaries
-    if path.horizon < b[-1]:
-        raise ValueError(
-            f"path horizon {path.horizon} shorter than last boundary {b[-1]}"
-        )
     mags, tails = _corrector_plan(params, scheme, tol)
-    y = path.sums[b[1:]] - path.sums[b[:-1]]
     u = np.zeros(b.size)
     if params.alpha != 0.0:  # memoryless: u_j is +0.0, whatever the anchor
         u[1:] = path.signs[b[1:] - 1] * mags[1:]

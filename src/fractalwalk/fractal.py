@@ -63,7 +63,7 @@ _SHIFT = np.uint64(MANTISSA_BITS)
 _HALF_GRID = np.uint64(GRID // 2)
 _GRID = np.uint64(GRID)
 # points per block of `walk_value_grid`: the block's residues and its
-# (n, block) sign buffer stay in cache across all terms
+# (n, block) slope signs stay in cache across all terms
 _WALK_BLOCK = 16384
 # most points per block of `eval_grid`.  Its threads overlap only while numpy
 # runs with the GIL released, so each of the seven ops per term must outlast
@@ -173,12 +173,16 @@ def sign_walk_grid(r: int, mantissas: np.ndarray, n: int) -> np.ndarray:
     """
     ru = _check_grid_base(r)
     n = _as_int(n, "n", 1)
-    m = np.ascontiguousarray(mantissas, dtype=np.uint64)
-    out = np.empty((n, m.size), dtype=np.int8)
-    res = m.copy()
+    res = np.array(mantissas, dtype=np.uint64, ndmin=1)
+    out = np.empty((n, res.size), dtype=np.int8)
+    rising = out.view(bool)
     for k in range(n):
-        out[k] = np.where(res < _HALF_GRID, 1, -1).astype(np.int8)
-        res = (res * ru) & _MASK
+        np.less(res, _HALF_GRID, out=rising[k])
+        res *= ru
+        res &= _MASK
+    # 1/0 rising flags -> slope signs +1/-1
+    out *= 2
+    out -= 1
     return out
 
 
@@ -500,13 +504,12 @@ class FractalFunction:
     def walk_value_grid(self, mantissas: np.ndarray, n: int) -> np.ndarray:
         """w_n at grid points x = m * 2^-53: a @ sign_walk_grid(r, m, n).
 
-        Points are taken `_WALK_BLOCK` at a time: the block's slope signs fill
-        a reused (n, _WALK_BLOCK) float buffer, so the full (n, len(m)) sign
-        matrix is never built.  The product always spans a multiple of 8
-        points: OpenBLAS on one or two threads then sums every point with the
-        same kernel (no remainder rows, and the thread split lands on a
-        multiple of 4), so a point's value does not depend on its position or
-        on how many points come with it.
+        Points are taken `_WALK_BLOCK` at a time, so the full (n, len(m))
+        sign matrix is never built.  Each block is zero-padded to a multiple
+        of 8 points: OpenBLAS on one or two threads then sums every point
+        with the same kernel (no remainder rows, and the thread split lands
+        on a multiple of 4), so a point's value does not depend on its
+        position or on how many points come with it.
 
         It stays on one Python thread, unlike `eval_grid`: its per-row ops
         span one block row and are too short to overlap under the GIL, and
@@ -514,29 +517,16 @@ class FractalFunction:
         on two threads took 32-38 ms against 29 ms on one (n = 48, 200k
         points, medians of 15).
         """
-        ru = _check_grid_base(self.r)
+        _check_grid_base(self.r)
         m = np.ascontiguousarray(mantissas, dtype=np.uint64)
         a = self.weights.values(n)
         out = np.empty(m.size, dtype=np.float64)
-        width = min(_WALK_BLOCK, -(-m.size // 8) * 8)
-        res = np.zeros(width, dtype=np.uint64)
-        falling = np.empty(width, dtype=bool)
-        signs = np.empty((n, width), dtype=np.float64)
         for start in range(0, m.size, _WALK_BLOCK):
-            stop = min(start + _WALK_BLOCK, m.size)
-            cols = -(-(stop - start) // 8) * 8
-            res_b, falling_b, signs_b = res[:cols], falling[:cols], signs[:, :cols]
-            # padding columns keep residues of an earlier block, or zeros
-            res_b[: stop - start] = m[start:stop]
-            for k in range(n):
-                np.greater_equal(res_b, _HALF_GRID, out=falling_b)
-                signs_b[k] = falling_b
-                np.multiply(res_b, ru, out=res_b)
-                np.bitwise_and(res_b, _MASK, out=res_b)
-            # 0/1 falling flags -> slope signs +1/-1, exactly
-            np.multiply(signs_b, -2.0, out=signs_b)
-            np.add(signs_b, 1.0, out=signs_b)
-            out[start:stop] = (a @ signs_b)[: stop - start]
+            block = m[start : start + _WALK_BLOCK]
+            padded = np.zeros(-(-block.size // 8) * 8, dtype=np.uint64)
+            padded[: block.size] = block
+            signs = sign_walk_grid(self.r, padded, n).astype(np.float64)
+            out[start : start + block.size] = (a @ signs)[: block.size]
         return out
 
     # -- increments -----------------------------------------------------------

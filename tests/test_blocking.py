@@ -115,22 +115,6 @@ def test_block_sums_telescope_to_walk():
         assert stats.y.sum() == pytest.approx(path.sums[horizon], rel=1e-12)
 
 
-def test_block_statistics_horizon_guard():
-    scheme = build_blocks(CONST, 1.0, 8)
-    params = WalkParams(0.75, CONST, 3)
-    path = simulate(params, seed=0)
-    with pytest.raises(ValueError):
-        block_statistics(params, scheme, path)
-
-
-def test_block_statistics_weight_mismatch_guard():
-    scheme = build_blocks(CONST, 1.0, 6)
-    params = WalkParams(0.75, WeightSequence.power(1.0), 20)
-    path = simulate(params, seed=0)
-    with pytest.raises(ValueError):
-        block_statistics(params, scheme, path)
-
-
 def test_gordin_memoryless_is_zero():
     scheme = build_blocks(CONST, 1.0, 6)
     params = WalkParams(0.5, CONST, 10)
@@ -395,6 +379,16 @@ BLOCKING_REFUSALS = {
         lambda: martingale_blocks(WalkParams(0.75, CONST, 5), _SCHEME,
                                   simulate(WalkParams(0.75, CONST, 5), 0)),
         "path horizon 5 shorter than last boundary 9",
+    ),
+    "block-statistics-short-path": (
+        lambda: block_statistics(WalkParams(0.75, CONST, 3), _SCHEME,
+                                 simulate(WalkParams(0.75, CONST, 3), 0)),
+        "path horizon 3 shorter than last boundary 9",
+    ),
+    "block-statistics-weight-mismatch": (
+        lambda: block_statistics(WalkParams(0.75, WeightSequence.power(1.0), 20), _SCHEME,
+                                 simulate(WalkParams(0.75, WeightSequence.power(1.0), 20), 0)),
+        "walk and blocking scheme use different weights",
     ),
 }
 

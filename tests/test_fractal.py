@@ -224,14 +224,30 @@ def test_sign_walk_three_quarters():
     assert sign_walk(2, 0.75, 2).tolist() == [-1, -1]
 
 
-def test_sign_walk_grid_matches_scalar():
-    rng = stream(12)
-    mant = uniform_mantissas(rng, 50)
-    for r in (2, 3):
-        grid = sign_walk_grid(r, mant, 8)
-        for i in range(mant.size):
-            x = Fraction(int(mant[i]), GRID)
+@pytest.mark.parametrize("r", [2, 3, 10, fractal.MAX_GRID_BASE])
+def test_sign_walk_grid_matches_scalar(r):
+    """Exact signs, on a strided view too, with the input left as it was.
+
+    2048 is the largest base whose residue times r still fits in uint64.
+    """
+    mant = uniform_mantissas(stream(12), 100)
+    for view in (mant[:50], mant[::2]):
+        before = view.copy()
+        grid = sign_walk_grid(r, view, 8)
+        np.testing.assert_array_equal(view, before)
+        for i in range(view.size):
+            x = Fraction(int(view[i]), GRID)
             np.testing.assert_array_equal(grid[:, i], sign_walk(r, x, 8))
+
+
+def test_grid_walks_refuse_a_base_past_the_uint64_range():
+    message = "^grid arithmetic supports r <= 2048, got 2049$"
+    f = FractalFunction(2049, CONST)
+    with pytest.raises(ValueError, match=message):
+        sign_walk_grid(2049, [1], 3)
+    for size in (0, 5):
+        with pytest.raises(ValueError, match=message):
+            f.walk_value_grid(np.arange(size, dtype=np.uint64), 3)
 
 
 def test_sign_walk_distribution_is_fair_iid():
@@ -281,6 +297,16 @@ def test_walk_value_grid_blocks_match_reference(n):
     for size in (0, 8, _WALK_BLOCK, 2 * _WALK_BLOCK + 8):
         got = f.walk_value_grid(mant[:size], n)
         want = a @ sign_walk_grid(3, mant[:size], n).astype(float)
+        assert got.tobytes() == want.tobytes(), size
+
+
+def test_walk_value_grid_at_the_largest_grid_base_matches_reference():
+    f = FractalFunction(fractal.MAX_GRID_BASE, WeightSequence.power(0.5), delta=0.5)
+    mant = uniform_mantissas(stream(18), _WALK_BLOCK + 8)
+    a = f.weights.values(20)
+    for size in (8, _WALK_BLOCK + 8):
+        got = f.walk_value_grid(mant[:size], 20)
+        want = a @ sign_walk_grid(fractal.MAX_GRID_BASE, mant[:size], 20).astype(float)
         assert got.tobytes() == want.tobytes(), size
 
 
