@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 import queue
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,9 +67,11 @@ _GRID = np.uint64(GRID)
 # (n, block) slope signs stay in cache across all terms
 _WALK_BLOCK = 16384
 # most points per block of `eval_grid`.  Its threads overlap only while numpy
-# runs with the GIL released, so each of the seven ops per term must outlast
-# the GIL hand-off; at 16384 points an op takes about 6 us, and two threads
-# ran no faster than one.  Median s of 9 passes over the grid part of the
+# runs with the GIL released, so each op of a term (seven in the general
+# kernel, three or four in the r = 2 one) must outlast the GIL hand-off; at
+# 16384 points an op takes about 6 us, and two threads ran no faster than
+# one.  The timings below are of the general kernel alone, before the r = 2
+# kernel was added.  Median s of 9 passes over the grid part of the
 # perfbench fractal_grid workload (modulus r = 2, 3, 10 and fclt), on a
 # 2-vCPU Xeon VM with 2 MB of L2 a core:
 #   one thread, 16384-point blocks                          2.79
@@ -213,18 +216,21 @@ def match_depth(r: int, x, h) -> int:
     h = _exact(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    fy = fx + h
-    if fy >= 1:
-        return -1
-    m = scale_index(r, h)
-    den = math.lcm(fx.denominator, fy.denominator)
+    den = math.lcm(fx.denominator, h.denominator)
     rx = fx.numerator * (den // fx.denominator)
-    ry = fy.numerator * (den // fy.denominator)
+    ry = rx + h.numerator * (den // h.denominator)
+    if ry >= den:
+        return -1
+    return _match_depth(r, rx, ry, den, scale_index(r, h))
+
+
+def _match_depth(r: int, rx: int, ry: int, den: int, m: int) -> int:
+    """Match depth of rx/den < ry/den < 1, whose difference has scale index m."""
     for k in range(1, m + 3):
-        tx, ty = rx * r, ry * r
-        if tx // den != ty // den:
+        dx, rx = divmod(rx * r, den)
+        dy, ry = divmod(ry * r, den)
+        if dx != dy:
             return k - 1
-        rx, ry = tx % den, ty % den
     raise AssertionError("digit streams of x and x+h agree past depth m+2")
 
 
@@ -264,6 +270,7 @@ def _eval_grid_block(m: np.ndarray, val: np.ndarray, scales: list, ru: np.uint64
 
     The term order and the seven uint64/float ops per term are fixed, so a
     point's value does not depend on its block or on the thread that runs it.
+    `eval_grid` runs it for r != 2, and at r = 2 where `_tent_exact` fails.
     """
     res = m.copy()
     dist = np.empty_like(res)
@@ -279,6 +286,46 @@ def _eval_grid_block(m: np.ndarray, val: np.ndarray, scales: list, ru: np.uint64
             np.add(val, term, out=val)
         np.multiply(res, ru, out=res)
         np.bitwise_and(res, _MASK, out=res)
+
+
+def _eval_tent_block(m: np.ndarray, val: np.ndarray, a: np.ndarray) -> None:
+    """`_eval_grid_block` at r = 2, on the tent map of the scaled distances.
+
+    With d_k = min(res_k, 2^53 - res_k), the distance e_k = 2^(1-k-53) d_k
+    follows e_1 = 2^-53 d_1 and e_{k+1} = min(e_k, 2^-k - e_k), since
+    d(2y) = min(2 d(y), 1 - 2 d(y)).  Every step is exact in float64 while
+    k <= 1022, so term k, a_k e_k, rounds the real number scale_k d_k that
+    `_eval_grid_block` rounds whenever its scale_k is exact (`_tent_exact`).
+    That takes three float ops a term, four where a_k is not 1, and zero
+    weights skip the term but still advance e.
+    """
+    dist = np.subtract(_GRID, m)
+    np.minimum(m, dist, out=dist)
+    # converted to float in place, as in `_eval_grid_block`: two buffers
+    e = dist.view(np.float64)
+    e[...] = dist
+    e *= 2.0**-53
+    tmp = np.empty_like(e)
+    for k, a_k in enumerate(a, 1):
+        if k > 1:
+            np.subtract(2.0 ** (1 - k), e, out=tmp)
+            np.minimum(e, tmp, out=e)
+        if a_k == 1.0:
+            np.add(val, e, out=val)
+        elif a_k:
+            np.multiply(a_k, e, out=tmp)
+            np.add(val, tmp, out=val)
+
+
+def _tent_exact(r: int, terms: int, scales: list) -> bool:
+    """Whether `_eval_tent_block` gives the bytes of `_eval_grid_block`."""
+    # the tent recursion is the doubling map, r = 2; e_k is exact while
+    # k <= 1022; and a_k e_k rounds the number scale_k d_k only where
+    # scale_k = a_k 2^(1-k) / 2^53 was not rounded itself, that is where it
+    # is not subnormal
+    return r == 2 and terms <= 1022 and all(
+        s is None or abs(s) >= sys.float_info.min for s in scales
+    )
 
 
 # -- certified evaluation -----------------------------------------------------
@@ -431,23 +478,26 @@ class FractalFunction:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _terms(self, x, n: int) -> list[float]:
-        """The floats a_k d(r^{k-1} x) / r^{k-1} for k = 1..n; 0.0 where a_k = 0.
+    def _terms(self, a: list, num: int, den: int) -> tuple[list[float], list[bool]]:
+        """Terms and slopes at x = num/den in [0, 1), for the weights a = (a_1, ..., a_n).
 
+        The terms are the floats a_k d(r^{k-1} x) / r^{k-1}, 0.0 where
+        a_k = 0; the slopes say where psi_k^+(x) = +1 (2 frac(r^{k-1} x) < 1).
         d comes from exact integer digit residues, and int / int division
         rounds correctly, so a term does not depend on the denominator x is
         written over.
         """
-        f = _as_unit_fraction(x)
-        num, den = f.numerator, f.denominator
         r = self.r
-        terms = []
-        rpow = 1
-        for a_k in self.weights.values(n).tolist():
-            terms.append(a_k * (min(num, den - num) / (den * rpow)) if a_k else 0.0)
+        terms, rising = [], []
+        scaled_den = den  # den r^(k-1)
+        for a_k in a:
+            up = 2 * num < den
+            rising.append(up)
+            # (num if up else den - num) is min(num, den - num)
+            terms.append(a_k * ((num if up else den - num) / scaled_den) if a_k else 0.0)
             num = num * r % den
-            rpow *= r
-        return terms
+            scaled_den *= r
+        return terms, rising
 
     def eval(self, x, eps: float = 1e-12) -> EvalResult:
         """f(x) with a certified absolute error bound <= eps.
@@ -457,7 +507,10 @@ class FractalFunction:
         correctly-rounded term summation.
         """
         cert, bound = self._certified(eps)
-        value = math.fsum(self._terms(x, cert.terms))
+        a = self.weights.values(cert.terms).tolist()
+        f = _as_unit_fraction(x)
+        terms, _ = self._terms(a, f.numerator, f.denominator)
+        value = math.fsum(terms)
         return EvalResult(value=value, error_bound=bound, terms=cert.terms)
 
     def eval_grid(self, mantissas: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -473,6 +526,10 @@ class FractalFunction:
         one thread per usable CPU (the caller's included) takes the blocks in
         turn.  Every point sees the same float operations whatever its block
         and thread, so the result does not depend on the CPU count.
+
+        At r = 2 the blocks run `_eval_tent_block`, three or four float ops a
+        term in place of seven, wherever `_tent_exact` shows that it rounds
+        every term as `_eval_grid_block` does.
         """
         cert, _ = self._certified(eps)
         ru = _check_grid_base(self.r)
@@ -484,13 +541,17 @@ class FractalFunction:
         for k in range(cert.terms):
             scales.append(a[k] * coef / float(GRID) if a[k] else None)
             coef /= self.r
+        tent = _tent_exact(self.r, cert.terms, scales)
         val = np.zeros(m.size, dtype=np.float64)
         blocks = -(-m.size // _EVAL_BLOCK)
         width = -(-m.size // blocks) if blocks else 0
 
         def run_block(i: int) -> None:
             part = slice(i * width, (i + 1) * width)
-            _eval_grid_block(m[part], val[part], scales, ru)
+            if tent:
+                _eval_tent_block(m[part], val[part], a)
+            else:
+                _eval_grid_block(m[part], val[part], scales, ru)
 
         _map_threads(run_block, blocks)
         return val
@@ -505,7 +566,9 @@ class FractalFunction:
         """w_n at grid points x = m * 2^-53: a @ sign_walk_grid(r, m, n).
 
         Points are taken `_WALK_BLOCK` at a time, so the full (n, len(m))
-        sign matrix is never built.  Each block is zero-padded to a multiple
+        sign matrix is never built; every block copies its signs into a
+        prefix of one float buffer, allocated once a call, so the blocks
+        take no fresh pages.  Each block is zero-padded to a multiple
         of 8 points: OpenBLAS on one or two threads then sums every point
         with the same kernel (no remainder rows, and the thread split lands
         on a multiple of 4), so a point's value does not depend on its
@@ -521,11 +584,13 @@ class FractalFunction:
         m = np.ascontiguousarray(mantissas, dtype=np.uint64)
         a = self.weights.values(n)
         out = np.empty(m.size, dtype=np.float64)
+        buf = np.empty(n * min(_WALK_BLOCK, -(-m.size // 8) * 8), dtype=np.float64)
         for start in range(0, m.size, _WALK_BLOCK):
             block = m[start : start + _WALK_BLOCK]
             padded = np.zeros(-(-block.size // 8) * 8, dtype=np.uint64)
             padded[: block.size] = block
-            signs = sign_walk_grid(self.r, padded, n).astype(np.float64)
+            signs = buf[: n * padded.size].reshape(n, padded.size)
+            np.copyto(signs, sign_walk_grid(self.r, padded, n))
             out[start : start + block.size] = (a @ signs)[: block.size]
         return out
 
@@ -548,25 +613,30 @@ class FractalFunction:
             raise ValueError(f"h must be positive, got {h}")
         if hq >= Fraction(1, r):
             raise ValueError(f"h must be < 1/r, got {h}")
-        fy = fx + hq
-        wrapped = fy >= 1
-        if wrapped:
-            fy -= 1
-
         m = scale_index(r, hq)
-        k0 = -1 if wrapped else match_depth(r, fx, hq)
-        k0_hat = match_depth_shifted(r, fx, hq) if not wrapped else -1
+        # x, h and x+h as numerators over one even denominator, which holds
+        # x+1/2 too; x+h wraps past 1 onto rx + rh - den
+        den = math.lcm(2, fx.denominator, hq.denominator)
+        rx = fx.numerator * (den // fx.denominator)
+        rh = hq.numerator * (den // hq.denominator)
+        wrapped = rx + rh >= den
+        ry = rx + rh - den if wrapped else rx + rh
+        sx = (rx + den // 2) % den
+        k0 = -1 if wrapped else _match_depth(r, rx, ry, den, m)
+        k0_hat = -1 if wrapped or sx + rh >= den else _match_depth(r, sx, sx + rh, den, m)
         k_lin = k0 if r % 2 == 0 else min(k0, k0_hat)
         k_lin = max(k_lin, 0)
-
-        walk = self.walk_value(fx, k_lin) if k_lin else 0.0
-        linear = float(hq) * walk
 
         # evaluate to max(cert.terms, m) so the three pieces and the increment
         # truncate at the same depth; extra terms only shrink the tail.  A
         # zero weight gives 0.0 terms, which leave every fsum unchanged.
-        n_terms = max(cert.terms, m)
-        x_terms, y_terms = self._terms(fx, n_terms), self._terms(fy, n_terms)
+        a = self.weights.values(max(cert.terms, m)).tolist()
+        x_terms, rising = self._terms(a, rx, den)
+        y_terms, _ = self._terms(a, ry, den)
+        # k_lin <= m: digits of x and x+h cannot agree past the scale of h
+        walk = math.fsum(a_k if up else -a_k for a_k, up in zip(a[:k_lin], rising))
+        linear = float(hq) * walk
+
         diffs = [vy - vx for vx, vy in zip(x_terms, y_terms)]
         midrange = math.fsum(diffs[k_lin:m])  # k_lin < k <= m
         tail = math.fsum(diffs[m:])

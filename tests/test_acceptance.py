@@ -35,7 +35,9 @@ from fractalwalk import (
     functional_clt_experiment,
     lil_experiment,
     martingale_blocks,
+    match_depth,
     match_depth_grid,
+    match_depth_shifted,
     modulus_experiment,
     second_moment_profile,
     sign_walk_grid,
@@ -121,19 +123,25 @@ def test_criterion_5_increment_decomposition():
     t0 = time.perf_counter()
     eps = 1e-12
     worst = 0.0
+    depths_agree = True
     for r, expo_hi in ((2, 20), (3, 12), (10, 8)):
         f = FractalFunction(r, CONST, 1.0)
         rng = stream(5, r)
         ms = rng.integers(0, GRID, size=1_000)
         expos = rng.integers(2, expo_hi + 1, size=1_000)
         for m, e in zip(ms, expos):
-            d = f.decompose_increment(
-                Fraction(int(m), GRID), Fraction(1, r ** int(e)), eps
-            )
+            x, h = Fraction(int(m), GRID), Fraction(1, r ** int(e))
+            d = f.decompose_increment(x, h, eps)
             worst = max(worst, abs(d.residual))
+            # the decomposition finds its depths on its own integers; where
+            # x+h wraps past 1 it reports -1 for both
+            k0 = match_depth(r, x, h)
+            depths_agree &= (d.k0, d.k0_shifted) == (
+                (k0, -1) if k0 == -1 else (k0, match_depth_shifted(r, x, h)))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 4.0 * eps and elapsed < 10.0
-    detail = f"worst residual {worst:.3g} <= {4 * eps:.0e}, {elapsed:.1f}s"
+    ok = worst <= 4.0 * eps and depths_agree and elapsed < 10.0
+    detail = (f"worst residual {worst:.3g} <= {4 * eps:.0e}, match depths "
+              f"{'agree' if depths_agree else 'DIFFER'}, {elapsed:.1f}s")
     assert record_criterion(5, ok, detail), detail
 
 

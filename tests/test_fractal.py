@@ -1,4 +1,5 @@
 """Fractal surface: certified evaluation, digit machinery, increment algebra."""
+import dataclasses
 import math
 import random
 import re
@@ -198,6 +199,73 @@ def test_eval_grid_concurrent_callers_match_serial(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == want
+
+
+def _general_kernel(f, mantissas, eps):
+    """`eval_grid` on one block of the general kernel, whatever the base."""
+    scales = []
+    coef = 1.0
+    for a_k in f.weights.values(f.certificate(eps).terms):
+        scales.append(a_k * coef / float(GRID) if a_k else None)
+        coef /= f.r
+    m = np.ascontiguousarray(mantissas, dtype=np.uint64)
+    val = np.zeros(m.size)
+    fractal._eval_grid_block(m, val, scales, np.uint64(f.r))
+    return val, scales
+
+
+EDGE_MANTISSAS = [0, 1, 2, 2**51, 2**52 - 1, 2**52, 2**52 + 1, 3 * 2**51, 2**53 - 2, 2**53 - 1]
+TENT_WEIGHTS = {
+    "const": (CONST, 1.0),
+    "power:0.5": (WeightSequence.power(0.5), 0.5),
+    "power:-0.3": (WeightSequence.power(-0.3), 1.0),
+    "odd": (WeightSequence.odd_indicator(), 1.0),
+    "geometric:1.1": (WeightSequence.geometric(1.1), 0.5),
+    "mixed": (WeightSequence.explicit([1.0, 0.0, 0.3, 1.0, -2.5, 0.0, 1.0, 7.0]), 1.0),
+}
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("name", TENT_WEIGHTS)
+def test_eval_grid_tent_kernel_matches_general_kernel(name, eps):
+    """At r = 2, `eval_grid` runs the tent recursion and keeps every byte."""
+    weights, delta = TENT_WEIGHTS[name]
+    f = FractalFunction(2, weights, delta=delta)
+    mant = np.concatenate([np.array(EDGE_MANTISSAS, dtype=np.uint64),
+                           uniform_mantissas(stream(19), 20_000)])
+    want, scales = _general_kernel(f, mant, eps)
+    assert fractal._tent_exact(2, f.certificate(eps).terms, scales)
+    assert f.eval_grid(mant, eps=eps).tobytes() == want.tobytes()
+
+
+# eight-fold weight jumps every 32 terms: the energy more than quadruples
+# inside every window the tail closure looks at, so at delta = 0.5 it never
+# closes and the certificate keeps all 1056 terms
+_PAST_1022 = WeightSequence.explicit([8.0 ** (k // 32) if k % 32 == 0 else 0.0
+                                      for k in range(1, 1057)])
+TENT_GUARDS = {
+    # one term, a_1 2^-53 subnormal
+    "subnormal-scale": (WeightSequence.explicit([3e-300]), 1.0, 1e-12),
+    "past-1022-terms": (_PAST_1022, 0.5, 1e-8),
+}
+
+
+def guard_case_matches_general_kernel(name: str) -> bool:
+    """`eval_grid` at r = 2 gives the general kernel's bytes on a guard case."""
+    weights, delta, eps = TENT_GUARDS[name]
+    f = FractalFunction(2, weights, delta=delta)
+    mant = np.concatenate([np.array(EDGE_MANTISSAS, dtype=np.uint64),
+                           uniform_mantissas(stream(20), 2_000)])
+    return f.eval_grid(mant, eps=eps).tobytes() == _general_kernel(f, mant, eps)[0].tobytes()
+
+
+@pytest.mark.parametrize("name", TENT_GUARDS)
+def test_eval_grid_outside_the_tent_guard_matches_general_kernel(name):
+    weights, delta, eps = TENT_GUARDS[name]
+    f = FractalFunction(2, weights, delta=delta)
+    _, scales = _general_kernel(f, [], eps)
+    assert not fractal._tent_exact(2, f.certificate(eps).terms, scales)
+    assert guard_case_matches_general_kernel(name)
 
 
 def test_eval_grid_rejects_unreachable_eps():
@@ -441,6 +509,93 @@ def test_decompose_residual_band_random_panel():
         expo = int(rng.integers(2, 30))
         d = f.decompose_increment(x, Fraction(1, 2**expo), eps=1e-12)
         assert abs(d.residual) <= 4e-12
+
+
+def _reference_terms(f, x: Fraction, n: int) -> list:
+    num, den = x.numerator, x.denominator
+    terms = []
+    rpow = 1
+    for a_k in f.weights.values(n).tolist():
+        terms.append(a_k * (min(num, den - num) / (den * rpow)) if a_k else 0.0)
+        num = num * f.r % den
+        rpow *= f.r
+    return terms
+
+
+def _decompose_reference(f, x, h, eps):
+    """`decompose_increment` as it ran on Fractions, with the public depth functions."""
+    cert = f.certificate(eps)
+    r = f.r
+    fx = Fraction(x) % 1
+    hq = Fraction(h)
+    fy = fx + hq
+    wrapped = fy >= 1
+    if wrapped:
+        fy -= 1
+    m = scale_index(r, hq)
+    k0 = -1 if wrapped else match_depth(r, fx, hq)
+    k0_hat = match_depth_shifted(r, fx, hq) if not wrapped else -1
+    k_lin = max(k0 if r % 2 == 0 else min(k0, k0_hat), 0)
+    walk = float(math.fsum(f.weights.values(k_lin) * sign_walk(r, fx, k_lin))) if k_lin else 0.0
+    linear = float(hq) * walk
+    n_terms = max(cert.terms, m)
+    x_terms, y_terms = _reference_terms(f, fx, n_terms), _reference_terms(f, fy, n_terms)
+    diffs = [vy - vx for vx, vy in zip(x_terms, y_terms)]
+    midrange = math.fsum(diffs[k_lin:m])
+    tail = math.fsum(diffs[m:])
+    increment = math.fsum(y_terms) - math.fsum(x_terms)
+    return fractal.IncrementDecomposition(
+        x=float(fx), h=float(hq), eps=float(eps), m=m, k0=k0, k0_shifted=k0_hat,
+        k_lin=k_lin, terms=cert.terms, walk_value=walk, linear=linear, midrange=midrange,
+        tail=tail, increment=increment, residual=increment - (linear + midrange + tail),
+    )
+
+
+def _fields(d) -> list:
+    """Every field, floats as hex, so bytes and the sign of zero count."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(d)]
+
+
+def test_decompose_increment_matches_reference_at_criterion_5_points():
+    for r, expo_hi in ((2, 20), (3, 12), (10, 8)):
+        f = FractalFunction(r, CONST, 1.0)
+        rng = stream(5, r)
+        ms = rng.integers(0, GRID, size=1_000)
+        expos = rng.integers(2, expo_hi + 1, size=1_000)
+        for m, e in zip(ms, expos):
+            x, h = Fraction(int(m), GRID), Fraction(1, r ** int(e))
+            assert _fields(f.decompose_increment(x, h)) == \
+                _fields(_decompose_reference(f, x, h, 1e-12)), (r, x, h)
+
+
+DECOMPOSE_WEIGHTS = [
+    (CONST, 1.0),
+    (WeightSequence.power(0.5), 0.5),
+    (WeightSequence.odd_indicator(), 1.0),
+    (WeightSequence.explicit([1.0, 0.0, -2.0, 0.5, 0.0, 0.0, 3.0]), 1.0),
+]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 10])
+def test_decompose_increment_matches_reference(r):
+    """Wrapped x+h, h off the powers of 1/r, x = 0 and 1/2, floats and Fractions."""
+    rng = random.Random(r)
+    cases = [(0, Fraction(1, r**3)), (Fraction(1, 2), Fraction(1, r**2)),
+             (Fraction(1, 2), Fraction(1, 3 * r)), (0.0, 1e-3 / r),
+             (Fraction(r - 1, r), Fraction(1, 2 * r)), (0.999, Fraction(1, r**4))]
+    for _ in range(60):
+        den = rng.randint(2, 10 ** rng.randint(1, 25))
+        x = Fraction(rng.randint(-den, 2 * den), den) if rng.random() < 0.7 else rng.random()
+        h = Fraction(1, r ** rng.randint(2, 30)) if rng.random() < 0.4 else \
+            Fraction(rng.randint(1, den - 1), den * r)
+        cases.append((x, h))
+    for weights, delta in DECOMPOSE_WEIGHTS:
+        f = FractalFunction(r, weights, delta=delta)
+        for eps in (1e-12, 1e-6):
+            for x, h in cases:
+                assert _fields(f.decompose_increment(x, h, eps)) == \
+                    _fields(_decompose_reference(f, x, h, eps)), (x, h, eps)
+    assert any(Fraction(x) % 1 + Fraction(h) >= 1 for x, h in cases)
 
 
 _F = FractalFunction(2, CONST, 1.0)

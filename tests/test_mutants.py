@@ -37,6 +37,7 @@ from fractalwalk.experiments import UsageError, manifest, normalize_config
 from finite_depth import grid_difference, increment_law
 from test_blocking import gordin_tail_covers_truncation
 from test_cli import _GOLDEN_OUTPUTS, _LIBRARY_CALLS
+from test_fractal import guard_case_matches_general_kernel
 from test_limits import POWER, _signs, fclt_moments_match_exact, screen_matches_histogram
 from test_rng import LEFT_PART_WAY, rekeyed_draws_match
 from test_walks import CONST, clock_matches_lfilter
@@ -162,6 +163,17 @@ def _eval_grid_block_without_term_5(m, val, scales, ru):
     _EVAL_GRID_BLOCK(m, val, [None if k == 4 else s for k, s in enumerate(scales)], ru)
 
 
+_EVAL_TENT_BLOCK = fractal._eval_tent_block
+
+
+def _eval_tent_block_without_term_5(m, val, a):
+    _EVAL_TENT_BLOCK(m, val, [0.0 if k == 4 else a_k for k, a_k in enumerate(a)])
+
+
+def _tent_exact_without_guard(r, terms, scales):
+    return r == 2
+
+
 _EXACT_MANTISSA_STEP = experiments._exact_mantissa_step
 
 
@@ -196,13 +208,15 @@ def _screen_sees_a_jump() -> bool:
     return screen_matches_histogram([-0.85, 0.85])
 
 
-def _increments_follow_exact_law() -> bool:
-    # criterion 7 at h = 2^-8 on 5000 points
-    f = FractalFunction(2, CONST, 1.0)
-    h = Fraction(1, 2**8)
-    mx = rng.uniform_mantissas(rng.stream(0), 5000)
-    fit = increment_law(2, 8).distance_to_sample(grid_difference(f, mx, h) / float(h))
-    return fit <= float(kstwo.isf(ALPHA, mx.size))
+def _increments_follow_exact_law(r: int) -> Callable[[], bool]:
+    def check() -> bool:
+        # criterion 7 at h = r^-8 on 5000 points
+        f = FractalFunction(r, CONST, 1.0)
+        h = Fraction(1, r**8)
+        mx = rng.uniform_mantissas(rng.stream(0), 5000)
+        fit = increment_law(r, 8).distance_to_sample(grid_difference(f, mx, h) / float(h))
+        return fit <= float(kstwo.isf(ALPHA, mx.size))
+    return check
 
 
 def _lil_walk_matches_oracle() -> bool:
@@ -323,6 +337,7 @@ _AROUND_THE_DRAWS = "walk_mc's work around the Philox draws cut, bit for bit"
 _FINITE_SIZE = "finite-size references for criteria 7, 8 and 10, commit b246b1f"
 _WRITTEN_ONCE = "lil/chung clock checks and the tail closure written once, commit 094f4dc"
 _ONE_DRAW = "one sign draw for every walk, each block a fresh array"
+_TENT = "r = 2 grid terms on the exact tent recursion"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -369,7 +384,8 @@ MUTANTS = {
     "eval-grid-drops-term-5": Mutant(
         _FINITE_SIZE,
         _on_module(fractal, "_eval_grid_block", _eval_grid_block_without_term_5),
-        _increments_follow_exact_law,
+        # r = 3: at r = 2 eval_grid runs the tent kernel instead
+        _increments_follow_exact_law(3),
     ),
     "lil-walk-over-sqrt-3": Mutant(
         _FINITE_SIZE,
@@ -407,6 +423,17 @@ MUTANTS = {
         _ONE_DRAW,
         _on_module(experiments, "_prefix_sums", _prefix_sums_adding_the_carry_after),
         _walk_blocks_match_whole_path,
+    ),
+    "eval-grid-tent-drops-term-5": Mutant(
+        _TENT,
+        _on_module(fractal, "_eval_tent_block", _eval_tent_block_without_term_5),
+        _increments_follow_exact_law(2),
+    ),
+    "tent-kernel-without-guard": Mutant(
+        _TENT, _on_module(fractal, "_tent_exact", _tent_exact_without_guard),
+        # one weight whose scale a_1 2^-53 is subnormal, so the general kernel
+        # rounds it where the tent kernel's a_1 e_1 does not
+        lambda: guard_case_matches_general_kernel("subnormal-scale"),
     ),
 }
 
