@@ -305,7 +305,12 @@ def _clock(params: WalkParams, normalization: str = "exact_s") -> np.ndarray:
 
 
 def _quantiles(x: np.ndarray, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> list[float]:
-    return [float(v) for v in np.quantile(x, qs)]
+    # np.quantile partitions its input for each quantile, which on a sorted
+    # copy is a quick pass (3.3 ms against 4.8 ms at 200k normals).  The order
+    # statistics are the same numbers, so the quantiles are too; only a -0.0
+    # among +0.0 may come out with the other sign, and the callers' samples
+    # hold no -0.0: grid values and walk sums that cancel give +0.0
+    return [float(v) for v in np.quantile(np.sort(x), qs)]
 
 
 # -- long paths, one block at a time --------------------------------------------
@@ -751,7 +756,9 @@ def modulus_experiment(
     slope-walk correspondence: quantiles of (f(x+h) - f(x))/h - w_{m(h)}(x).
     KS verdicts apply only for m(h) >= 2; at m = 1 there are no asymptotics
     and the row is report-only.  sigma is f's own variance profile, to one
-    level past the smallest h.
+    level past the smallest h.  The scales run on one thread per usable CPU,
+    smallest h first; each row depends only on its h and its stream, so the
+    report depends neither on the CPU count nor on the order.
     """
     config = _config("modulus", f, h_grid=h_grid, x_samples=x_samples, seed=seed,
                      ks_tol=ks_tol, eps=eps)
@@ -766,22 +773,30 @@ def modulus_experiment(
     if hs[0] >= Fraction(1, f.r) or hs[-1] <= 0:
         raise ValueError(f"h_grid must lie inside (0, 1/{f.r})")
     profile = variance_profile(f.r, f.weights, scale_index(f.r, hs[-1]) + 1)
+    steps = [np.uint64(_exact_mantissa_step(hq)) for hq in hs]
+    # the rows' eval_grid calls then read the certificate and never fill it
+    f._certified(eps)
 
-    report = _new_report(config)
-    rows = []
-    for i, hq in enumerate(hs):
-        rng = stream(seed, i)
-        mx = uniform_mantissas(rng, x_samples)
-        my = (mx + np.uint64(_exact_mantissa_step(hq))) & np.uint64(GRID - 1)
+    def scale_row(i: int) -> tuple:
+        """Scale i's statistics: KS distance and residual quantiles."""
+        hq = hs[i]
+        mx = uniform_mantissas(stream(seed, i), x_samples)
         vx = f.eval_grid(mx, eps)
-        vy = f.eval_grid(my, eps)
+        vy = f.eval_grid((mx + steps[i]) & np.uint64(GRID - 1), eps)
         m = scale_index(f.r, hq)
         sig = profile.sigma_l(hq)
-        h_float = float(hq)
-        inc = (vy - vx) / h_float
+        inc = (vy - vx) / float(hq)
         ks = ks_statistic(inc / math.sqrt(sig))
-        walk = f.walk_value_grid(mx, m)
-        resid_q = _quantiles(inc - walk)
+        inc -= f.walk_value_grid(mx, m)
+        return m, sig, ks, _quantiles(inc)
+
+    # a row's walk takes m(h) terms, so the rows grow dearer down the grid;
+    # queued dearest first, the last row to finish is a cheap one
+    last = len(hs) - 1
+    stats = _map_threads(lambda j: scale_row(last - j), len(hs))[::-1]
+    report = _new_report(config)
+    rows = []
+    for i, (hq, (m, sig, ks, resid_q)) in enumerate(zip(hs, stats)):
         label = f"h=r^-{m}" if hq * f.r**m == 1 else f"h~r^-{m}"
         tol = {"max": ks_tol} if m >= 2 else None
         report.statistics.append(
@@ -852,9 +867,14 @@ def functional_clt_experiment(
     paths = np.empty((len(ts), x_samples))
     for row, i in enumerate(idx):
         hq = Fraction(1, f.r**i)
-        my = (mx + np.uint64(_exact_mantissa_step(hq))) & np.uint64(GRID - 1)
-        vy = f.eval_grid(my, eps)
-        paths[row] = (vy - vx) / (float(hq) * sqrt_vn)
+        step = np.uint64(_exact_mantissa_step(hq))
+        # in place, so no array the size of the sample outlives its row
+        vy = f.eval_grid((mx + step) & np.uint64(GRID - 1), eps)
+        vy -= vx
+        np.divide(vy, float(hq) * sqrt_vn, out=paths[row])
+        del vy
+    # the moments below read the paths only, and np.cov copies two rows
+    del mx, vx
 
     report = _new_report(config)
     rows = []

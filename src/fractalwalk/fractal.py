@@ -34,6 +34,7 @@ import math
 import os
 import queue
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,11 +101,29 @@ def _check_grid_base(r: int) -> np.uint64:
     return np.uint64(r)
 
 
+def _check_mantissas(m: np.ndarray) -> np.ndarray:
+    """m, a uint64 array, refused unless every mantissa lies on the grid.
+
+    Grid points are x = m * 2^-53 with 0 <= m < 2^53; a larger m is no point
+    of [0, 1), and the grid kernels would return numbers no sawtooth sum can
+    take for it.
+    """
+    if m.size and m.max() >= _GRID:
+        raise ValueError(
+            f"grid mantissas must lie below 2^{MANTISSA_BITS}, got {int(m.max())}"
+        )
+    return m
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# set on a thread while it runs the fn of a `_map_threads` call
+_mapping = threading.local()
 
 
 def _map_threads(fn, count: int) -> list:
@@ -115,9 +134,15 @@ def _map_threads(fn, count: int) -> list:
     cost `eval_grid` up to 5 ms a call on a 2-vCPU VM, and it takes over the
     indices of a helper that starts late.  The helper threads live for this
     call only.
+
+    Calls do not nest: an fn that maps again, as `modulus_experiment`'s rows
+    do through `eval_grid`, runs that inner map on its own thread, so no more
+    threads compute than there are CPUs.  Nested helpers would put N^2 on N
+    CPUs; on a 2-vCPU VM the fractal_grid benchmark's modulus sweeps took
+    0.81 s with them against 0.69 s flat (medians over fresh processes).
     """
     threads = min(_usable_cpus(), count)
-    if threads <= 1:
+    if threads <= 1 or getattr(_mapping, "active", False):
         return [fn(i) for i in range(count)]
     todo = queue.SimpleQueue()
     for i in range(count):
@@ -125,12 +150,16 @@ def _map_threads(fn, count: int) -> list:
     out = [None] * count
 
     def drain() -> None:
-        while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-            out[i] = fn(i)
+        _mapping.active = True
+        try:
+            while True:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                out[i] = fn(i)
+        finally:
+            _mapping.active = False
 
     with ThreadPoolExecutor(threads - 1) as pool:
         helpers = [pool.submit(drain) for _ in range(threads - 1)]
@@ -176,7 +205,7 @@ def sign_walk_grid(r: int, mantissas: np.ndarray, n: int) -> np.ndarray:
     """
     ru = _check_grid_base(r)
     n = _as_int(n, "n", 1)
-    res = np.array(mantissas, dtype=np.uint64, ndmin=1)
+    res = _check_mantissas(np.array(mantissas, dtype=np.uint64, ndmin=1))
     out = np.empty((n, res.size), dtype=np.int8)
     rising = out.view(bool)
     for k in range(n):
@@ -253,7 +282,7 @@ def match_depth_grid(r: int, mantissas: np.ndarray, ell: int) -> np.ndarray:
     """
     ru = _check_grid_base(r)
     ell = _as_int(ell, "ell", 1)
-    m = np.ascontiguousarray(mantissas, dtype=np.uint64)
+    m = _check_mantissas(np.ascontiguousarray(mantissas, dtype=np.uint64))
     top = np.uint64(int(ru) - 1)
     last_nonmax = np.zeros(m.size, dtype=np.int64)
     res = m.copy()
@@ -326,6 +355,18 @@ def _tent_exact(r: int, terms: int, scales: list) -> bool:
     return r == 2 and terms <= 1022 and all(
         s is None or abs(s) >= sys.float_info.min for s in scales
     )
+
+
+def _integer_weights(a: np.ndarray) -> list[int] | None:
+    """a as Python ints if every a_k is an integer and sum |a_k| <= 2^53, else None.
+
+    Under both conditions every partial sum of the a_k psi_k is an integer of
+    size at most 2^53, exact in float64, so the walk needs no float product.
+    """
+    if not (np.isfinite(a).all() and (a == np.trunc(a)).all()):
+        return None
+    ints = [int(a_k) for a_k in a.tolist()]
+    return ints if sum(map(abs, ints)) <= GRID else None
 
 
 # -- certified evaluation -----------------------------------------------------
@@ -533,7 +574,7 @@ class FractalFunction:
         """
         cert, _ = self._certified(eps)
         ru = _check_grid_base(self.r)
-        m = np.ascontiguousarray(mantissas, dtype=np.uint64)
+        m = _check_mantissas(np.ascontiguousarray(mantissas, dtype=np.uint64))
         a = self.weights.values(cert.terms)
         # a_k r^{1-k} / 2^53 for k = 1..terms, None where a_k = 0 (skipped)
         scales = []
@@ -566,24 +607,49 @@ class FractalFunction:
         """w_n at grid points x = m * 2^-53: a @ sign_walk_grid(r, m, n).
 
         Points are taken `_WALK_BLOCK` at a time, so the full (n, len(m))
-        sign matrix is never built; every block copies its signs into a
-        prefix of one float buffer, allocated once a call, so the blocks
-        take no fresh pages.  Each block is zero-padded to a multiple
-        of 8 points: OpenBLAS on one or two threads then sums every point
-        with the same kernel (no remainder rows, and the thread split lands
-        on a multiple of 4), so a point's value does not depend on its
-        position or on how many points come with it.
+        sign matrix is never built.  Where `_integer_weights` admits the
+        weights, each block's int8 sign rows are summed in the narrowest
+        integer type that holds sum |a_k|.  Every partial sum is then an
+        integer of size at most 2^53, so the result is the exact w_n, the
+        number the float product gives in any order; and no BLAS thread is
+        woken.  At n = 48 a 16384-point block took 0.25 ms in int16, against
+        8.0 ms for OpenBLAS's threaded dgemv and 0.30 ms for it on one BLAS
+        thread (medians of 15 in a fresh process, 2-vCPU Xeon VM).
 
-        It stays on one Python thread, unlike `eval_grid`: its per-row ops
-        span one block row and are too short to overlap under the GIL, and
-        the product already runs on OpenBLAS threads.  Two contiguous shares
-        on two threads took 32-38 ms against 29 ms on one (n = 48, 200k
-        points, medians of 15).
+        Other weights take the float product.  Every block copies its signs
+        into a prefix of one float buffer, allocated once a call, and is
+        zero-padded to a multiple of 8 points: OpenBLAS on one or two threads
+        then sums every point with the same kernel (no remainder rows, and
+        the thread split lands on a multiple of 4), so a point's value does
+        not depend on its position or on how many points come with it.
+
+        The blocks run on the calling thread: their per-row ops span one
+        block row and are too short to overlap under the GIL.
+        `modulus_experiment` runs its scales on one thread per CPU instead.
         """
         _check_grid_base(self.r)
-        m = np.ascontiguousarray(mantissas, dtype=np.uint64)
+        m = _check_mantissas(np.ascontiguousarray(mantissas, dtype=np.uint64))
         a = self.weights.values(n)
+        ints = _integer_weights(a)
         out = np.empty(m.size, dtype=np.float64)
+        if ints is not None:
+            total = sum(map(abs, ints))
+            acc_type = next(t for t in (np.int16, np.int32, np.int64)
+                            if total <= np.iinfo(t).max)
+            for start in range(0, m.size, _WALK_BLOCK):
+                signs = sign_walk_grid(self.r, m[start : start + _WALK_BLOCK], n)
+                acc = np.zeros(signs.shape[1], dtype=acc_type)
+                tmp = np.empty_like(acc)
+                for a_k, row in zip(ints, signs):
+                    if a_k == 1:
+                        acc += row
+                    elif a_k == -1:
+                        acc -= row
+                    elif a_k:
+                        np.multiply(row, acc_type(a_k), out=tmp)
+                        acc += tmp
+                out[start : start + acc.size] = acc
+            return out
         buf = np.empty(n * min(_WALK_BLOCK, -(-m.size // 8) * 8), dtype=np.float64)
         for start in range(0, m.size, _WALK_BLOCK):
             block = m[start : start + _WALK_BLOCK]

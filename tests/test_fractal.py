@@ -201,6 +201,19 @@ def test_eval_grid_concurrent_callers_match_serial(monkeypatch):
     assert got == want
 
 
+def test_nested_map_starts_no_helpers_on_4_cpus(monkeypatch):
+    """A map inside a mapped fn starts no helpers, and the flag that says so
+    is down again once the outer map returns."""
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 4)
+
+    def outer(i):
+        return threading.get_ident(), fractal._map_threads(lambda j: threading.get_ident(), 3)
+
+    for ident, inner in fractal._map_threads(outer, 4):
+        assert inner == [ident] * 3
+    assert not getattr(fractal._mapping, "active", False)
+
+
 def _general_kernel(f, mantissas, eps):
     """`eval_grid` on one block of the general kernel, whatever the base."""
     scales = []
@@ -388,6 +401,67 @@ def test_walk_value_grid_does_not_depend_on_the_batch(n):
     for lo, hi in [(0, 1), (3, 8), (5, B + 4), (B - 3, 3 * B + 1)]:
         got = f.walk_value_grid(mant[lo:hi], n)
         assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+def _walk_value_gemv(f, mant, n):
+    """The float product walk_value_grid takes for weights it cannot sum as integers."""
+    return f.weights.values(n) @ sign_walk_grid(f.r, mant, n).astype(float)
+
+
+_INTEGER_WEIGHTS = {
+    "const": "const",
+    "const-3": "const:3",
+    "alternating": "alternating",
+    "odd-zero-weights": "odd",
+    # int32 sums
+    "explicit": "explicit:-7,0,12,1,-1,300,-40000,5",
+    # sum |a_k| = 2^53 exactly, the largest the integer path takes, in int64
+    "explicit-2^53": f"explicit:{2**51},{-2**51},{2**51},{2**51 - 1},1",
+}
+
+
+@pytest.mark.parametrize("spec", _INTEGER_WEIGHTS.values(), ids=_INTEGER_WEIGHTS)
+@pytest.mark.parametrize("r", [2, 3])
+def test_walk_value_grid_integer_weights_give_the_gemv_bytes(spec, r):
+    weights = WeightSequence.from_spec(spec)
+    n = weights.length or 40
+    assert fractal._integer_weights(weights.values(n)) is not None
+    f = FractalFunction(r, weights)
+    mant = uniform_mantissas(stream(21), _WALK_BLOCK + 13)
+    assert f.walk_value_grid(mant, n).tobytes() == _walk_value_gemv(f, mant, n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["power:0.5", f"explicit:{2**52},{2**52 - 1},2", "explicit:1,0.5", "explicit:1,1e300,-1e300"],
+    ids=["power", "sum-2^53+1", "half", "sum-overflows"],
+)
+def test_walk_value_grid_other_weights_take_the_gemv_path(spec):
+    weights = WeightSequence.from_spec(spec)
+    n = weights.length or 40
+    assert fractal._integer_weights(weights.values(n)) is None
+    f = FractalFunction(2, weights, delta=0.5)
+    mant = uniform_mantissas(stream(22), 2 * _WALK_BLOCK + 8)
+    assert f.walk_value_grid(mant, n).tobytes() == _walk_value_gemv(f, mant, n).tobytes()
+
+
+_OFF_GRID = [2**53 + 5, 2**60, 2**64 - 1]
+
+
+@pytest.mark.parametrize("m", _OFF_GRID)
+@pytest.mark.parametrize("r", [2, 3])
+def test_grid_functions_refuse_mantissas_past_the_grid(r, m):
+    f = FractalFunction(r, CONST)
+    mant = np.array([0, m, 5], dtype=np.uint64)
+    calls = [
+        lambda: f.eval_grid(mant),
+        lambda: f.walk_value_grid(mant, 3),
+        lambda: sign_walk_grid(r, mant, 3),
+        lambda: match_depth_grid(r, mant, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^grid mantissas must lie below 2\\^53, got {m}$"):
+            call()
 
 
 def test_scale_index():

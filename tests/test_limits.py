@@ -150,6 +150,34 @@ def test_ks_statistic_on_exact_quantiles():
     assert ks_statistic(x) < 1e-3
 
 
+_QUANTILE_SAMPLES = {
+    "normal": lambda rng: rng.standard_normal(1001),
+    # few distinct values, so most quantiles fall between equal ones
+    "ties": lambda rng: rng.integers(-3, 4, 2000).astype(float),
+    "nan": lambda rng: np.r_[rng.standard_normal(500), np.nan, rng.standard_normal(99)],
+    "all-nan": lambda rng: np.full(20, np.nan),
+    "one": lambda rng: np.array([2.5]),
+}
+
+
+@pytest.mark.parametrize("kind", _QUANTILE_SAMPLES)
+def test_quantiles_match_numpy_on_the_unsorted_input(kind):
+    x = _QUANTILE_SAMPLES[kind](np.random.default_rng(7))
+    before = x.copy()
+    want = np.quantile(x, (0.05, 0.25, 0.5, 0.75, 0.95))
+    assert np.array(experiments._quantiles(x)).tobytes() == want.tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+def test_quantiles_of_signed_zeros_match_numpy_in_value():
+    # -0.0 == 0.0, so a sort may leave either zero where a partition leaves
+    # the other: the quantiles agree as numbers but not always in sign
+    x = np.array([0.0, 0.0, -1.0, 0.0, 1.0, 0.5, 0.5, -0.0, 0.0, 1.0, 0.5, -1.0, 0.0,
+                  -1.0, -0.0, -0.0, 1.0, 0.5, 0.5])
+    want = np.quantile(x, (0.05, 0.25, 0.5, 0.75, 0.95))
+    assert np.array_equal(experiments._quantiles(x), want)
+
+
 def test_ks_statistic_degenerate_and_small():
     assert ks_statistic(np.zeros(50)) == pytest.approx(0.5)
     assert math.isnan(ks_statistic(np.r_[np.zeros(49), np.nan]))

@@ -37,7 +37,7 @@ from fractalwalk.experiments import UsageError, manifest, normalize_config
 from finite_depth import grid_difference, increment_law
 from test_blocking import gordin_tail_covers_truncation
 from test_cli import _GOLDEN_OUTPUTS, _LIBRARY_CALLS
-from test_fractal import guard_case_matches_general_kernel
+from test_fractal import _walk_value_gemv, guard_case_matches_general_kernel
 from test_limits import POWER, _signs, fclt_moments_match_exact, screen_matches_histogram
 from test_rng import LEFT_PART_WAY, rekeyed_draws_match
 from test_walks import CONST, clock_matches_lfilter
@@ -172,6 +172,17 @@ def _eval_tent_block_without_term_5(m, val, a):
 
 def _tent_exact_without_guard(r, terms, scales):
     return r == 2
+
+
+def _integer_weights_rounding(a):
+    """`fractal._integer_weights` that admits every weight, rounded to an integer."""
+    return [round(a_k) for a_k in a.tolist()]
+
+
+def _walk_value_grid_matches_gemv() -> bool:
+    f = FractalFunction(3, WeightSequence.power(0.5), 0.5)
+    mant = rng.uniform_mantissas(rng.stream(16), 64)
+    return f.walk_value_grid(mant, 20).tobytes() == _walk_value_gemv(f, mant, 20).tobytes()
 
 
 _EXACT_MANTISSA_STEP = experiments._exact_mantissa_step
@@ -338,6 +349,7 @@ _FINITE_SIZE = "finite-size references for criteria 7, 8 and 10, commit b246b1f"
 _WRITTEN_ONCE = "lil/chung clock checks and the tail closure written once, commit 094f4dc"
 _ONE_DRAW = "one sign draw for every walk, each block a fresh array"
 _TENT = "r = 2 grid terms on the exact tent recursion"
+_INTEGER_WALKS = "modulus scales on threads, integer-weight slope walks summed exactly"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -434,6 +446,10 @@ MUTANTS = {
         # one weight whose scale a_1 2^-53 is subnormal, so the general kernel
         # rounds it where the tent kernel's a_1 e_1 does not
         lambda: guard_case_matches_general_kernel("subnormal-scale"),
+    ),
+    "integer-walk-takes-any-weights": Mutant(
+        _INTEGER_WALKS, _on_module(fractal, "_integer_weights", _integer_weights_rounding),
+        _walk_value_grid_matches_gemv,
     ),
 }
 

@@ -5,20 +5,34 @@ import json
 import numpy as np
 import pytest
 
+import sys
+import threading
+
 from fractalwalk import (
     ExperimentReport,
+    FractalFunction,
     SeedManifest,
     WalkParams,
     WeightSequence,
     chung_experiment,
     clt_experiment,
+    functional_clt_experiment,
     lil_experiment,
+    modulus_experiment,
     statistic,
 )
 from fractalwalk import experiments, fractal
 from fractalwalk.reports import canonical_json, config_hash, make_manifest
 
 CONST = WeightSequence.constant()
+POWER = WeightSequence.from_spec("power:0.5")
+
+
+def _modulus(r, weights, delta):
+    # three scales of each base, the middle one not a power of r
+    hs = [f"{r}^-2", f"1/{r**5 + 1}", f"{r}^-9"]
+    return lambda: modulus_experiment(FractalFunction(r, weights, delta), hs,
+                                      x_samples=5000, seed=4)
 
 
 def test_tolerance_verdicts():
@@ -84,15 +98,44 @@ def test_rerun_is_bit_identical():
                                replicas=1001, seed=4),
         lambda: lil_experiment(WalkParams(0.75, CONST, 100_000), replicas=5, seed=4),
         lambda: chung_experiment(WalkParams(0.75, CONST, 100_000), replicas=5, seed=4),
+        _modulus(2, CONST, 1.0),
+        _modulus(3, CONST, 1.0),
+        _modulus(2, POWER, 0.5),
+        _modulus(3, POWER, 0.5),
+        lambda: functional_clt_experiment(FractalFunction(2, CONST, 1.0), n=12,
+                                          x_samples=3000, seed=4),
     ],
-    ids=["clt", "clt-power-1001", "lil", "chung"],
+    ids=["clt", "clt-power-1001", "lil", "chung", "modulus-r2", "modulus-r3",
+         "modulus-r2-power", "modulus-r3-power", "fclt"],
 )
 def test_workers_do_not_change_results(run, monkeypatch):
-    # the replicas run on one thread per usable CPU
+    # the replicas, and modulus's scales, run on one thread per usable CPU
     monkeypatch.setattr(fractal, "_usable_cpus", lambda: 1)
     one = run().to_json()
     monkeypatch.setattr(fractal, "_usable_cpus", lambda: 3)
     assert run().to_json() == one
+
+
+def test_modulus_on_8_cpus_with_fast_thread_switches_matches_serial(monkeypatch):
+    """Three scales on three threads, each eval_grid on eight blocks and
+    threads, switched as often as the interpreter allows: the report keeps
+    the serial bytes."""
+    run = _modulus(3, POWER, 0.5)
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 1)
+    want = run().to_json()
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(fractal, "_EVAL_BLOCK", 625)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(run().to_json()), daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "modulus did not finish within 120 s"
+    assert got == [want]
 
 
 def test_clt_chunk_size_does_not_change_results(monkeypatch):
