@@ -38,6 +38,10 @@ from __future__ import annotations
 import bisect
 import inspect
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -45,7 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .blocking import build_blocks
-from .fractal import FractalFunction, _check_base, _exact, _map_threads, scale_index
+from . import fractal
+from .fractal import FractalFunction, _check_base, _exact, scale_index
 from .reports import ExperimentReport, SeedManifest, make_manifest, statistic
 from .rng import GRID, _streams, stream, uniform_mantissas
 from .walks import (
@@ -84,6 +89,60 @@ _PRECONDITION_TOL = 0.05
 
 class RegularVariationError(ValueError):
     """The variance profile is not regularly varying with the claimed index."""
+
+
+# -- threads ------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_threads(fn, count: int) -> list:
+    """[fn(i) for i in range(count)], in index order, on one thread per usable CPU.
+
+    The calling thread is one of them and takes indices from the same queue:
+    it starts at once instead of waiting for a fresh thread to start, which
+    cost up to 5 ms a call on a 2-vCPU VM, and it takes over the indices of
+    a helper that starts late.  The helper threads live for this call only.
+    A call that raises empties the queue, so the other threads start no
+    further call and the error (a Ctrl-C too) surfaces once their current
+    calls end.  Every experiment maps its independent work once, and the
+    kernels its fn calls run on the calling thread, so no more threads
+    compute than there are CPUs.
+    """
+    threads = min(_usable_cpus(), count)
+    if threads <= 1:
+        return [fn(i) for i in range(count)]
+    todo = queue.SimpleQueue()
+    for i in range(count):
+        todo.put(i)
+    out = [None] * count
+
+    def drain() -> None:
+        try:
+            while True:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                out[i] = fn(i)
+        except BaseException:
+            # the other threads then find no index left
+            with suppress(queue.Empty):
+                while True:
+                    todo.get_nowait()
+            raise
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
+    return out
 
 
 # -- variance profile ---------------------------------------------------------
@@ -453,8 +512,8 @@ def _walks_and_oracles(params: WalkParams, replicas: int, seed: int, s_sq: np.nd
 
     Walk i draws from stream (seed, i) and its oracle from (seed, replicas + i);
     a reducer takes a path's running sums as (start, block) pairs, and the
-    results come back in replica order.  The replicas run on one thread per
-    usable CPU (at most `replicas`).
+    results come back in replica order.  The walks and then the oracles run
+    as one map, on one thread per usable CPU (at most 2 * `replicas`).
     """
     gaps = np.diff(s_sq, prepend=0.0)
     if np.any(gaps < 0):
@@ -462,13 +521,13 @@ def _walks_and_oracles(params: WalkParams, replicas: int, seed: int, s_sq: np.nd
     step_sd = np.sqrt(gaps)
     a = params.weights.values(params.horizon)
 
-    def walk_one(i: int):
-        return walk_reduce(_prefix_sums(_walk_steps(stream(seed, i), params.p, a)))
+    def path(i: int):
+        if i < replicas:
+            return walk_reduce(_prefix_sums(_walk_steps(stream(seed, i), params.p, a)))
+        return oracle_reduce(_prefix_sums(_oracle_steps(stream(seed, i), step_sd)))
 
-    def oracle_one(i: int):
-        return oracle_reduce(_prefix_sums(_oracle_steps(stream(seed, replicas + i), step_sd)))
-
-    return _map_threads(walk_one, replicas), _map_threads(oracle_one, replicas)
+    out = _map_threads(path, 2 * replicas)
+    return out[:replicas], out[replicas:]
 
 
 def _terminals(walk, oracle) -> dict:
@@ -756,9 +815,9 @@ def modulus_experiment(
     slope-walk correspondence: quantiles of (f(x+h) - f(x))/h - w_{m(h)}(x).
     KS verdicts apply only for m(h) >= 2; at m = 1 there are no asymptotics
     and the row is report-only.  sigma is f's own variance profile, to one
-    level past the smallest h.  The scales run on one thread per usable CPU,
-    smallest h first; each row depends only on its h and its stream, so the
-    report depends neither on the CPU count nor on the order.
+    level past the smallest h.  Each scale is one task, grid calls and all,
+    on one thread per usable CPU, smallest h first; it depends only on its h
+    and stream, so the report depends neither on the CPU count nor on order.
     """
     config = _config("modulus", f, h_grid=h_grid, x_samples=x_samples, seed=seed,
                      ks_tol=ks_tol, eps=eps)
@@ -834,7 +893,9 @@ def functional_clt_experiment(
     covariance.  For r = 2 and unit weights the covariance of indices i < j
     falls short of i/V_n by (2 - 2^{1-i})/V_n up to O(2^{i-j}), which puts
     Cov(t=0.5, t=1) at n = 40 at 0.45000, the floor of the default band.
-    V is f's own variance profile to depth n.
+    V is f's own variance profile to depth n.  The points run in blocks of
+    `fractal._EVAL_BLOCK` on one thread per usable CPU; no number depends on
+    the block or thread that computes it.
     """
     config = _config("fclt", f, beta=beta, n=n, t_grid=t_grid, x_samples=x_samples,
                      seed=seed, var_tol=var_tol, eps=eps)
@@ -862,19 +923,25 @@ def functional_clt_experiment(
             )
 
     mx = uniform_mantissas(stream(seed, 0), x_samples)
-    vx = f.eval_grid(mx, eps)
     sqrt_vn = math.sqrt(v_n)
+    hs = [Fraction(1, f.r**i) for i in idx]
+    steps = [np.uint64(_exact_mantissa_step(hq)) for hq in hs]
     paths = np.empty((len(ts), x_samples))
-    for row, i in enumerate(idx):
-        hq = Fraction(1, f.r**i)
-        step = np.uint64(_exact_mantissa_step(hq))
-        # in place, so no array the size of the sample outlives its row
-        vy = f.eval_grid((mx + step) & np.uint64(GRID - 1), eps)
-        vy -= vx
-        np.divide(vy, float(hq) * sqrt_vn, out=paths[row])
-        del vy
+    block = fractal._EVAL_BLOCK
+    # the blocks' eval_grid calls then read the certificate and never fill it
+    f._certified(eps)
+
+    def fill(b: int) -> None:
+        part = slice(b * block, (b + 1) * block)
+        vx = f.eval_grid(mx[part], eps)
+        for row, (hq, step) in enumerate(zip(hs, steps)):
+            vy = f.eval_grid((mx[part] + step) & np.uint64(GRID - 1), eps)
+            vy -= vx
+            np.divide(vy, float(hq) * sqrt_vn, out=paths[row, part])
+
+    _map_threads(fill, -(-x_samples // block))
     # the moments below read the paths only, and np.cov copies two rows
-    del mx, vx
+    del mx
 
     report = _new_report(config)
     rows = []

@@ -11,10 +11,10 @@ sequence.  Everything here is organized around exact base-r digit arithmetic:
   tracks frac(r^{k-1} x) exactly for r <= 2048 (r * 2^53 < 2^64).  The grid
   evaluators take the points in blocks with buffers of block size, so every
   term is a pass over cache-resident arrays rather than a fresh allocation
-  the size of the input.  `eval_grid` runs its blocks on one thread per
-  usable CPU; every point sees the same float operations in the same order
-  whatever its block and thread, so the bytes do not depend on the CPU
-  count.
+  the size of the input.  They run on the calling thread and start none;
+  every point sees the same float operations in the same order whatever its
+  block, so the experiments that call them map their own independent work
+  (scales, point blocks) over threads without changing a byte.
 
 Evaluation returns a value together with a certified error bound: terms are
 summed until their size triggers a geometric tail closure, whose constants
@@ -31,11 +31,7 @@ and a certified small tail.
 from __future__ import annotations
 
 import math
-import os
-import queue
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,19 +63,12 @@ _GRID = np.uint64(GRID)
 # points per block of `walk_value_grid`: the block's residues and its
 # (n, block) slope signs stay in cache across all terms
 _WALK_BLOCK = 16384
-# most points per block of `eval_grid`.  Its threads overlap only while numpy
-# runs with the GIL released, so each op of a term (seven in the general
-# kernel, three or four in the r = 2 one) must outlast the GIL hand-off; at
-# 16384 points an op takes about 6 us, and two threads ran no faster than
-# one.  The timings below are of the general kernel alone, before the r = 2
-# kernel was added.  Median s of 9 passes over the grid part of the
-# perfbench fractal_grid workload (modulus r = 2, 3, 10 and fclt), on a
-# 2-vCPU Xeon VM with 2 MB of L2 a core:
-#   one thread, 16384-point blocks                          2.79
-#   two threads, 16384 / 32768 / 65536 / 131072-point blocks
-#                                              2.75 / 2.10 / 2.08 / 2.30
-# Past 65536 points a block's buffers and output, 24 bytes a point, outgrow
-# L2.
+# points per block of `eval_grid`: a block's residues, distances and output,
+# 24 bytes a point (1.5 MB), stay in a core's 2 MB of L2 across all terms.
+# Median s of 7 one-thread calls on 10^6 points, unit weights, eps 1e-12, on
+# a 2-vCPU Xeon VM, for 4096 / 16384 / 65536 / 131072 / 262144-point blocks:
+#   r = 2 (tent kernel)      0.082 / 0.052 / 0.048 / 0.075 / 0.101
+#   r = 3 (general kernel)   0.136 / 0.089 / 0.064 / 0.074 / 0.097
 _EVAL_BLOCK = 65536
 # `certificate` treats a series it cannot close within this many terms as
 # non-convergent at the requested accuracy
@@ -113,60 +102,6 @@ def _check_mantissas(m: np.ndarray) -> np.ndarray:
             f"grid mantissas must lie below 2^{MANTISSA_BITS}, got {int(m.max())}"
         )
     return m
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# set on a thread while it runs the fn of a `_map_threads` call
-_mapping = threading.local()
-
-
-def _map_threads(fn, count: int) -> list:
-    """[fn(i) for i in range(count)], in index order, on one thread per usable CPU.
-
-    The calling thread is one of them and takes indices from the same queue:
-    it starts at once instead of waiting for a fresh thread to start, which
-    cost `eval_grid` up to 5 ms a call on a 2-vCPU VM, and it takes over the
-    indices of a helper that starts late.  The helper threads live for this
-    call only.
-
-    Calls do not nest: an fn that maps again, as `modulus_experiment`'s rows
-    do through `eval_grid`, runs that inner map on its own thread, so no more
-    threads compute than there are CPUs.  Nested helpers would put N^2 on N
-    CPUs; on a 2-vCPU VM the fractal_grid benchmark's modulus sweeps took
-    0.81 s with them against 0.69 s flat (medians over fresh processes).
-    """
-    threads = min(_usable_cpus(), count)
-    if threads <= 1 or getattr(_mapping, "active", False):
-        return [fn(i) for i in range(count)]
-    todo = queue.SimpleQueue()
-    for i in range(count):
-        todo.put(i)
-    out = [None] * count
-
-    def drain() -> None:
-        _mapping.active = True
-        try:
-            while True:
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                out[i] = fn(i)
-        finally:
-            _mapping.active = False
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(threads - 1)]
-        drain()
-    for helper in helpers:
-        helper.result()
-    return out
 
 
 def _exact(x) -> Fraction:
@@ -563,10 +498,10 @@ class FractalFunction:
         value by at most tail_bound + allowance <= eps; an eps that bound
         cannot meet raises `CertificationError`.
 
-        The points are cut into equal blocks of at most `_EVAL_BLOCK`, and
-        one thread per usable CPU (the caller's included) takes the blocks in
-        turn.  Every point sees the same float operations whatever its block
-        and thread, so the result does not depend on the CPU count.
+        The points are taken `_EVAL_BLOCK` at a time, on the calling thread.
+        Every point sees the same float operations whatever its block, so a
+        caller may cut its points anywhere and map the pieces over threads,
+        as `functional_clt_experiment` does, without changing a byte.
 
         At r = 2 the blocks run `_eval_tent_block`, three or four float ops a
         term in place of seven, wherever `_tent_exact` shows that it rounds
@@ -584,17 +519,12 @@ class FractalFunction:
             coef /= self.r
         tent = _tent_exact(self.r, cert.terms, scales)
         val = np.zeros(m.size, dtype=np.float64)
-        blocks = -(-m.size // _EVAL_BLOCK)
-        width = -(-m.size // blocks) if blocks else 0
-
-        def run_block(i: int) -> None:
-            part = slice(i * width, (i + 1) * width)
+        for start in range(0, m.size, _EVAL_BLOCK):
+            part = slice(start, start + _EVAL_BLOCK)
             if tent:
                 _eval_tent_block(m[part], val[part], a)
             else:
                 _eval_grid_block(m[part], val[part], scales, ru)
-
-        _map_threads(run_block, blocks)
         return val
 
     def walk_value(self, x, n: int) -> float:
@@ -623,9 +553,9 @@ class FractalFunction:
         the thread split lands on a multiple of 4), so a point's value does
         not depend on its position or on how many points come with it.
 
-        The blocks run on the calling thread: their per-row ops span one
-        block row and are too short to overlap under the GIL.
-        `modulus_experiment` runs its scales on one thread per CPU instead.
+        The blocks run on the calling thread, as `eval_grid`'s do; their
+        per-row ops span one block row and are too short to overlap under
+        the GIL.  `modulus_experiment` runs its scales on one thread per CPU.
         """
         _check_grid_base(self.r)
         m = _check_mantissas(np.ascontiguousarray(mantissas, dtype=np.uint64))

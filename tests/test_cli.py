@@ -18,7 +18,6 @@ from fractalwalk import (
     build_blocks,
     exact_second_moment,
     experiments,
-    fractal,
     growth_report,
     scale_index,
     sign_walk,
@@ -286,9 +285,9 @@ def test_experiment_defaults_match_cli_defaults(name, fn):
 def test_manifest_hash_ignores_workers(monkeypatch):
     # the thread count is the usable-CPU count, never part of the config
     base = {"experiment": "clt", "p": 0.75, "replicas": 2000}
-    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     m1 = manifest(base)
-    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
     m4 = manifest(base)
     assert m1.hash == m4.hash
     assert manifest(normalize_config(base)).hash == m1.hash

@@ -139,13 +139,10 @@ GRID_WEIGHTS = [
 ]
 
 
-CPU_COUNTS = (1, 2, 3)
-
-
 @pytest.mark.parametrize("r", [2, 3, 10, 2048])
 @pytest.mark.parametrize("weights,delta", GRID_WEIGHTS, ids=["constant", "power", "odd"])
-def test_eval_grid_blocks_match_reference(r, weights, delta, monkeypatch):
-    """Byte for byte at sizes around the block edges, on 1, 2 and 3 threads.
+def test_eval_grid_blocks_match_reference(r, weights, delta):
+    """Byte for byte at sizes around the block edges.
 
     The reference is elementwise, so its prefix is the prefix's reference.
     """
@@ -153,28 +150,22 @@ def test_eval_grid_blocks_match_reference(r, weights, delta, monkeypatch):
     B = _EVAL_BLOCK
     mant = uniform_mantissas(stream(14), 3 * B + 7)
     want = _eval_grid_reference(f, mant, 1e-12)
-    for cpus in CPU_COUNTS:
-        monkeypatch.setattr(fractal, "_usable_cpus", lambda: cpus)
-        for size in (0, 1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 7):
-            got = f.eval_grid(mant[:size], eps=1e-12)
-            assert got.shape == (size,)
-            assert got.tobytes() == want[:size].tobytes(), (cpus, size)
+    for size in (0, 1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 7):
+        got = f.eval_grid(mant[:size], eps=1e-12)
+        assert got.shape == (size,)
+        assert got.tobytes() == want[:size].tobytes(), size
 
 
-def test_eval_grid_strided_input_matches_reference(monkeypatch):
+def test_eval_grid_strided_input_matches_reference():
     f = FractalFunction(3, WeightSequence.power(0.5), delta=0.5)
     mant = uniform_mantissas(stream(15), 4 * _EVAL_BLOCK + 10)[::3]
     assert not mant.flags.c_contiguous
     want = _eval_grid_reference(f, mant, 1e-12)
-    for cpus in CPU_COUNTS:
-        monkeypatch.setattr(fractal, "_usable_cpus", lambda: cpus)
-        assert f.eval_grid(mant, eps=1e-12).tobytes() == want.tobytes(), cpus
+    assert f.eval_grid(mant, eps=1e-12).tobytes() == want.tobytes()
 
 
-def test_eval_grid_concurrent_callers_match_serial(monkeypatch):
-    """Two caller threads on one function, each running its blocks on two
-    threads, get the bytes of serial calls."""
-    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 2)
+def test_eval_grid_concurrent_callers_match_serial():
+    """Two caller threads on one function get the bytes of serial calls."""
     mants = [uniform_mantissas(stream(18, i), 2 * _EVAL_BLOCK + 1) for i in range(2)]
     serial = FractalFunction(2, WeightSequence.power(0.5), delta=0.5)
     want = [serial.eval_grid(m, eps=1e-12).tobytes() for m in mants]
@@ -201,17 +192,21 @@ def test_eval_grid_concurrent_callers_match_serial(monkeypatch):
     assert got == want
 
 
-def test_nested_map_starts_no_helpers_on_4_cpus(monkeypatch):
-    """A map inside a mapped fn starts no helpers, and the flag that says so
-    is down again once the outer map returns."""
-    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 4)
+def test_grid_kernels_start_no_threads(monkeypatch):
+    """The grid kernels run on the caller's thread; only experiments map."""
+    started = []
+    start = threading.Thread.start
 
-    def outer(i):
-        return threading.get_ident(), fractal._map_threads(lambda j: threading.get_ident(), 3)
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
 
-    for ident, inner in fractal._map_threads(outer, 4):
-        assert inner == [ident] * 3
-    assert not getattr(fractal._mapping, "active", False)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    f = FractalFunction(3, WeightSequence.power(0.5), delta=0.5)
+    mant = uniform_mantissas(stream(19), 3 * _EVAL_BLOCK + 1)
+    f.eval_grid(mant, eps=1e-12)
+    f.walk_value_grid(mant, 20)
+    assert started == []
 
 
 def _general_kernel(f, mantissas, eps):

@@ -7,6 +7,7 @@ import pytest
 
 import sys
 import threading
+import time
 
 from fractalwalk import (
     ExperimentReport,
@@ -109,21 +110,23 @@ def test_rerun_is_bit_identical():
          "modulus-r2-power", "modulus-r3-power", "fclt"],
 )
 def test_workers_do_not_change_results(run, monkeypatch):
-    # the replicas, and modulus's scales, run on one thread per usable CPU
-    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 1)
+    # the replicas, modulus's scales and fclt's point blocks run on one
+    # thread per usable CPU; fclt's 3000 points make five blocks here
+    monkeypatch.setattr(fractal, "_EVAL_BLOCK", 700)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     one = run().to_json()
-    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     assert run().to_json() == one
 
 
 def test_modulus_on_8_cpus_with_fast_thread_switches_matches_serial(monkeypatch):
-    """Three scales on three threads, each eval_grid on eight blocks and
-    threads, switched as often as the interpreter allows: the report keeps
-    the serial bytes."""
+    """Three scales on three threads, each eval_grid in eight blocks on its
+    row's thread, switched as often as the interpreter allows: the report
+    keeps the serial bytes."""
     run = _modulus(3, POWER, 0.5)
-    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     want = run().to_json()
-    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(fractal, "_EVAL_BLOCK", 625)
     got = []
     worker = threading.Thread(target=lambda: got.append(run().to_json()), daemon=True)
@@ -188,3 +191,53 @@ def test_saved_json_round_trips(tmp_path):
     rep.save(tmp_path)
     text = (rep.run_dir(tmp_path) / "report.json").read_text()
     assert text == rep.to_json() + "\n"
+
+
+def test_map_threads_starts_no_call_after_a_raise_on_4_cpus(monkeypatch):
+    """A raising call empties the queue: each of the three other threads
+    starts at most the one call whose index it already held."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    raised = threading.Event()
+    late = []
+
+    def fn(i):
+        if raised.is_set():
+            late.append(i)
+        if i == 10:
+            raised.set()
+            raise ValueError("stop")
+        time.sleep(0.002)
+        return i
+
+    with pytest.raises(ValueError, match="stop"):
+        experiments._map_threads(fn, 200)
+    assert len(late) <= 3, late
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # five scales, and 625-point eval_grid blocks, so each row has eight
+        lambda: modulus_experiment(FractalFunction(3, POWER, 0.5),
+                                   [f"3^-{e}" for e in (2, 3, 5, 7, 9)],
+                                   x_samples=5000, seed=4),
+        lambda: functional_clt_experiment(FractalFunction(2, CONST, 1.0), n=12,
+                                          x_samples=5000, seed=4),
+    ],
+    ids=["modulus", "fclt"],
+)
+def test_grid_experiments_on_4_cpus_start_at_most_3_helpers(run, monkeypatch):
+    """The experiment maps its work once, and the grid calls inside run on
+    their task's thread, so no more threads compute than there are CPUs."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(fractal, "_EVAL_BLOCK", 625)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    run()
+    assert 1 <= len(started) <= 3, started
