@@ -158,7 +158,6 @@ class VarianceProfile:
     """
 
     r: int
-    p_memory: float
     values: np.ndarray  # V_1..V_n_max
 
     @property
@@ -197,17 +196,15 @@ def variance_profile(r: int, seq: WeightSequence, n_max: int) -> VarianceProfile
     n_max = _as_int(n_max, "n_max", 1)
     r = _check_base(r)
     if r % 2 == 0:
-        p_mem = 0.5
         values = seq.energies(n_max).copy()
     else:
-        p_mem = (r + 1) / (2 * r)
-        values = second_moment_profile(p_mem, seq, n_max)
+        values = second_moment_profile((r + 1) / (2 * r), seq, n_max)
     if np.any(np.diff(values) < 0):
         raise ValueError(
             "variance profile is not non-decreasing; no valid interpolant"
         )
     values.flags.writeable = False
-    return VarianceProfile(r=r, p_memory=p_mem, values=values)
+    return VarianceProfile(r=r, values=values)
 
 
 # -- reference process and statistics ----------------------------------------
@@ -444,7 +441,11 @@ def clt_experiment(
     A task draws its replicas in blocks of `_BLOCK // n` rows (at least
     one), one path per row: short numpy ops do not overlap under the GIL,
     and one sign scan over the whole block lets the two threads of a 2-vCPU
-    machine gain where per-replica scans of 5,000 steps did not.
+    machine gain where per-replica scans of 5,000 steps did not.  Each row
+    is weighted in place and summed by `np.add.reduce` along the row, the
+    order numpy takes for `np.add.reduce(a * x)` on the row alone, on any
+    CPU; a BLAS dot or product would leave the order to the kernel that
+    OpenBLAS picks at run time.
     """
     config = _config("clt", params, replicas=replicas, seed=seed, ks_tol=ks_tol)
     replicas, seed, ks_tol = config["replicas"], config["seed"], config["ks_tol"]
@@ -457,21 +458,18 @@ def clt_experiment(
     _require_finite(s_n, "s_n")
     rows = max(1, _BLOCK // n)
 
-    def chunk(c: int) -> list:
+    def chunk(c: int) -> np.ndarray:
         lo = c * _CLT_CHUNK
         hi = min(lo + _CLT_CHUNK, replicas)
         streams = _streams(seed, lo, hi)
         sums = []
         for start in range(lo, hi, rows):
             block = _draw_signs(streams, params.p, (min(rows, hi - start), n))
-            # One 1-D dot (ddot) per row: `block @ a` would be a dgemv, which
-            # sums in another order and moved S_n by up to 1.1e-12 at
-            # power(0.3) weights.
-            sums += [float(a @ x) / s_n for x in block]
-        return sums
+            block *= a
+            sums.append(np.add.reduce(block, axis=1) / s_n)
+        return np.concatenate(sums)
 
-    chunks = _map_threads(chunk, -(-replicas // _CLT_CHUNK))
-    samples = np.array([v for part in chunks for v in part])
+    samples = np.concatenate(_map_threads(chunk, -(-replicas // _CLT_CHUNK)))
     ks = ks_statistic(samples)
     se_mean = float(np.std(samples, ddof=1) / math.sqrt(replicas))
 

@@ -534,24 +534,17 @@ class FractalFunction:
         return float(math.fsum(a * signs))
 
     def walk_value_grid(self, mantissas: np.ndarray, n: int) -> np.ndarray:
-        """w_n at grid points x = m * 2^-53: a @ sign_walk_grid(r, m, n).
+        """w_n at grid points x = m * 2^-53: w += a_k psi_k for k = 1..n.
 
         Points are taken `_WALK_BLOCK` at a time, so the full (n, len(m))
-        sign matrix is never built.  Where `_integer_weights` admits the
-        weights, each block's int8 sign rows are summed in the narrowest
-        integer type that holds sum |a_k|.  Every partial sum is then an
-        integer of size at most 2^53, so the result is the exact w_n, the
-        number the float product gives in any order; and no BLAS thread is
-        woken.  At n = 48 a 16384-point block took 0.25 ms in int16, against
-        8.0 ms for OpenBLAS's threaded dgemv and 0.30 ms for it on one BLAS
-        thread (medians of 15 in a fresh process, 2-vCPU Xeon VM).
-
-        Other weights take the float product.  Every block copies its signs
-        into a prefix of one float buffer, allocated once a call, and is
-        zero-padded to a multiple of 8 points: OpenBLAS on one or two threads
-        then sums every point with the same kernel (no remainder rows, and
-        the thread split lands on a multiple of 4), so a point's value does
-        not depend on its position or on how many points come with it.
+        sign matrix is never built, and each block's int8 sign rows are added
+        in order of k, so a point's value does not depend on the points that
+        come with it.  Where `_integer_weights` admits the weights, the rows
+        are summed in the narrowest integer type that holds sum |a_k|: every
+        partial sum is then an integer of size at most 2^53, so the result is
+        the exact w_n, the number a float sum gives in any order.  Other
+        weights are summed in float64, in the same order.  At n = 48 a
+        16384-point block took 0.25 ms in int16 (2-vCPU Xeon VM).
 
         The blocks run on the calling thread, as `eval_grid`'s do; their
         per-row ops span one block row and are too short to overlap under
@@ -560,34 +553,27 @@ class FractalFunction:
         _check_grid_base(self.r)
         m = _check_mantissas(np.ascontiguousarray(mantissas, dtype=np.uint64))
         a = self.weights.values(n)
-        ints = _integer_weights(a)
-        out = np.empty(m.size, dtype=np.float64)
-        if ints is not None:
-            total = sum(map(abs, ints))
+        weights = _integer_weights(a)
+        if weights is None:
+            weights, acc_type = a.tolist(), np.float64
+        else:
+            total = sum(map(abs, weights))
             acc_type = next(t for t in (np.int16, np.int32, np.int64)
                             if total <= np.iinfo(t).max)
-            for start in range(0, m.size, _WALK_BLOCK):
-                signs = sign_walk_grid(self.r, m[start : start + _WALK_BLOCK], n)
-                acc = np.zeros(signs.shape[1], dtype=acc_type)
-                tmp = np.empty_like(acc)
-                for a_k, row in zip(ints, signs):
-                    if a_k == 1:
-                        acc += row
-                    elif a_k == -1:
-                        acc -= row
-                    elif a_k:
-                        np.multiply(row, acc_type(a_k), out=tmp)
-                        acc += tmp
-                out[start : start + acc.size] = acc
-            return out
-        buf = np.empty(n * min(_WALK_BLOCK, -(-m.size // 8) * 8), dtype=np.float64)
+        out = np.empty(m.size, dtype=np.float64)
         for start in range(0, m.size, _WALK_BLOCK):
-            block = m[start : start + _WALK_BLOCK]
-            padded = np.zeros(-(-block.size // 8) * 8, dtype=np.uint64)
-            padded[: block.size] = block
-            signs = buf[: n * padded.size].reshape(n, padded.size)
-            np.copyto(signs, sign_walk_grid(self.r, padded, n))
-            out[start : start + block.size] = (a @ signs)[: block.size]
+            signs = sign_walk_grid(self.r, m[start : start + _WALK_BLOCK], n)
+            acc = np.zeros(signs.shape[1], dtype=acc_type)
+            tmp = np.empty_like(acc)
+            for a_k, row in zip(weights, signs):
+                if a_k == 1:
+                    acc += row
+                elif a_k == -1:
+                    acc -= row
+                elif a_k:
+                    np.multiply(row, acc_type(a_k), out=tmp)
+                    acc += tmp
+            out[start : start + acc.size] = acc
         return out
 
     # -- increments -----------------------------------------------------------

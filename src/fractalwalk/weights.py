@@ -303,14 +303,21 @@ def _tail_constant(seq: WeightSequence, n: int, pad: int, delta: float,
 
 
 def _trailing_slope(ratios: np.ndarray, n_max: int) -> float:
-    """Log-log trend of the ratio sequence over the last quarter of indices."""
+    """Log-log trend of the ratio sequence over the last quarter of indices.
+
+    The least-squares slope in closed form, sum(x y) / sum(x x) with x the
+    centred log index, summed by `np.add.reduce` in numpy's own order on any
+    CPU, where a polynomial fit would solve through LAPACK.
+    """
     lo = max(1, (3 * n_max) // 4)
     ks = np.arange(lo, n_max + 1)
     window = ratios[lo - 1 : n_max]
     keep = np.isfinite(window) & (window > 0)
     if keep.sum() < 2:
         return 0.0
-    return float(np.polyfit(np.log(ks[keep].astype(float)), np.log(window[keep]), 1)[0])
+    x = np.log(ks[keep].astype(float))
+    x -= x.mean()
+    return float(np.add.reduce(x * np.log(window[keep])) / np.add.reduce(x * x))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 """Command-line surface: weight-spec parsing, config canon, exit codes, layout."""
+import functools
 import hashlib
 import inspect
 import json
@@ -19,11 +20,13 @@ from fractalwalk import (
     exact_second_moment,
     experiments,
     growth_report,
+    rng,
     scale_index,
     sign_walk,
     sign_walk_grid,
     stream,
     variance_profile,
+    walks,
 )
 from fractalwalk.cli import EXPERIMENTS, UsageError, main, normalize_config, run
 from fractalwalk.experiments import manifest, parse_step
@@ -357,6 +360,32 @@ def test_manifest_predicts_the_written_manifest(config, tmp_path, capsys):
     assert report_path.parent.name == predicted.hash[:12]
 
 
+@pytest.mark.parametrize(
+    "config", _SMALL_CONFIGS + _POWER_CONFIGS + _UNCANONICAL_CONFIGS, ids=_config_id
+)
+def test_run_opens_exactly_the_manifests_streams(config, tmp_path, monkeypatch, capsys):
+    # `manifest.streams` is written in each spec apart from the code that
+    # opens the streams; record every (seed, id) opened, one at a time by
+    # `stream` or a range at once by `_stream_keys`
+    opened = []
+    open_stream, stream_keys = rng.stream, rng._stream_keys
+
+    def recording_stream(seed, stream_id=0):
+        opened.append((seed, stream_id))
+        return open_stream(seed, stream_id)
+
+    def recording_keys(seed, lo, hi):
+        opened.extend((seed, i) for i in range(lo, hi))
+        return stream_keys(seed, lo, hi)
+
+    for module in (rng, walks, experiments):
+        monkeypatch.setattr(module, "stream", recording_stream)
+    monkeypatch.setattr(rng, "_stream_keys", recording_keys)
+    predicted = manifest(config)
+    run(config, outdir=tmp_path)
+    assert sorted(opened) == [(predicted.seed, i) for i in range(predicted.streams)]
+
+
 def test_every_spelling_of_the_weights_lands_in_one_directory(tmp_path, capsys):
     # blocks once wrote these three to three directories
     for weights in ("const", '{"kind": "constant"}', '{"kind": "constant", "c": 1}'):
@@ -410,9 +439,10 @@ _GOLDEN_OUTPUTS = {
         "report.json": "a39ad7b3c44e45c08ce05be33a6f6bd4150390642b5e8646561c24926deb6710",
     },
     # the power:0.5 configs, recorded before weight specs and integers got
-    # one reader each
+    # one reader each; clt's sums re-recorded when they left BLAS's ddot for
+    # numpy's own order
     "clt-100-1000-1-power:0.5": {
-        "normalized_sums.csv": "7bafd658e79c2ba26e46f05e12a093392cec0a253ace0e31e715d60dd4c86cc0",
+        "normalized_sums.csv": "2d1a25aecb36a6a0d7e5a28f2c239f107bbd589bf97bc55bfee7b99fb9619537",
         "report.json": "8afe6b4c2802d6047a28b5268afb5b713efefba59e64b88523263cf234c2f024",
     },
     "chung-100000-2-1-power:0.5": {
@@ -434,6 +464,70 @@ def test_small_config_outputs_match_goldens(config, tmp_path, capsys):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run_dir.iterdir()
     }
     assert digests == _GOLDEN_OUTPUTS[_config_id(config)]
+
+
+# The same digests on other CPU kernels: OpenBLAS forced to its oldest x86-64
+# kernel, and numpy's own loops without their AVX512 dispatch targets (only
+# those this CPU has, the ones numpy can switch off).  One subprocess per
+# environment runs every config.
+_WIDE_SIMD = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _kernel_env(kernel: str) -> dict:
+    if kernel == "openblas-prescott":
+        return {"OPENBLAS_CORETYPE": "Prescott"}
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return {"NPY_DISABLE_CPU_FEATURES": " ".join(f for f in _WIDE_SIMD if __cpu_features__.get(f))}
+
+
+_GOLDEN_CONFIGS = {_config_id(c): c for c in _SMALL_CONFIGS + _POWER_CONFIGS}
+
+
+@functools.cache
+def _digests_under(kernel: str) -> dict:
+    code = (
+        "import hashlib, json, sys, tempfile\n"
+        "from pathlib import Path\n"
+        "from fractalwalk.cli import run\n"
+        "digests = {}\n"
+        "for name, config in json.loads(sys.argv[1]).items():\n"
+        "    with tempfile.TemporaryDirectory() as out:\n"
+        "        run(config, outdir=out)\n"
+        "        (run_dir,) = [p.parent for p in Path(out).glob('*/*/report.json')]\n"
+        "        digests[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()\n"
+        "                         for p in run_dir.iterdir()}\n"
+        "print(json.dumps(digests))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(_GOLDEN_CONFIGS)],
+        env={**os.environ, "PYTHONPATH": str(src), **_kernel_env(kernel)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_COV_ORDER = pytest.mark.xfail(
+    strict=True, reason="fclt's np.cov sums in the BLAS kernel's order (ROADMAP item 1)"
+)
+
+
+@pytest.mark.parametrize(
+    "kernel,name",
+    [
+        pytest.param(kernel, name, id=f"{kernel}-{name}",
+                     marks=_COV_ORDER if (kernel, name) == ("openblas-prescott", "fclt-12-1000")
+                     else ())
+        for kernel in ("openblas-prescott", "numpy-without-avx512")
+        for name in _GOLDEN_CONFIGS
+    ],
+)
+def test_small_config_goldens_hold_on_other_cpu_kernels(kernel, name):
+    assert _digests_under(kernel)[name] == _GOLDEN_OUTPUTS[name]
 
 
 # each experiment's runner, by its name on the experiments module

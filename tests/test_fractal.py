@@ -360,30 +360,30 @@ def test_walk_value_grid_matches_scalar():
         assert grid[i] == pytest.approx(f.walk_value(x, 6), rel=1e-12)
 
 
+def _walk_value_in_order(f, mant, n):
+    """w += a_k psi_k for k = 1..n in float64, over the full sign matrix."""
+    w = np.zeros(mant.size)
+    for a_k, row in zip(f.weights.values(n), sign_walk_grid(f.r, mant, n)):
+        w += a_k * row.astype(float)
+    return w
+
+
 @pytest.mark.parametrize("n", [1, 20, 48])
 def test_walk_value_grid_blocks_match_reference(n):
-    """Byte for byte against one product with the full sign matrix.
-
-    The sizes are multiples of 8, where that product, too, has no remainder
-    rows for BLAS to sum in another order.
-    """
+    """Byte for byte against the in-order sum over the full sign matrix."""
     f = FractalFunction(3, WeightSequence.power(0.5), delta=0.5)
     mant = uniform_mantissas(stream(16), 2 * _WALK_BLOCK + 8)
-    a = f.weights.values(n)
     for size in (0, 8, _WALK_BLOCK, 2 * _WALK_BLOCK + 8):
         got = f.walk_value_grid(mant[:size], n)
-        want = a @ sign_walk_grid(3, mant[:size], n).astype(float)
-        assert got.tobytes() == want.tobytes(), size
+        assert got.tobytes() == _walk_value_in_order(f, mant[:size], n).tobytes(), size
 
 
 def test_walk_value_grid_at_the_largest_grid_base_matches_reference():
     f = FractalFunction(fractal.MAX_GRID_BASE, WeightSequence.power(0.5), delta=0.5)
     mant = uniform_mantissas(stream(18), _WALK_BLOCK + 8)
-    a = f.weights.values(20)
     for size in (8, _WALK_BLOCK + 8):
         got = f.walk_value_grid(mant[:size], 20)
-        want = a @ sign_walk_grid(fractal.MAX_GRID_BASE, mant[:size], 20).astype(float)
-        assert got.tobytes() == want.tobytes(), size
+        assert got.tobytes() == _walk_value_in_order(f, mant[:size], 20).tobytes(), size
 
 
 @pytest.mark.parametrize("n", [1, 20, 48])
@@ -399,7 +399,7 @@ def test_walk_value_grid_does_not_depend_on_the_batch(n):
 
 
 def _walk_value_gemv(f, mant, n):
-    """The float product walk_value_grid takes for weights it cannot sum as integers."""
+    """One BLAS product, which sums in an order of its own kernel's choosing."""
     return f.weights.values(n) @ sign_walk_grid(f.r, mant, n).astype(float)
 
 
@@ -432,12 +432,13 @@ def test_walk_value_grid_integer_weights_give_the_gemv_bytes(spec, r):
     ids=["power", "sum-2^53+1", "half", "sum-overflows"],
 )
 def test_walk_value_grid_other_weights_take_the_gemv_path(spec):
+    # weights the integer loop refuses are summed in float64, in order of k
     weights = WeightSequence.from_spec(spec)
     n = weights.length or 40
     assert fractal._integer_weights(weights.values(n)) is None
     f = FractalFunction(2, weights, delta=0.5)
     mant = uniform_mantissas(stream(22), 2 * _WALK_BLOCK + 8)
-    assert f.walk_value_grid(mant, n).tobytes() == _walk_value_gemv(f, mant, n).tobytes()
+    assert f.walk_value_grid(mant, n).tobytes() == _walk_value_in_order(f, mant, n).tobytes()
 
 
 _OFF_GRID = [2**53 + 5, 2**60, 2**64 - 1]

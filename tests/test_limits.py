@@ -56,13 +56,14 @@ def test_even_base_profile_is_energy():
     for seq in (CONST, WeightSequence.power(1.0), WeightSequence.odd_indicator()):
         p = variance_profile(2, seq, 15)
         np.testing.assert_array_equal(p.values, seq.energies(15))
-        assert p.p_memory == 0.5
+        # i.i.d. fair signs: the chain's second moment at repeat probability 1/2
+        np.testing.assert_array_equal(p.values, second_moment_profile(0.5, seq, 15))
 
 
 def test_odd_base_profile_level_two():
     prof = variance_profile(3, CONST, 5)
     # repeat probability 2/3, so E[(X_1 + X_2)^2] = 2 + 2/3 * 2 = 8/3
-    assert prof.p_memory == pytest.approx(2.0 / 3.0)
+    np.testing.assert_array_equal(prof.values, second_moment_profile(2.0 / 3.0, CONST, 5))
     assert prof.grid_value(2) == pytest.approx(8.0 / 3.0, abs=1e-14)
 
 
@@ -517,13 +518,14 @@ def _clt_reference(params, seed, ids):
     n = params.horizon
     a = params.weights.values(n)
     s_n = math.sqrt(exact_second_moment(params.p, params.weights, 0, n))
-    return [float(a @ _signs(stream(seed, i), params.p, n)) / s_n for i in ids]
+    return [float(np.add.reduce(a * _signs(stream(seed, i), params.p, n))) / s_n for i in ids]
 
 
-# power(0.3) sums are not integers, so a sum taken in another order (a dgemv
-# over the block) gives other bits.  1003 replicas fill neither the 13-row
-# blocks of n = 5000 nor the 250-replica tasks; past _BLOCK steps a block is
-# one row.
+# power(0.3) sums are not integers, so a sum taken in another order (a BLAS
+# dot, or a reduce over the block's columns) gives other bits; the reference
+# is numpy's own reduce over each replica's whole-path draw.  1003 replicas
+# fill neither the 13-row blocks of n = 5000 nor the 250-replica tasks; past
+# _BLOCK steps a block is one row.
 @pytest.mark.parametrize("n,replicas", [(5000, 1003), (_BLOCK + 1, 1000)],
                          ids=["13-rows", "one-row"])
 def test_clt_row_blocks_match_per_replica_reference(n, replicas):

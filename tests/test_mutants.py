@@ -37,7 +37,7 @@ from fractalwalk.experiments import UsageError, manifest, normalize_config
 from finite_depth import grid_difference, increment_law
 from test_blocking import gordin_tail_covers_truncation
 from test_cli import _GOLDEN_OUTPUTS, _LIBRARY_CALLS
-from test_fractal import _walk_value_gemv, guard_case_matches_general_kernel
+from test_fractal import _walk_value_in_order, guard_case_matches_general_kernel
 from test_limits import POWER, _signs, fclt_moments_match_exact, screen_matches_histogram
 from test_rng import LEFT_PART_WAY, rekeyed_draws_match
 from test_walks import CONST, clock_matches_lfilter
@@ -179,10 +179,10 @@ def _integer_weights_rounding(a):
     return [round(a_k) for a_k in a.tolist()]
 
 
-def _walk_value_grid_matches_gemv() -> bool:
+def _walk_value_grid_matches_in_order_sum() -> bool:
     f = FractalFunction(3, WeightSequence.power(0.5), 0.5)
     mant = rng.uniform_mantissas(rng.stream(16), 64)
-    return f.walk_value_grid(mant, 20).tobytes() == _walk_value_gemv(f, mant, 20).tobytes()
+    return f.walk_value_grid(mant, 20).tobytes() == _walk_value_in_order(f, mant, 20).tobytes()
 
 
 _EXACT_MANTISSA_STEP = experiments._exact_mantissa_step
@@ -449,7 +449,7 @@ MUTANTS = {
     ),
     "integer-walk-takes-any-weights": Mutant(
         _INTEGER_WALKS, _on_module(fractal, "_integer_weights", _integer_weights_rounding),
-        _walk_value_grid_matches_gemv,
+        _walk_value_grid_matches_in_order_sum,
     ),
 }
 
