@@ -1,4 +1,4 @@
-"""Monte Carlo and exact experiments for the walk and fractal limit theorems.
+"""The limit-theorem experiments, their config schema and its parser.
 
 Each experiment returns an `ExperimentReport` whose numbers depend only on
 the seed manifest: replica i always draws from Philox stream (seed, i), the
@@ -25,9 +25,11 @@ limits far beyond any desk-size horizon.  At n = 10^6, Brownian motion on
 the walk's clock lands in the default LIL bands only 56-66% of the time, so
 agreement between walk and oracle is the checkable claim.
 
-`SPECS` holds one `Spec` per CLI experiment, read off its runner's
-signature: its config keys with their defaults, its seed manifest's stream
-and replica counts, and the runner's name.
+The thread map and the block pipeline of `lil` and `chung` live in `paths`,
+the KS statistic in `stats`, and f's variance profile and grid increments
+in `fractal`.  `SPECS` holds one `Spec` per CLI experiment, read off its
+runner's signature: its config keys with their defaults, its seed
+manifest's stream and replica counts, and the runner's name.
 `normalize_config` gives a config its canonical form, with one parser per
 key.  The CLI runs it on flags and config files, and each library
 experiment on its own arguments before it reads any, so a library call and
@@ -35,24 +37,20 @@ the CLI run of the same values write the same params, manifest and bytes.
 """
 from __future__ import annotations
 
-import bisect
 import inspect
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
+from . import fractal, paths
 from .blocking import build_blocks
-from . import fractal
-from .fractal import FractalFunction, _check_base, _exact, scale_index
+from .fractal import FractalFunction, scale_index, variance_profile
 from .reports import ExperimentReport, SeedManifest, make_manifest, statistic
-from .rng import GRID, _streams, stream, uniform_mantissas
+from .rng import _streams, stream, uniform_mantissas
+from .stats import _quantiles, ks_statistic
 from .walks import (
     WalkParams,
     _check_p,
@@ -65,11 +63,8 @@ from .walks import (
 from .weights import _UNIT, WeightSequence, _as_int, growth_report, validate_assumptions
 
 __all__ = [
-    "VarianceProfile",
     "RegularVariationError",
-    "variance_profile",
     "brownian_path",
-    "ks_statistic",
     "clt_experiment",
     "lil_experiment",
     "chung_experiment",
@@ -91,123 +86,7 @@ class RegularVariationError(ValueError):
     """The variance profile is not regularly varying with the claimed index."""
 
 
-# -- threads ------------------------------------------------------------------
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_threads(fn, count: int) -> list:
-    """[fn(i) for i in range(count)], in index order, on one thread per usable CPU.
-
-    The calling thread is one of them and takes indices from the same queue:
-    it starts at once instead of waiting for a fresh thread to start, which
-    cost up to 5 ms a call on a 2-vCPU VM, and it takes over the indices of
-    a helper that starts late.  The helper threads live for this call only.
-    A call that raises empties the queue, so the other threads start no
-    further call and the error (a Ctrl-C too) surfaces once their current
-    calls end.  Every experiment maps its independent work once, and the
-    kernels its fn calls run on the calling thread, so no more threads
-    compute than there are CPUs.
-    """
-    threads = min(_usable_cpus(), count)
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    todo = queue.SimpleQueue()
-    for i in range(count):
-        todo.put(i)
-    out = [None] * count
-
-    def drain() -> None:
-        try:
-            while True:
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                out[i] = fn(i)
-        except BaseException:
-            # the other threads then find no index left
-            with suppress(queue.Empty):
-                while True:
-                    todo.get_nowait()
-            raise
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(threads - 1)]
-        drain()
-    for helper in helpers:
-        helper.result()
-    return out
-
-
-# -- variance profile ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VarianceProfile:
-    """V_n = Var w_n(x) for uniform x, with a log-scale interpolant.
-
-    For even r the slope signs are i.i.d. fair signs and V_n = A_n exactly;
-    for odd r they form the one-step-memory chain at p_r = (r+1)/(2r), so V_n
-    is the exact second moment at alpha = 1/r.
-    """
-
-    r: int
-    values: np.ndarray  # V_1..V_n_max
-
-    @property
-    def n_max(self) -> int:
-        return self.values.size
-
-    def grid_value(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n must be in 1..{self.n_max}, got {n}")
-        return float(self.values[n - 1])
-
-    def sigma_l(self, h) -> float:
-        """Interpolant with sigma_l(r^-n) = V_n exactly.
-
-        Exact powers of 1/r (as Fractions, or floats that convert exactly)
-        return the grid value with no interpolation error; other h are
-        log-linear between grid points and constant beyond the ends.
-        """
-        hq = _exact(h)
-        if not 0 < hq < 1:
-            raise ValueError(f"h must be in (0, 1), got {h}")
-        m = scale_index(self.r, hq)
-        if hq * self.r**m == 1 and 1 <= m <= self.n_max:  # h = r^-m exactly
-            return float(self.values[m - 1])
-        t = -math.log(float(hq)) / math.log(self.r)
-        if t <= 1.0:
-            return float(self.values[0])
-        if t >= self.n_max:
-            return float(self.values[-1])
-        lo = int(t)
-        frac = t - lo
-        return float((1.0 - frac) * self.values[lo - 1] + frac * self.values[lo])
-
-
-def variance_profile(r: int, seq: WeightSequence, n_max: int) -> VarianceProfile:
-    n_max = _as_int(n_max, "n_max", 1)
-    r = _check_base(r)
-    if r % 2 == 0:
-        values = seq.energies(n_max).copy()
-    else:
-        values = second_moment_profile((r + 1) / (2 * r), seq, n_max)
-    if np.any(np.diff(values) < 0):
-        raise ValueError(
-            "variance profile is not non-decreasing; no valid interpolant"
-        )
-    values.flags.writeable = False
-    return VarianceProfile(r=r, values=values)
-
-
-# -- reference process and statistics ----------------------------------------
+# -- reference process ------------------------------------------------------
 
 
 def brownian_path(times, seed: int = 0, stream_id: int = 0) -> np.ndarray:
@@ -227,115 +106,12 @@ def brownian_path(times, seed: int = 0, stream_id: int = 0) -> np.ndarray:
     gaps = np.diff(t, prepend=0.0)
     if np.any(gaps < 0):
         raise ValueError("times must be non-decreasing")
-    rng = stream(seed, stream_id)
-    return _brownian_from_rng(rng, np.sqrt(gaps))
+    return _brownian_from_rng(stream(seed, stream_id), np.sqrt(gaps))
 
 
 def _brownian_from_rng(rng: np.random.Generator, step_sd: np.ndarray) -> np.ndarray:
     """Brownian path whose k-th increment has standard deviation step_sd[k]."""
-    return np.concatenate([b for _, b in _prefix_sums(_oracle_steps(rng, step_sd))])
-
-
-# cephes' erf/erfc coefficients (Moshier), descending powers
-_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-      7.00332514112805075473E3, 5.55923013010394962768E4)
-_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-      2.26290000613890934246E4, 4.92673942608635921086E4)
-_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-      1.65666309194161350182E3, 5.57535340817727675546E2)
-_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
-_MAXLOG = 7.09782712893383996843E2  # erfc(z) is 0 once z^2 > MAXLOG
-_SQRT1_2 = 7.07106781186547524401E-1
-
-
-def _polevl(x: np.ndarray, coef) -> np.ndarray:
-    """Horner's rule, coefficients in descending powers.
-
-    cephes' p1evl, with an implied leading 1, is `_polevl(x, (1.0, *coef))`:
-    its first step x + coef[0] is 1.0 * x + coef[0] exactly.
-    """
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtr(a: np.ndarray) -> np.ndarray:
-    """The standard normal CDF, bit for bit as cephes' `ndtr` computes it.
-
-    With x = a/sqrt(2) and z = |x|: 0.5 + 0.5 erf(x) for z < sqrt(1/2),
-    otherwise y = 0.5 erfc(z), taken as 1 - y for x > 0.  erf(x) is
-    x T(x^2)/U(x^2) for z <= 1 (odd, so erf(z) = |erf(x)|), and
-    erfc(z) = 1 - erf(z) for z < 1; from 1 on, erfc(z) = exp(-z^2) P(z)/Q(z)
-    below 8 and R/S from 8, with exp from libm (`math.exp`; numpy's exp
-    differs in the last bit), and erfc(z) = 0 once z^2 > MAXLOG, decided
-    before any polynomial is evaluated so that no infinite z reaches one.
-    The same operations in the same order as the C code give the same
-    doubles; NaN stays NaN.
-    """
-    x = np.asarray(a, dtype=float) * _SQRT1_2
-    z = np.abs(x)
-    with np.errstate(over="ignore"):
-        zz = z * z
-    y = np.full_like(z, np.nan)
-    inner = z < 1.0
-    erf = x[inner] * _polevl(zz[inner], _T) / _polevl(zz[inner], (1.0, *_U))
-    y[inner] = np.where(z[inner] < _SQRT1_2, 0.5 + 0.5 * erf, 0.5 * (1.0 - np.abs(erf)))
-    y[zz > _MAXLOG] = 0.0
-    for lo, hi, num, den in ((1.0, 8.0, _P, _Q), (8.0, math.inf, _R, _S)):
-        band = (z >= lo) & (z < hi) & (zz <= _MAXLOG)
-        e = np.array([math.exp(-v) for v in zz[band].tolist()])
-        y[band] = 0.5 * (e * _polevl(z[band], num) / _polevl(z[band], (1.0, *den)))
-    upper = (z >= _SQRT1_2) & (x > 0)
-    y[upper] = 1.0 - y[upper]
-    return y
-
-
-# np.interp on this table is within _SCREEN_ERR of `_ndtr`; see ks_statistic
-_SCREEN_X = np.linspace(-9.0, 9.0, 8193)
-_SCREEN_CDF = _ndtr(_SCREEN_X)
-_SCREEN_ERR = 1.5e-7
-
-
-def ks_statistic(samples) -> float:
-    """Sup distance between the empirical CDF and the standard normal CDF.
-
-    The value is max(max_i (i/n - Phi(x_i)), max_i (Phi(x_i) - (i-1)/n))
-    over the sorted samples, each difference one float subtraction with
-    Phi from `_ndtr`.  Only the differences near each maximum need the
-    exact Phi, so the indices are first screened with d_i = i/n - s(x_i),
-    s the linear interpolant of Phi on `_SCREEN_X` (step h = 18/8192),
-    clamped to the end values outside [-9, 9].  There |s - Phi| <= h^2/8
-    max|Phi''| = h^2/8 phi(1) = 1.46e-7 inside and Phi(-9) = 1.1e-19
-    outside.  With a few ulps of 1 for the table's, the interpolant's and
-    the subtractions' rounding, d_i is within E = 1.5e-7 of the exact
-    i/n - Phi(x_i), and 1/n - d_i within E of the exact
-    Phi(x_i) - (i-1)/n.  So the exact maxima sit among the indices with
-    d_i within 2E of max d (plus side) or of min d (minus side), and the
-    exact differences at those indices alone give the same floats as over
-    all n.  A NaN sample gives NaN.
-    """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    if n < 10:
-        raise ValueError(f"need at least 10 samples, got {n}")
-    if np.isnan(x[-1]):  # the sort puts NaN last
-        return math.nan
-    d = np.arange(1.0, n + 1)
-    d /= n
-    d -= np.interp(x, _SCREEN_X, _SCREEN_CDF)
-    k = np.flatnonzero(d >= d.max() - 2 * _SCREEN_ERR)
-    d_plus = np.max((k + 1) / n - _ndtr(x[k]))
-    k = np.flatnonzero(d <= d.min() + 2 * _SCREEN_ERR)
-    d_minus = np.max(_ndtr(x[k]) - k / n)
-    return float(max(d_plus, d_minus))
+    return np.concatenate([b for _, b in paths._prefix_sums(paths._oracle_steps(rng, step_sd))])
 
 
 def _require_finite(clock, what: str) -> None:
@@ -360,69 +136,6 @@ def _clock(params: WalkParams, normalization: str = "exact_s") -> np.ndarray:
     return clock
 
 
-def _quantiles(x: np.ndarray, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> list[float]:
-    # np.quantile partitions its input for each quantile, which on a sorted
-    # copy is a quick pass (3.3 ms against 4.8 ms at 200k normals).  The order
-    # statistics are the same numbers, so the quantiles are too; only a -0.0
-    # among +0.0 may come out with the other sign, and the callers' samples
-    # hold no -0.0: grid values and walk sums that cancel give +0.0
-    return [float(v) for v in np.quantile(np.sort(x), qs)]
-
-
-# -- long paths, one block at a time --------------------------------------------
-
-_BLOCK = 1 << 16  # steps per block: a replica's arrays take about 2 MB
-
-
-def _walk_steps(rng: np.random.Generator, p: float, a: np.ndarray):
-    """Weighted steps a_k X_k in blocks, as (start, block), each a fresh array.
-
-    The same numbers as `a * _draw_signs(rng, p, a.size)`: the blocks draw
-    the same Philox uniforms in order, and each block continues from the sign
-    the one before ended on.
-    """
-    last = None
-    for start in range(0, a.size, _BLOCK):
-        x = _draw_signs(rng, p, min(_BLOCK, a.size - start), last)
-        last = x[-1]
-        x *= a[start:start + x.size]
-        yield start, x
-
-
-def _oracle_steps(rng: np.random.Generator, step_sd: np.ndarray):
-    """Gaussian increments with sd step_sd[k] in blocks, as (start, block)."""
-    for start in range(0, step_sd.size, _BLOCK):
-        b = rng.standard_normal(min(_BLOCK, step_sd.size - start))
-        b *= step_sd[start:start + b.size]
-        yield start, b
-
-
-def _prefix_sums(blocks):
-    """Running sums of the step blocks, as (start, block), each a fresh array.
-
-    The carry enters each block's first step before the cumsum, so every
-    partial sum is the same float addition `np.cumsum` of the whole path
-    makes; adding it to the block's sums afterwards would round differently.
-    The caller may overwrite a block: the carry is read before it is yielded.
-    """
-    carry = 0.0
-    for start, b in blocks:
-        if start:  # the first sum is the first step itself, even -0.0
-            b[0] += carry
-        # Out of place: numpy holds the GIL through an in-place accumulate.
-        # Two threads each summing 2^16 steps ran 0.84-0.98x one thread in
-        # place, 1.55-1.97x out of place (2-vCPU VM).
-        s = np.cumsum(b)
-        carry = s[-1]
-        yield start, s
-
-
-def _from_index(i0: int, start: int, block: np.ndarray) -> tuple[int, np.ndarray]:
-    """The part of a block at path index >= i0, and its offset from i0."""
-    skip = max(i0 - start, 0)
-    return start + skip - i0, block[skip:]
-
-
 # -- CLT ----------------------------------------------------------------------
 
 # replicas per clt task: each task keys its streams in one pass and re-keys
@@ -438,7 +151,7 @@ def clt_experiment(
 ) -> ExperimentReport:
     """KS distance of S_n/s_n (s_n exact) to the standard normal.
 
-    A task draws its replicas in blocks of `_BLOCK // n` rows (at least
+    A task draws its replicas in blocks of `paths._BLOCK // n` rows (at least
     one), one path per row: short numpy ops do not overlap under the GIL,
     and one sign scan over the whole block lets the two threads of a 2-vCPU
     machine gain where per-replica scans of 5,000 steps did not.  Each row
@@ -456,7 +169,7 @@ def clt_experiment(
     with np.errstate(over="ignore", invalid="ignore"):
         s_n = math.sqrt(exact_second_moment(params.p, params.weights, 0, n))
     _require_finite(s_n, "s_n")
-    rows = max(1, _BLOCK // n)
+    rows = max(1, paths._BLOCK // n)
 
     def chunk(c: int) -> np.ndarray:
         lo = c * _CLT_CHUNK
@@ -469,7 +182,7 @@ def clt_experiment(
             sums.append(np.add.reduce(block, axis=1) / s_n)
         return np.concatenate(sums)
 
-    samples = np.concatenate(_map_threads(chunk, -(-replicas // _CLT_CHUNK)))
+    samples = np.concatenate(paths._map_threads(chunk, -(-replicas // _CLT_CHUNK)))
     ks = ks_statistic(samples)
     se_mean = float(np.std(samples, ddof=1) / math.sqrt(replicas))
 
@@ -504,28 +217,15 @@ def _start_index(clock: np.ndarray, what: str) -> int:
     return i0
 
 
-def _walks_and_oracles(params: WalkParams, replicas: int, seed: int, s_sq: np.ndarray,
-                       walk_reduce, oracle_reduce) -> tuple[list, list]:
-    """Each replica's walk and its Brownian oracle on the clock s_sq, reduced.
-
-    Walk i draws from stream (seed, i) and its oracle from (seed, replicas + i);
-    a reducer takes a path's running sums as (start, block) pairs, and the
-    results come back in replica order.  The walks and then the oracles run
-    as one map, on one thread per usable CPU (at most 2 * `replicas`).
-    """
+def _walk_and_oracle_steps(params: WalkParams, s_sq: np.ndarray) -> tuple:
+    """The step sources of the walk and of its Brownian oracle on the clock s_sq."""
     gaps = np.diff(s_sq, prepend=0.0)
     if np.any(gaps < 0):
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
     step_sd = np.sqrt(gaps)
     a = params.weights.values(params.horizon)
-
-    def path(i: int):
-        if i < replicas:
-            return walk_reduce(_prefix_sums(_walk_steps(stream(seed, i), params.p, a)))
-        return oracle_reduce(_prefix_sums(_oracle_steps(stream(seed, i), step_sd)))
-
-    out = _map_threads(path, 2 * replicas)
-    return out[:replicas], out[replicas:]
+    return (lambda gen: paths._walk_steps(gen, params.p, a),
+            lambda gen: paths._oracle_steps(gen, step_sd))
 
 
 def _terminals(walk, oracle) -> dict:
@@ -534,95 +234,6 @@ def _terminals(walk, oracle) -> dict:
         "columns": ["replica", "walk", "oracle"],
         "rows": [[i, float(w), float(o)] for i, (w, o) in enumerate(zip(walk, oracle))],
     }
-
-
-_COVER_EDGES = np.linspace(-0.9, 0.9, 10)  # nine width-0.2 bins
-_EDGES = _COVER_EDGES.tolist()
-
-
-def _bin_of(x: float) -> int:
-    """The cover bin of a non-NaN x: -1 below the first edge, 9 above the last."""
-    return 8 if x == _EDGES[-1] else bisect.bisect_right(_EDGES, x) - 1
-
-
-def _mark_bins(trace: np.ndarray, seen: np.ndarray) -> None:
-    """seen |= np.histogram(trace, bins=_COVER_EDGES)[0] > 0, without a sort.
-
-    np.histogram's rules: x lies in bin i when e_i <= x < e_{i+1}, the last
-    bin also takes x = e_9, and NaN and +-inf lie in no bin.  It sorts the
-    block (456-580 us per 2^16 values).  The min and max (22 us together)
-    already place two values, and each bin strictly between theirs is
-    tested, with the same comparisons, only while it is unseen.  A NaN
-    makes the min and max NaN and places nothing; then every unseen bin is
-    tested, and the comparisons, False for NaN, leave it out as np.histogram
-    does.
-    """
-    lo, hi = float(np.min(trace)), float(np.max(trace))
-    if math.isnan(lo):
-        first, last = -1, seen.size
-    else:
-        first, last = _bin_of(lo), _bin_of(hi)
-        for i in (first, last):
-            if 0 <= i < seen.size:
-                seen[i] = True
-    for i in range(max(first + 1, 0), min(last, seen.size)):
-        if not seen[i]:
-            below = trace <= _EDGES[i + 1] if i == seen.size - 1 else trace < _EDGES[i + 1]
-            seen[i] = np.any(below & (trace >= _EDGES[i]))
-
-
-def _lil_terminal(sums, i0: int, scale: np.ndarray, coverage: bool) -> tuple[float, bool]:
-    """max S_k / scale[k - i0] over k >= i0, and whether it visits all nine bins.
-
-    Once every bin has been seen the screen is skipped: coverage can only
-    turn true.
-    """
-    top = -math.inf
-    seen = np.zeros(_COVER_EDGES.size - 1, dtype=bool)
-    covered = False
-    for start, b in sums:
-        off, trace = _from_index(i0, start, b)
-        if trace.size == 0:
-            continue
-        np.divide(trace, scale[off:off + trace.size], out=trace)
-        top = max(top, float(np.max(trace)))
-        if coverage and not covered:
-            _mark_bins(trace, seen)
-            covered = bool(seen.all())
-    return top, covered
-
-
-def _running_max(b: np.ndarray, start: float) -> np.ndarray:
-    """max(start, |b_0|, ..., |b_k|) for each k, as a fresh float array.
-
-    b is overwritten by |b|.  After np.abs, b holds +0.0, positive finite
-    values, +inf or a positive NaN.  With the sign bit clear their float64
-    bits order as int64 just as the values do, NaN above inf, so the running
-    maximum of the bits is that of the values and a NaN still carries
-    forward (if NaNs with other bits met, the one kept could differ, which
-    no later step of chung tells apart).
-    It ran 272 against 452 us per 2^16 block as floats.  Out of place: numpy
-    holds the GIL through an in-place accumulate.  Two threads each scanning
-    2^16 values ran 0.92-1.10x one thread in place, 1.88-1.95x out of place
-    (2-vCPU VM).
-    """
-    np.abs(b, out=b)
-    b[0] = np.maximum(b[0], start)
-    return np.maximum.accumulate(b.view(np.int64)).view(np.float64)
-
-
-def _chung_terminal(sums, i0: int, coef: np.ndarray) -> float:
-    """min over k >= i0 of coef[k - i0] max_{j<=k} |S_j|."""
-    runmax = 0.0
-    low = math.inf
-    for start, b in sums:
-        b = _running_max(b, runmax)
-        runmax = b[-1]
-        off, tail = _from_index(i0, start, b)
-        if tail.size:
-            np.multiply(coef[off:off + tail.size], tail, out=tail)
-            low = min(low, float(np.min(tail)))
-    return low
 
 
 def _resolve_lil(cfg: dict) -> dict:
@@ -682,10 +293,11 @@ def lil_experiment(
     den = _clock(params, normalization)
     i0 = _start_index(den, "denominator")
     scale = np.sqrt(2.0 * den[i0:] * np.log(np.log(den[i0:])))
-    walk, oracle = _walks_and_oracles(
-        params, replicas, seed, den if normalization == "exact_s" else _clock(params),
-        lambda sums: _lil_terminal(sums, i0, scale, coverage),
-        lambda sums: _lil_terminal(sums, i0, scale, False)[0],
+    walk, oracle = paths._walks_and_oracles(
+        replicas, seed,
+        *_walk_and_oracle_steps(params, den if normalization == "exact_s" else _clock(params)),
+        lambda sums: paths._lil_terminal(sums, i0, scale, coverage),
+        lambda sums: paths._lil_terminal(sums, i0, scale, False)[0],
     )
     walk_terminals, oracle_terminals = np.array([t for t, _ in walk]), np.array(oracle)
     covered_frac = float(np.mean([c for _, c in walk])) if coverage else None
@@ -703,9 +315,7 @@ def lil_experiment(
         statistic("oracle_fraction_in_band", oracle_frac, band_tol, detail=detail)
     )
     report.statistics.append(statistic("walk_median", float(np.median(walk_terminals))))
-    report.statistics.append(
-        statistic("oracle_median", float(np.median(oracle_terminals)))
-    )
+    report.statistics.append(statistic("oracle_median", float(np.median(oracle_terminals))))
     if coverage:
         report.statistics.append(
             statistic(
@@ -716,12 +326,8 @@ def lil_experiment(
             )
         )
     report.attachments["terminals"] = _terminals(walk_terminals, oracle_terminals)
-    report.notes.append(
-        "quantiles walk: " + repr(_quantiles(walk_terminals))
-    )
-    report.notes.append(
-        "quantiles oracle: " + repr(_quantiles(oracle_terminals))
-    )
+    report.notes.append("quantiles walk: " + repr(_quantiles(walk_terminals)))
+    report.notes.append("quantiles oracle: " + repr(_quantiles(oracle_terminals)))
     return report
 
 
@@ -751,9 +357,11 @@ def chung_experiment(
     coef = np.sqrt(np.log(np.log(s_sq[i0:])) / s_sq[i0:])
 
     def terminal(sums) -> float:
-        return _chung_terminal(sums, i0, coef)
+        return paths._chung_terminal(sums, i0, coef)
 
-    walk, oracle = _walks_and_oracles(params, replicas, seed, s_sq, terminal, terminal)
+    walk, oracle = paths._walks_and_oracles(
+        replicas, seed, *_walk_and_oracle_steps(params, s_sq), terminal, terminal
+    )
     walk_terminals, oracle_terminals = np.array(walk), np.array(oracle)
     walk_median = float(np.median(walk_terminals))
     oracle_median = float(np.median(oracle_terminals))
@@ -791,14 +399,6 @@ def chung_experiment(
 # -- fractal-side experiments --------------------------------------------------
 
 
-def _exact_mantissa_step(h: Fraction) -> int:
-    """h as a count of 2^-53 grid cells, rounded to nearest."""
-    step = round(h * GRID)
-    if step < 1:
-        raise ValueError(f"h={h} is below the 2^-53 grid resolution")
-    return int(step)
-
-
 def modulus_experiment(
     f: FractalFunction,
     h_grid="2^-10,2^-20",
@@ -830,19 +430,15 @@ def modulus_experiment(
     if hs[0] >= Fraction(1, f.r) or hs[-1] <= 0:
         raise ValueError(f"h_grid must lie inside (0, 1/{f.r})")
     profile = variance_profile(f.r, f.weights, scale_index(f.r, hs[-1]) + 1)
-    steps = [np.uint64(_exact_mantissa_step(hq)) for hq in hs]
-    # the rows' eval_grid calls then read the certificate and never fill it
-    f._certified(eps)
 
     def scale_row(i: int) -> tuple:
         """Scale i's statistics: KS distance and residual quantiles."""
         hq = hs[i]
         mx = uniform_mantissas(stream(seed, i), x_samples)
-        vx = f.eval_grid(mx, eps)
-        vy = f.eval_grid((mx + steps[i]) & np.uint64(GRID - 1), eps)
+        inc = f.increment_grid(mx, [hq], eps)[0]
+        inc /= float(hq)
         m = scale_index(f.r, hq)
         sig = profile.sigma_l(hq)
-        inc = (vy - vx) / float(hq)
         ks = ks_statistic(inc / math.sqrt(sig))
         inc -= f.walk_value_grid(mx, m)
         return m, sig, ks, _quantiles(inc)
@@ -850,7 +446,7 @@ def modulus_experiment(
     # a row's walk takes m(h) terms, so the rows grow dearer down the grid;
     # queued dearest first, the last row to finish is a cheap one
     last = len(hs) - 1
-    stats = _map_threads(lambda j: scale_row(last - j), len(hs))[::-1]
+    stats = paths._map_threads(lambda j: scale_row(last - j), len(hs))[::-1]
     report = _new_report(config)
     rows = []
     for i, (hq, (m, sig, ks, resid_q)) in enumerate(zip(hs, stats)):
@@ -909,6 +505,8 @@ def functional_clt_experiment(
     idx = [int(math.floor(n * t ** (1.0 / beta))) for t in ts]
     if idx[0] < 1:
         raise ValueError(f"t={ts[0]} gives index 0; increase n or t")
+    if len(set(idx)) < len(idx):
+        raise ValueError(f"t_grid {ts} gives indices {idx}; each t needs its own index")
     profile = variance_profile(f.r, f.weights, n)
     v_n = profile.grid_value(n)
     for t, i in zip(ts, idx):
@@ -923,52 +521,34 @@ def functional_clt_experiment(
     mx = uniform_mantissas(stream(seed, 0), x_samples)
     sqrt_vn = math.sqrt(v_n)
     hs = [Fraction(1, f.r**i) for i in idx]
-    steps = [np.uint64(_exact_mantissa_step(hq)) for hq in hs]
-    paths = np.empty((len(ts), x_samples))
+    scales = np.array([[float(hq) * sqrt_vn] for hq in hs])
+    incs = np.empty((len(ts), x_samples))
     block = fractal._EVAL_BLOCK
-    # the blocks' eval_grid calls then read the certificate and never fill it
-    f._certified(eps)
 
     def fill(b: int) -> None:
         part = slice(b * block, (b + 1) * block)
-        vx = f.eval_grid(mx[part], eps)
-        for row, (hq, step) in enumerate(zip(hs, steps)):
-            vy = f.eval_grid((mx[part] + step) & np.uint64(GRID - 1), eps)
-            vy -= vx
-            np.divide(vy, float(hq) * sqrt_vn, out=paths[row, part])
+        np.divide(f.increment_grid(mx[part], hs, eps), scales, out=incs[:, part])
 
-    _map_threads(fill, -(-x_samples // block))
-    # the moments below read the paths only, and np.cov copies two rows
+    paths._map_threads(fill, -(-x_samples // block))
+    # the moments below read the increments only, and np.cov copies two rows
     del mx
 
     report = _new_report(config)
     rows = []
     for row, (t, i) in enumerate(zip(ts, idx)):
-        var = float(np.var(paths[row], ddof=1))
+        var = float(np.var(incs[row], ddof=1))
         report.statistics.append(
-            statistic(
-                f"var_t={t:g}",
-                var,
-                {"target": t, "abs": var_tol},
-                detail=f"idx={i}",
-            )
+            statistic(f"var_t={t:g}", var, {"target": t, "abs": var_tol}, detail=f"idx={i}")
         )
         rows.append([t, i, var])
     for a_i in range(len(ts)):
         for b_i in range(a_i + 1, len(ts)):
-            cov = float(np.cov(paths[a_i], paths[b_i], ddof=1)[0, 1])
+            cov = float(np.cov(incs[a_i], incs[b_i], ddof=1)[0, 1])
             target = min(ts[a_i], ts[b_i])
             report.statistics.append(
-                statistic(
-                    f"cov_t={ts[a_i]:g},{ts[b_i]:g}",
-                    cov,
-                    {"target": target, "abs": var_tol},
-                )
+                statistic(f"cov_t={ts[a_i]:g},{ts[b_i]:g}", cov, {"target": target, "abs": var_tol})
             )
-    report.attachments["marginals"] = {
-        "columns": ["t", "index", "variance"],
-        "rows": rows,
-    }
+    report.attachments["marginals"] = {"columns": ["t", "index", "variance"], "rows": rows}
     return report
 
 

@@ -26,7 +26,8 @@ refuse an eps the sum of the two cannot meet.
 `decompose_increment` splits f(x+h) - f(x) into the three regimes that drive
 everything downstream: a linear part h * w(x) governed by the slope-sign walk
 w, a midrange of indices where the pair (x, x+h) straddles sawtooth kinks,
-and a certified small tail.
+and a certified small tail.  `increment_grid` gives the grid increments the
+experiments test, and `variance_profile` f's own V_n = Var w_n.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import walks  # looked up at call time, so a wrapper set on walks sees each call
 from .rng import GRID, MANTISSA_BITS
 from .weights import WeightSequence, _as_int, _check_delta, _tail_constant
 
@@ -52,6 +54,8 @@ __all__ = [
     "match_depth_shifted",
     "match_depth_grid",
     "scale_index",
+    "VarianceProfile",
+    "variance_profile",
 ]
 
 # grid digit extraction multiplies a 53-bit residue by r inside uint64
@@ -102,6 +106,14 @@ def _check_mantissas(m: np.ndarray) -> np.ndarray:
             f"grid mantissas must lie below 2^{MANTISSA_BITS}, got {int(m.max())}"
         )
     return m
+
+
+def _exact_mantissa_step(h: Fraction) -> int:
+    """h as a count of 2^-53 grid cells, rounded to nearest."""
+    step = round(h * GRID)
+    if step < 1:
+        raise ValueError(f"h={h} is below the 2^-53 grid resolution")
+    return int(step)
 
 
 def _exact(x) -> Fraction:
@@ -578,6 +590,23 @@ class FractalFunction:
 
     # -- increments -----------------------------------------------------------
 
+    def increment_grid(self, mantissas: np.ndarray, hs, eps: float = 1e-12) -> np.ndarray:
+        """f(x + h) - f(x) at grid points x = m * 2^-53, one row per h in hs.
+
+        Each h is rounded to the nearest whole number of grid cells (refused
+        below one) and x + h wraps past 1, where f repeats.  f(x) is
+        evaluated once for all rows, and each row is the float difference of
+        two `eval_grid` values, each certified to eps.  The first call at an
+        eps computes f's certificate, and later calls only read it.
+        """
+        m = np.ascontiguousarray(mantissas, dtype=np.uint64)
+        steps = [np.uint64(_exact_mantissa_step(_exact(h))) for h in hs]
+        fx = self.eval_grid(m, eps)
+        rows = np.empty((len(steps), fx.size))
+        for row, step in zip(rows, steps):
+            np.subtract(self.eval_grid((m + step) & _MASK, eps), fx, out=row)
+        return rows
+
     def decompose_increment(self, x, h, eps: float = 1e-12) -> IncrementDecomposition:
         """Split f(x+h) - f(x) into linear, midrange, and tail parts.
 
@@ -640,3 +669,65 @@ class FractalFunction:
             increment=increment,
             residual=residual,
         )
+
+
+# -- variance profile ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class VarianceProfile:
+    """V_n = Var w_n(x) for uniform x, with a log-scale interpolant.
+
+    For even r the slope signs are i.i.d. fair signs and V_n = A_n exactly;
+    for odd r they form the one-step-memory chain at p_r = (r+1)/(2r), so V_n
+    is the exact second moment at alpha = 1/r.
+    """
+
+    r: int
+    values: np.ndarray  # V_1..V_n_max
+
+    @property
+    def n_max(self) -> int:
+        return self.values.size
+
+    def grid_value(self, n: int) -> float:
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"n must be in 1..{self.n_max}, got {n}")
+        return float(self.values[n - 1])
+
+    def sigma_l(self, h) -> float:
+        """Interpolant with sigma_l(r^-n) = V_n exactly.
+
+        Exact powers of 1/r (as Fractions, or floats that convert exactly)
+        return the grid value with no interpolation error; other h are
+        log-linear between grid points and constant beyond the ends.
+        """
+        hq = _exact(h)
+        if not 0 < hq < 1:
+            raise ValueError(f"h must be in (0, 1), got {h}")
+        m = scale_index(self.r, hq)
+        if hq * self.r**m == 1 and 1 <= m <= self.n_max:  # h = r^-m exactly
+            return float(self.values[m - 1])
+        t = -math.log(float(hq)) / math.log(self.r)
+        if t <= 1.0:
+            return float(self.values[0])
+        if t >= self.n_max:
+            return float(self.values[-1])
+        lo = int(t)
+        frac = t - lo
+        return float((1.0 - frac) * self.values[lo - 1] + frac * self.values[lo])
+
+
+def variance_profile(r: int, seq: WeightSequence, n_max: int) -> VarianceProfile:
+    n_max = _as_int(n_max, "n_max", 1)
+    r = _check_base(r)
+    if r % 2 == 0:
+        values = seq.energies(n_max).copy()
+    else:
+        values = walks.second_moment_profile((r + 1) / (2 * r), seq, n_max)
+    if np.any(np.diff(values) < 0):
+        raise ValueError(
+            "variance profile is not non-decreasing; no valid interpolant"
+        )
+    values.flags.writeable = False
+    return VarianceProfile(r=r, values=values)

@@ -20,6 +20,7 @@ from fractalwalk import (
     exact_second_moment,
     experiments,
     growth_report,
+    paths,
     rng,
     scale_index,
     sign_walk,
@@ -288,9 +289,9 @@ def test_experiment_defaults_match_cli_defaults(name, fn):
 def test_manifest_hash_ignores_workers(monkeypatch):
     # the thread count is the usable-CPU count, never part of the config
     base = {"experiment": "clt", "p": 0.75, "replicas": 2000}
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 1)
     m1 = manifest(base)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 4)
     m4 = manifest(base)
     assert m1.hash == m4.hash
     assert manifest(normalize_config(base)).hash == m1.hash
@@ -618,6 +619,17 @@ def test_library_call_writes_the_cli_report(config, tmp_path, capsys):
     assert (report.to_json() + "\n").encode() == report_path.read_bytes()
 
 
+def _forbid_draws(monkeypatch) -> None:
+    """Make every place an experiment opens a stream raise: lil and chung
+    open theirs through `rng.stream`, clt through `_streams`, and the rest
+    through `experiments.stream`."""
+    def no_draws(*args):
+        raise AssertionError("a random stream was opened")
+
+    for module, name in ((rng, "stream"), (experiments, "stream"), (experiments, "_streams")):
+        monkeypatch.setattr(module, name, no_draws)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -638,10 +650,7 @@ def test_library_call_writes_the_cli_report(config, tmp_path, capsys):
 def test_library_refuses_non_finite_tolerances(call, monkeypatch):
     # a NaN tolerance once ran clt to FAIL and an infinite one to PASS, where
     # the CLI refused both
-    def no_draws(*args):
-        raise AssertionError("a random stream was opened")
-
-    monkeypatch.setattr(experiments, "stream", no_draws)
+    _forbid_draws(monkeypatch)
     with pytest.raises(ValueError, match="is not a finite number"):
         call()
 
@@ -750,10 +759,7 @@ def test_overflowing_weights_refuse_without_warnings(args, rc, err, tmp_path, ca
 )
 def test_counts_without_a_statistic_are_refused(args, err, tmp_path, capsys, monkeypatch):
     # each run once crashed, passed vacuously, or wrote a report of NaNs or an empty band
-    def no_draws(*args):
-        raise AssertionError("a random stream was opened")
-
-    monkeypatch.setattr(experiments, "stream", no_draws)
+    _forbid_draws(monkeypatch)
     assert main(args + ["--outdir", str(tmp_path)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(err)

@@ -27,6 +27,8 @@ from fractalwalk import fractal
 from fractalwalk.fractal import _EVAL_BLOCK, _WALK_BLOCK
 from fractalwalk.rng import GRID
 
+from finite_depth import grid_difference
+
 CONST = WeightSequence.constant()
 
 
@@ -441,6 +443,21 @@ def test_walk_value_grid_other_weights_take_the_gemv_path(spec):
     assert f.walk_value_grid(mant, n).tobytes() == _walk_value_in_order(f, mant, n).tobytes()
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_increment_grid_rows_match_two_eval_grid_calls(r):
+    # 1/(r^5 + 1) is no whole number of grid cells; x + h wraps past 1 for
+    # the points above 1 - h
+    f = FractalFunction(r, WeightSequence.power(0.5), 0.5)
+    mant = uniform_mantissas(stream(23), 1000)
+    hs = [Fraction(1, r**2), Fraction(1, r**5 + 1), Fraction(1, 2**40)]
+    rows = f.increment_grid(mant, hs)
+    assert rows.shape == (3, mant.size)
+    for row, h in zip(rows, hs):
+        assert row.tobytes() == grid_difference(f, mant, h).tobytes()
+    with pytest.raises(ValueError, match=r"^h=1/18014398509481985 is below the 2\^-53 grid"):
+        f.increment_grid(mant, [Fraction(1, 2**54 + 1)])
+
+
 _OFF_GRID = [2**53 + 5, 2**60, 2**64 - 1]
 
 
@@ -452,6 +469,7 @@ def test_grid_functions_refuse_mantissas_past_the_grid(r, m):
     calls = [
         lambda: f.eval_grid(mant),
         lambda: f.walk_value_grid(mant, 3),
+        lambda: f.increment_grid(mant, [Fraction(1, 8)]),
         lambda: sign_walk_grid(r, mant, 3),
         lambda: match_depth_grid(r, mant, 3),
     ]

@@ -22,12 +22,11 @@ from fractalwalk import (
     sign_walk_grid,
     variance_profile,
 )
-from fractalwalk import experiments
-from fractalwalk.experiments import (
+from fractalwalk import paths, stats
+from fractalwalk.experiments import CHUNG_CONSTANT, _brownian_from_rng
+from fractalwalk.paths import (
     _BLOCK,
     _COVER_EDGES,
-    CHUNG_CONSTANT,
-    _brownian_from_rng,
     _lil_terminal,
     _oracle_steps,
     _prefix_sums,
@@ -166,7 +165,7 @@ def test_quantiles_match_numpy_on_the_unsorted_input(kind):
     x = _QUANTILE_SAMPLES[kind](np.random.default_rng(7))
     before = x.copy()
     want = np.quantile(x, (0.05, 0.25, 0.5, 0.75, 0.95))
-    assert np.array(experiments._quantiles(x)).tobytes() == want.tobytes()
+    assert np.array(stats._quantiles(x)).tobytes() == want.tobytes()
     assert x.tobytes() == before.tobytes()
 
 
@@ -176,7 +175,7 @@ def test_quantiles_of_signed_zeros_match_numpy_in_value():
     x = np.array([0.0, 0.0, -1.0, 0.0, 1.0, 0.5, 0.5, -0.0, 0.0, 1.0, 0.5, -1.0, 0.0,
                   -1.0, -0.0, -0.0, 1.0, 0.5, 0.5])
     want = np.quantile(x, (0.05, 0.25, 0.5, 0.75, 0.95))
-    assert np.array_equal(experiments._quantiles(x), want)
+    assert np.array_equal(stats._quantiles(x), want)
 
 
 def test_ks_statistic_degenerate_and_small():
@@ -199,7 +198,7 @@ def test_ndtr_port_matches_scipy_bit_for_bit():
     rng = np.random.default_rng(13)
     # the branch edges |a|/sqrt(2) = sqrt(1/2), 1 and 8, and the underflow
     # cut a^2/2 = MAXLOG
-    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * experiments._MAXLOG)]
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * stats._MAXLOG)]
     x = np.concatenate([
         rng.standard_normal(400_000),
         rng.uniform(-40.0, 40.0, 300_000),
@@ -209,7 +208,7 @@ def test_ndtr_port_matches_scipy_bit_for_bit():
         [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324],
     ])
     assert x.size >= 10**6
-    np.testing.assert_array_equal(experiments._ndtr(x).view(np.uint64), ndtr(x).view(np.uint64))
+    np.testing.assert_array_equal(stats._ndtr(x).view(np.uint64), ndtr(x).view(np.uint64))
 
 
 def _ks_reference(samples) -> float:
@@ -252,12 +251,12 @@ def test_ks_statistic_keeps_a_near_tie_the_screen_misorders():
     # x[2] sits mid-cell near -1, where the interpolated CDF is 1.46e-7 too
     # high; x[5] near -0.1, where it is within 3e-8.  Exactly, 0.3 - Phi(x[2])
     # beats 0.6 - Phi(x[5]) by 5e-8, but the screen ranks them the other way
-    grid = experiments._SCREEN_X
+    grid = stats._SCREEN_X
     k = np.searchsorted(grid, -1.0)
     x_a = (grid[k - 1] + grid[k]) / 2
     x_b = ndtri(0.6 - (0.3 - ndtr(x_a)) + 5e-8)
     x = np.array([-2.0, -1.2, x_a, -0.5, -0.3, x_b, 0.3, 0.7, 1.2, 2.0])
-    screen = np.interp(x, grid, experiments._SCREEN_CDF)
+    screen = np.interp(x, grid, stats._SCREEN_CDF)
     assert 0.6 - screen[5] > 0.3 - screen[2]
     for sample in (x, -x[::-1]):  # the plus side, then the minus side
         assert ks_statistic(sample) == _ks_reference(sample) == pytest.approx(0.3 - ndtr(x_a))
@@ -587,7 +586,7 @@ def screen_matches_histogram(trace, seen=None) -> bool:
     trace = np.array(trace, dtype=float)
     seen = np.zeros(_COVER_EDGES.size - 1, dtype=bool) if seen is None else seen
     want = seen | (np.histogram(trace, bins=_COVER_EDGES)[0] > 0)
-    experiments._mark_bins(trace, seen)  # looked up at call time, so it can be patched
+    paths._mark_bins(trace, seen)  # looked up at call time, so it can be patched
     return seen.tolist() == want.tolist()
 
 
@@ -651,7 +650,7 @@ def test_overflowing_variance_clock_is_refused(run, monkeypatch):
     def no_paths(*args):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(experiments, "stream", no_paths)
+    monkeypatch.setattr("fractalwalk.rng.stream", no_paths)
     with pytest.raises(ValueError, match="not finite"):
         run(WalkParams(0.75, WeightSequence.geometric(2.0), 100_000))
 
@@ -673,7 +672,7 @@ def test_unusable_variance_clock_is_refused(run, weights, p, message, monkeypatc
     def no_paths(*args):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(experiments, "stream", no_paths)
+    monkeypatch.setattr("fractalwalk.rng.stream", no_paths)
     with pytest.raises(ValueError, match=message):
         run(WalkParams(p, weights, 100_000))
 
@@ -767,6 +766,17 @@ EXPERIMENTS_REFUSALS = {
         lambda: modulus_experiment(FractalFunction(2, CONST, 1.0), [Fraction(1, 2**60)],
                                    x_samples=10),
         "h=1/1152921504606846976 is below the 2^-53 grid resolution",
+    ),
+    # idx(t) = floor(12 t): 6, 6 and 12; a shared index was once judged twice
+    "fclt-t-sharing-an-index": (
+        lambda: functional_clt_experiment(FractalFunction(2, CONST, 1.0), 1.0, 12, "0.5,0.52,1",
+                                          x_samples=10),
+        "t_grid [0.5, 0.52, 1.0] gives indices [6, 6, 12]; each t needs its own index",
+    ),
+    "fclt-repeated-t": (
+        lambda: functional_clt_experiment(FractalFunction(2, CONST, 1.0), 1.0, 12, "0.5,0.5,1",
+                                          x_samples=10),
+        "t_grid [0.5, 0.5, 1.0] gives indices [6, 6, 12]; each t needs its own index",
     ),
     "fclt-index-0": (
         lambda: functional_clt_experiment(FractalFunction(2, CONST, 1.0), 1.0, 40, [0.01, 1.0],

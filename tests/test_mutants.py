@@ -28,6 +28,7 @@ from fractalwalk import (
     experiments,
     fractal,
     lil_experiment,
+    paths,
     rng,
     validate_assumptions,
     walks,
@@ -100,44 +101,41 @@ def _constant_run_within_an_ulp(out, x, lo, hi, u, alpha):
 
 
 def _mark_bins_between_min_and_max(trace, seen):
-    """`experiments._mark_bins` that takes every bin between the min and max as seen."""
+    """`paths._mark_bins` that takes every bin between the min and max as seen."""
     lo, hi = float(np.min(trace)), float(np.max(trace))
     if math.isnan(lo):
         first, last = -1, seen.size
     else:
-        first, last = experiments._bin_of(lo), experiments._bin_of(hi)
+        first, last = paths._bin_of(lo), paths._bin_of(hi)
     seen[max(first, 0):min(last, seen.size - 1) + 1] = True
 
 
-def _unchecked_walks_and_oracles(on_walk_streams: bool):
-    """`experiments._walks_and_oracles` on one thread without its monotone-clock
-    check; with `on_walk_streams`, oracle i draws from stream i, not replicas + i."""
-    def run(params, replicas, seed, s_sq, walk_reduce, oracle_reduce):
-        step_sd = np.sqrt(np.diff(s_sq, prepend=0.0))
-        a = params.weights.values(params.horizon)
-        stream, steps, sums = experiments.stream, experiments._walk_steps, experiments._prefix_sums
-        first_oracle = 0 if on_walk_streams else replicas
-
-        def walk_one(i):
-            return walk_reduce(sums(steps(stream(seed, i), params.p, a)))
-
-        def oracle_one(i):
-            return oracle_reduce(sums(experiments._oracle_steps(stream(seed, first_oracle + i),
-                                                                step_sd)))
-
-        return [walk_one(i) for i in range(replicas)], [oracle_one(i) for i in range(replicas)]
-    return run
+def _walks_and_oracles_on_walk_streams(replicas, seed, walk_steps, oracle_steps, walk_reduce,
+                                       oracle_reduce):
+    """`paths._walks_and_oracles` on one thread, oracle i on stream i, not replicas + i."""
+    def reduce(reducer, steps, i):
+        return reducer(paths._prefix_sums(steps(rng.stream(seed, i))))
+    return ([reduce(walk_reduce, walk_steps, i) for i in range(replicas)],
+            [reduce(oracle_reduce, oracle_steps, i) for i in range(replicas)])
 
 
-_WALKS_AND_ORACLES = experiments._walks_and_oracles
+def _walk_and_oracle_steps_unchecked(params, s_sq):
+    """`experiments._walk_and_oracle_steps` without its monotone-clock check."""
+    step_sd = np.sqrt(np.diff(s_sq, prepend=0.0))
+    a = params.weights.values(params.horizon)
+    return (lambda gen: paths._walk_steps(gen, params.p, a),
+            lambda gen: paths._oracle_steps(gen, step_sd))
 
 
-def _walks_and_oracles_with_a_shrunk_walk(params, replicas, seed, s_sq, walk_reduce,
+_WALKS_AND_ORACLES = paths._walks_and_oracles
+
+
+def _walks_and_oracles_with_a_shrunk_walk(replicas, seed, walk_steps, oracle_steps, walk_reduce,
                                           oracle_reduce):
-    """`experiments._walks_and_oracles` with the walk sums divided by an extra sqrt(3)."""
+    """`paths._walks_and_oracles` with the walk sums divided by an extra sqrt(3)."""
     def shrunk(sums):
         return walk_reduce((start, b / math.sqrt(3.0)) for start, b in sums)
-    return _WALKS_AND_ORACLES(params, replicas, seed, s_sq, shrunk, oracle_reduce)
+    return _WALKS_AND_ORACLES(replicas, seed, walk_steps, oracle_steps, shrunk, oracle_reduce)
 
 
 def _start_index_without_dip_check(clock, what):
@@ -185,7 +183,7 @@ def _walk_value_grid_matches_in_order_sum() -> bool:
     return f.walk_value_grid(mant, 20).tobytes() == _walk_value_in_order(f, mant, 20).tobytes()
 
 
-_EXACT_MANTISSA_STEP = experiments._exact_mantissa_step
+_EXACT_MANTISSA_STEP = fractal._exact_mantissa_step
 
 
 def _mantissa_step_of_half(h):
@@ -193,9 +191,12 @@ def _mantissa_step_of_half(h):
     return _EXACT_MANTISSA_STEP(h / 2)
 
 
+_DRAW_SIGNS = walks._draw_signs
+
+
 def _draw_signs_forgetting_last(source, p, shape, last=None):
     """`walks._draw_signs` that starts every piece of a path on a fair sign."""
-    return walks._draw_signs(source, p, shape)
+    return _DRAW_SIGNS(source, p, shape)
 
 
 def _prefix_sums_adding_the_carry_after(blocks):
@@ -261,10 +262,10 @@ def _walk_blocks_match_whole_path() -> bool:
     # two blocks of power(0.3) steps: their sums round, so a carry added after
     # the cumsum shows, and a walk that restarts its second block on a fair
     # sign departs from the whole path in one of the three
-    n = 2 * experiments._BLOCK
+    n = 2 * paths._BLOCK
     a = POWER.values(n)
     for i in range(3):
-        blocks = experiments._prefix_sums(experiments._walk_steps(rng.stream(4, i), 0.7, a))
+        blocks = paths._prefix_sums(paths._walk_steps(rng.stream(4, i), 0.7, a))
         want = np.cumsum(a * _signs(rng.stream(4, i), 0.7, n))
         if np.concatenate([b for _, b in blocks]).tobytes() != want.tobytes():
             return False
@@ -377,7 +378,7 @@ MUTANTS = {
     ),
     "lil-oracle-on-walk-streams": Mutant(
         _STREAMED,
-        _on_module(experiments, "_walks_and_oracles", _unchecked_walks_and_oracles(True)),
+        _on_module(paths, "_walks_and_oracles", _walks_and_oracles_on_walk_streams),
         _report_matches_golden("lil-100000-2-1"),
     ),
     "lil-coverage-for-plain-A": Mutant(
@@ -390,7 +391,7 @@ MUTANTS = {
     ),
     "coverage-screen-untested-bins": Mutant(
         _AROUND_THE_DRAWS,
-        _on_module(experiments, "_mark_bins", _mark_bins_between_min_and_max),
+        _on_module(paths, "_mark_bins", _mark_bins_between_min_and_max),
         _screen_sees_a_jump,
     ),
     "eval-grid-drops-term-5": Mutant(
@@ -401,12 +402,12 @@ MUTANTS = {
     ),
     "lil-walk-over-sqrt-3": Mutant(
         _FINITE_SIZE,
-        _on_module(experiments, "_walks_and_oracles", _walks_and_oracles_with_a_shrunk_walk),
+        _on_module(paths, "_walks_and_oracles", _walks_and_oracles_with_a_shrunk_walk),
         _lil_walk_matches_oracle,
     ),
     "fclt-increments-at-half-h": Mutant(
         _FINITE_SIZE,
-        _on_module(experiments, "_exact_mantissa_step", _mantissa_step_of_half),
+        _on_module(fractal, "_exact_mantissa_step", _mantissa_step_of_half),
         _fclt_moments_match,
     ),
     "tail-constant-without-energy-factor": Mutant(
@@ -422,18 +423,18 @@ MUTANTS = {
     ),
     "oracles-without-monotone-check": Mutant(
         _WRITTEN_ONCE,
-        _on_module(experiments, "_walks_and_oracles", _unchecked_walks_and_oracles(False)),
+        _on_module(experiments, "_walk_and_oracle_steps", _walk_and_oracle_steps_unchecked),
         # s_2^2 = 0.4 < s_1^2 = 1
         _clock_is_refused(CONST, 0.1, "not monotone"),
     ),
     "draw-signs-forgets-last": Mutant(
         _ONE_DRAW,
-        _on_module(experiments, "_draw_signs", _draw_signs_forgetting_last),
+        _on_module(walks, "_draw_signs", _draw_signs_forgetting_last),
         _walk_blocks_match_whole_path,
     ),
     "prefix-sums-add-the-carry-after": Mutant(
         _ONE_DRAW,
-        _on_module(experiments, "_prefix_sums", _prefix_sums_adding_the_carry_after),
+        _on_module(paths, "_prefix_sums", _prefix_sums_adding_the_carry_after),
         _walk_blocks_match_whole_path,
     ),
     "eval-grid-tent-drops-term-5": Mutant(

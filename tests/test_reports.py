@@ -22,7 +22,7 @@ from fractalwalk import (
     modulus_experiment,
     statistic,
 )
-from fractalwalk import experiments, fractal
+from fractalwalk import experiments, fractal, paths
 from fractalwalk.reports import canonical_json, config_hash, make_manifest
 
 CONST = WeightSequence.constant()
@@ -113,9 +113,9 @@ def test_workers_do_not_change_results(run, monkeypatch):
     # the replicas, modulus's scales and fclt's point blocks run on one
     # thread per usable CPU; fclt's 3000 points make five blocks here
     monkeypatch.setattr(fractal, "_EVAL_BLOCK", 700)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 1)
     one = run().to_json()
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 3)
     assert run().to_json() == one
 
 
@@ -124,9 +124,9 @@ def test_modulus_on_8_cpus_with_fast_thread_switches_matches_serial(monkeypatch)
     row's thread, switched as often as the interpreter allows: the report
     keeps the serial bytes."""
     run = _modulus(3, POWER, 0.5)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 1)
     want = run().to_json()
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(fractal, "_EVAL_BLOCK", 625)
     got = []
     worker = threading.Thread(target=lambda: got.append(run().to_json()), daemon=True)
@@ -158,7 +158,7 @@ def test_clt_block_rows_do_not_change_results(monkeypatch):
         return clt_experiment(params, replicas=1001, seed=4).to_json()
 
     one = run()
-    monkeypatch.setattr(experiments, "_BLOCK", 1003)
+    monkeypatch.setattr(paths, "_BLOCK", 1003)
     assert run() == one
 
 
@@ -196,7 +196,7 @@ def test_saved_json_round_trips(tmp_path):
 def test_map_threads_starts_no_call_after_a_raise_on_4_cpus(monkeypatch):
     """A raising call empties the queue: each of the three other threads
     starts at most the one call whose index it already held."""
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 4)
     raised = threading.Event()
     late = []
 
@@ -210,7 +210,7 @@ def test_map_threads_starts_no_call_after_a_raise_on_4_cpus(monkeypatch):
         return i
 
     with pytest.raises(ValueError, match="stop"):
-        experiments._map_threads(fn, 200)
+        paths._map_threads(fn, 200)
     assert len(late) <= 3, late
 
 
@@ -229,7 +229,7 @@ def test_map_threads_starts_no_call_after_a_raise_on_4_cpus(monkeypatch):
 def test_grid_experiments_on_4_cpus_start_at_most_3_helpers(run, monkeypatch):
     """The experiment maps its work once, and the grid calls inside run on
     their task's thread, so no more threads compute than there are CPUs."""
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(fractal, "_EVAL_BLOCK", 625)
     started = []
     start = threading.Thread.start
