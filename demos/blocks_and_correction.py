@@ -31,9 +31,10 @@ dec = martingale_blocks(params, scheme, path)
 print(f"sum Y_j = {dec.y.sum():+.6f}, S_n = {path.sums[-1]:+.6f},"
       f" telescoping residual {dec.residual:.2e}")
 
-# corrector size: a geometric series in alpha past each boundary
-g = gordin_corrector(params, scheme, 3, anchor_sign=1.0)
-print(f"corrector at block 3, up anchor: {g.value:+.6f}  (tail <= {g.tail_bound:.1e})")
+# corrector size: a geometric series in alpha past each boundary, before
+# martingale_blocks multiplies it by the path's sign at the boundary
+g = gordin_corrector(params, scheme, 3)
+print(f"corrector at block 3 per unit anchor: {g.value:+.6f}  (tail <= {g.tail_bound:.1e})")
 
 # corrected block sums are centered: average xi over many paths
 xis = np.array([

@@ -19,8 +19,8 @@ sum xi_j = sum Y_j - u_1 + u_{M+1}.  The corrector series is truncated with a
 certified geometric tail bound.
 
 Only the anchor sign X_{h_j} depends on the path.  `martingale_blocks`
-certifies the magnitudes |u_j| once per (scheme, alpha, tol), keeps them on
-the scheme, and applies the anchors of each path as one array product.
+certifies u_j / X_{h_j} once per (scheme, alpha, tol), keeps them on the
+scheme, and applies the anchors of each path as one array product.
 """
 from __future__ import annotations
 
@@ -211,12 +211,12 @@ def gordin_corrector(
     params: WalkParams,
     scheme: BlockingScheme,
     j: int,
-    anchor_sign: float = 1.0,
     tol: float = 1e-10,
 ) -> GordinValue:
-    """u_j = anchor * sum_{k>=1} a_{h_j + k} alpha^{k+1}, certified to tol.
+    """u_j / X_{h_j} = sum_{k>=1} a_{h_j + k} alpha^{k+1}, certified to tol.
 
-    The truncation tail is closed geometrically: with K_hat and the growth
+    The kept terms are summed in numpy's order, the same on any CPU.  The
+    truncation tail is closed geometrically: with K_hat and the growth
     bound A_{m+1} <= A_m / |alpha| measured on the scanned window,
 
       |tail| <= sqrt(K_hat) A_{h_j+K}^{(1-delta)/2} |alpha|^{K+1} rho/(1-rho),
@@ -230,8 +230,6 @@ def gordin_corrector(
     j = _as_int(j, "boundary index j")
     if not 1 <= j <= scheme.boundaries.size:
         raise ValueError(f"boundary index j must be in 1..{scheme.boundaries.size}")
-    if anchor_sign not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"anchor sign must be +-1, got {anchor_sign}")
     alpha = params.alpha
     if alpha == 0.0:
         return GordinValue(value=0.0, tail_bound=0.0, terms=0)
@@ -253,7 +251,7 @@ def gordin_corrector(
             tail = None
         vals = weights.values(h_j + kk)[h_j:]
         powers = alpha ** np.arange(2, kk + 2, dtype=float)
-        value = float(anchor_sign) * float(vals @ powers)
+        value = float(np.add.reduce(vals * powers))
         if tail is None:
             c = _tail_constant(weights, h_j + kk, max(64, kk // 4), delta, -math.log(abs_a))
             tail = 2.0 * c * abs_a ** (kk + 1) * rho / (1.0 - rho)
@@ -280,7 +278,7 @@ class GordinDecomposition:
 def _corrector_plan(
     params: WalkParams, scheme: BlockingScheme, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Certified u_j at anchor +1 and their tail bounds, j = 1..M+1.
+    """Certified u_j / X_{h_j} and their tail bounds, j = 1..M+1.
 
     Computed on the first call for (alpha, tol) and kept read-only on the
     scheme.  A tol that cannot be certified raises before anything is kept,
@@ -293,7 +291,7 @@ def _corrector_plan(
         mags = np.zeros(m + 1)
         tails = np.zeros(m + 1)
         for j in range(2, m + 2):
-            g = gordin_corrector(params, scheme, j, anchor_sign=1.0, tol=tol)
+            g = gordin_corrector(params, scheme, j, tol=tol)
             mags[j - 1] = g.value
             tails[j - 1] = g.tail_bound
         mags.flags.writeable = False
@@ -310,11 +308,10 @@ def martingale_blocks(
 ) -> GordinDecomposition:
     """Corrected block sums of one path, anchored at the boundary signs.
 
-    The corrector u_j is evaluated with anchor X_{h_j}, the last sign of the
-    preceding block; u_1 uses no anchor and is 0 by convention.  The
-    magnitudes are certified once per (scheme, alpha, tol) and the anchors
-    of this path applied to them; a sign flip is exact, so u_j is the value
-    `gordin_corrector` returns for that anchor, to the bit.
+    u_j is `gordin_corrector`'s value times the anchor X_{h_j}, the last
+    sign of the preceding block; u_1 has no anchor and is 0 by convention.
+    The values are certified once per (scheme, alpha, tol) and this path's
+    anchors applied to them; this is the only place u_j is signed.
     """
     y = _block_sums(params, scheme, path)
     b = scheme.boundaries

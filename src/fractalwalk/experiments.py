@@ -122,6 +122,12 @@ def _require_finite(clock, what: str) -> None:
         )
 
 
+def _require_variance(var: float, what: str) -> None:
+    """Refuse a normalization by zero: the weights give no variance there."""
+    if var == 0.0:
+        raise ValueError(f"{what} = 0: the weights give no variance to normalize by")
+
+
 def _clock(params: WalkParams, normalization: str = "exact_s") -> np.ndarray:
     """D_1..D_n: exact s_k^2, (p/(1-p)) A_k or plain A_k; refused if it overflowed."""
     n = params.horizon
@@ -169,6 +175,7 @@ def clt_experiment(
     with np.errstate(over="ignore", invalid="ignore"):
         s_n = math.sqrt(exact_second_moment(params.p, params.weights, 0, n))
     _require_finite(s_n, "s_n")
+    _require_variance(s_n, "s_n")
     rows = max(1, paths._BLOCK // n)
 
     def chunk(c: int) -> np.ndarray:
@@ -430,6 +437,9 @@ def modulus_experiment(
     if hs[0] >= Fraction(1, f.r) or hs[-1] <= 0:
         raise ValueError(f"h_grid must lie inside (0, 1/{f.r})")
     profile = variance_profile(f.r, f.weights, scale_index(f.r, hs[-1]) + 1)
+    sigmas = [profile.sigma_l(hq) for hq in hs]
+    for hq, sig in zip(hs, sigmas):
+        _require_variance(sig, f"sigma_l({hq})")
 
     def scale_row(i: int) -> tuple:
         """Scale i's statistics: KS distance and residual quantiles."""
@@ -438,7 +448,7 @@ def modulus_experiment(
         inc = f.increment_grid(mx, [hq], eps)[0]
         inc /= float(hq)
         m = scale_index(f.r, hq)
-        sig = profile.sigma_l(hq)
+        sig = sigmas[i]
         ks = ks_statistic(inc / math.sqrt(sig))
         inc -= f.walk_value_grid(mx, m)
         return m, sig, ks, _quantiles(inc)
@@ -509,6 +519,7 @@ def functional_clt_experiment(
         raise ValueError(f"t_grid {ts} gives indices {idx}; each t needs its own index")
     profile = variance_profile(f.r, f.weights, n)
     v_n = profile.grid_value(n)
+    _require_variance(v_n, f"V_{n}")
     for t, i in zip(ts, idx):
         ratio = profile.grid_value(i) / v_n
         if abs(ratio / t - 1.0) > _PRECONDITION_TOL:

@@ -1,9 +1,17 @@
 """Blocking scheme, block moments, and the martingale correction."""
+import functools
+import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from fractalwalk import (
     BlockConstructionError,
@@ -20,6 +28,7 @@ from fractalwalk import (
     second_moment_profile,
     simulate,
 )
+from test_cli import _kernel_env
 
 CONST = WeightSequence.constant()
 
@@ -137,11 +146,9 @@ def test_gordin_finite_weights_exact():
 def test_gordin_geometric_series():
     scheme = build_blocks(CONST, 1.0, 6)
     params = WalkParams(0.75, CONST, 10)
-    up = gordin_corrector(params, scheme, 3, anchor_sign=1.0)
-    dn = gordin_corrector(params, scheme, 3, anchor_sign=-1.0)
-    assert up.value == pytest.approx(0.5, abs=1e-10)
-    assert dn.value == pytest.approx(-0.5, abs=1e-10)
-    assert up.tail_bound <= 1e-10
+    g = gordin_corrector(params, scheme, 3)
+    assert g.value == pytest.approx(0.5, abs=1e-10)
+    assert g.tail_bound <= 1e-10
 
 
 def test_gordin_tail_bound_covers_truncation():
@@ -158,8 +165,8 @@ def gordin_tail_covers_truncation(p: float) -> bool:
 
     delta < 1 scales the closure by A^{(1-delta)/2}.  alpha^2001 underflows,
     so the 2000-term sum is the whole series: its part past the corrector's
-    terms is the truncation the tail bound certifies, and the corrector's dot
-    product must match the kept head within the dot product's rounding bound.
+    terms is the truncation the tail bound certifies, and the corrector's sum
+    must match the kept head within the rounding bound of a sum of its terms.
     """
     seq = WeightSequence.power(0.25)
     scheme = build_blocks(seq, 0.5, 12)
@@ -236,8 +243,9 @@ def _martingale_blocks_per_j(params, scheme, path, tol):
     for j in range(2, m + 2):
         h_j = int(scheme.boundaries[j - 1])
         anchor = float(path.signs[h_j - 1])
-        g = gordin_corrector(params, scheme, j, anchor_sign=anchor, tol=tol)
-        u[j - 1] = g.value
+        g = gordin_corrector(params, scheme, j, tol=tol)
+        # memoryless: u_j is +0.0 whatever the anchor, never -0.0
+        u[j - 1] = anchor * g.value if params.alpha != 0.0 else g.value
         tails[j - 1] = g.tail_bound
     xi = stats.y - u[:-1] + u[1:]
     residual = float(np.sum(stats.y) - (np.sum(xi) + u[0] - u[-1]))
@@ -262,6 +270,70 @@ def test_martingale_blocks_matches_per_j_reference(p, weights, count):
             for name in ("xi", "u", "y", "tail_bounds"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+
+# weights whose corrector terms a BLAS dot once summed in its kernel's own
+# order: (weights, count, tol), and the sha256 of the plan certified at
+# p = 0.75, its values u_j / X_{h_j} and then its tail bounds
+_PLAN_CASES = {
+    "power:0.3": (WeightSequence.power(0.3), 30, 1e-8),
+    "explicit": (EXPLICIT, 12, 1e-10),
+}
+_PLAN_DIGESTS = {
+    "power:0.3": "29f14217ba139a70f389b25f58b306eba89fdd3c60b8e06c66990c55f2be43aa",
+    "explicit": "f4d3c78c0032ccd713ddda5c0861c396b1cda417f0cc447c23fd8557e620ab0e",
+}
+
+
+def _plan_digests() -> dict:
+    digests = {}
+    for name, (weights, count, tol) in _PLAN_CASES.items():
+        scheme = build_blocks(weights, 1.0, count)
+        params = WalkParams(0.75, weights, int(scheme.boundaries[-1]))
+        u, tails = blocking._corrector_plan(params, scheme, tol)
+        digests[name] = hashlib.sha256(u.tobytes() + tails.tobytes()).hexdigest()
+    return digests
+
+
+@functools.cache
+def _plan_digests_under(kernel: str) -> dict:
+    if kernel == "this-process":
+        return _plan_digests()
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_blocking; print(json.dumps(test_blocking._plan_digests()))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+             **_kernel_env(kernel)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# The power:0.3 pin was recorded with numpy's AVX512_SKX power loop, which
+# rounds some k ** -0.3 otherwise than the scalar loop: there the weights
+# themselves move, before the corrector sees them.
+_SCALAR_POWER = pytest.mark.xfail(
+    strict=True, reason="power:0.3 weights from np.power's scalar loop differ in the last bit"
+)
+
+
+@pytest.mark.parametrize(
+    "kernel,name",
+    [
+        pytest.param(kernel, name, id=f"{kernel}-{name}",
+                     marks=_SCALAR_POWER if name == "power:0.3" and (
+                         kernel == "numpy-without-avx512" or not __cpu_features__.get("AVX512_SKX"))
+                     else ())
+        for kernel in ("this-process", "openblas-prescott", "numpy-without-avx512")
+        for name in _PLAN_CASES
+    ],
+)
+def test_corrector_plans_hold_on_other_cpu_kernels(kernel, name):
+    assert _plan_digests_under(kernel)[name] == _PLAN_DIGESTS[name]
 
 
 def test_martingale_blocks_certifies_once_per_scheme(monkeypatch):
@@ -366,14 +438,6 @@ BLOCKING_REFUSALS = {
     "corrector-j-past-M+1": (
         lambda: gordin_corrector(WalkParams(0.75, CONST, 10), _SCHEME, 7),
         "boundary index j must be in 1..6",
-    ),
-    "corrector-anchor-0.5": (
-        lambda: gordin_corrector(WalkParams(0.75, CONST, 10), _SCHEME, 2, anchor_sign=0.5),
-        "anchor sign must be +-1, got 0.5",
-    ),
-    "corrector-anchor-0.5-memoryless": (
-        lambda: gordin_corrector(WalkParams(0.5, CONST, 10), _SCHEME, 2, anchor_sign=0.5),
-        "anchor sign must be +-1, got 0.5",
     ),
     "martingale-blocks-short-path": (
         lambda: martingale_blocks(WalkParams(0.75, CONST, 5), _SCHEME,

@@ -748,13 +748,23 @@ def test_overflowing_weights_refuse_without_warnings(args, rc, err, tmp_path, ca
          "error: explicit weights need finite parameters"),
         (["clt", "--weights", "const:nan", "--n", "100", "--replicas", "1000"],
          "error: constant weights need finite parameters"),
+        (["clt", "--weights", "explicit:0", "--n", "100", "--replicas", "1000"],
+         "error: s_n = 0"),
+        (["modulus", "--weights", "explicit:0", "--h-grid", "2^-3", "--x-samples", "100"],
+         "error: sigma_l(1/8) = 0"),
+        # A_3 = 0 but A_5 = 1: one scale without variance is enough
+        (["modulus", "--weights", "explicit:0,0,0,1", "--h-grid", "2^-3,2^-5",
+          "--x-samples", "100"], "error: sigma_l(1/8) = 0"),
+        (["fclt", "--weights", "explicit:0", "--n", "12", "--x-samples", "100"],
+         "error: V_12 = 0"),
     ],
     ids=[
         "lil-0", "lil-negative", "chung-0", "lil-band", "lil-nan-band", "fclt", "modulus",
         "clt-nan-tol", "lil-nan-fraction", "chung-nan-tol", "modulus-nan-tol",
         "fclt-nan-tol", "fclt-nan-beta", "validate-weights-nan-q", "clt-inf-tol",
         "eval-inf-eps", "validate-weights-one-point", "simulate-inf-weight",
-        "eval-nan-weight", "clt-nan-weight",
+        "eval-nan-weight", "clt-nan-weight", "clt-zero-variance", "modulus-zero-variance",
+        "modulus-one-scale-zero-variance", "fclt-zero-variance",
     ],
 )
 def test_counts_without_a_statistic_are_refused(args, err, tmp_path, capsys, monkeypatch):

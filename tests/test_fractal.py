@@ -433,7 +433,7 @@ def test_walk_value_grid_integer_weights_give_the_gemv_bytes(spec, r):
     ["power:0.5", f"explicit:{2**52},{2**52 - 1},2", "explicit:1,0.5", "explicit:1,1e300,-1e300"],
     ids=["power", "sum-2^53+1", "half", "sum-overflows"],
 )
-def test_walk_value_grid_other_weights_take_the_gemv_path(spec):
+def test_walk_value_grid_other_weights_sum_in_order_in_float64(spec):
     # weights the integer loop refuses are summed in float64, in order of k
     weights = WeightSequence.from_spec(spec)
     n = weights.length or 40

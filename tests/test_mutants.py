@@ -11,6 +11,7 @@ present, so a rename fails here rather than leaving a mutant unapplied.
 import dataclasses
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -313,6 +314,19 @@ def _rekey_after_a_mid_buffer_stop() -> bool:
     return rekeyed_draws_match(LEFT_PART_WAY["doubles-mid-buffer"])
 
 
+def _zero_variance_is_refused() -> bool:
+    # the mutant runs on to a report of NaNs; its divide warns on the map's
+    # threads, which numpy's errstate does not reach
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            experiments.clt_experiment(WalkParams(0.75, WeightSequence.explicit([0.0]), 100),
+                                       replicas=1000)
+        except ValueError as err:
+            return str(err).startswith("s_n = 0")
+    return False
+
+
 def _on_module(module, name: str, replacement):
     return lambda mp: mp.setattr(module, name, replacement, raising=True)
 
@@ -351,6 +365,7 @@ _WRITTEN_ONCE = "lil/chung clock checks and the tail closure written once, commi
 _ONE_DRAW = "one sign draw for every walk, each block a fresh array"
 _TENT = "r = 2 grid terms on the exact tent recursion"
 _INTEGER_WALKS = "modulus scales on threads, integer-weight slope walks summed exactly"
+_ZERO_VARIANCE = "one Gordin corrector path; zero variance refused before any draw"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -451,6 +466,10 @@ MUTANTS = {
     "integer-walk-takes-any-weights": Mutant(
         _INTEGER_WALKS, _on_module(fractal, "_integer_weights", _integer_weights_rounding),
         _walk_value_grid_matches_in_order_sum,
+    ),
+    "zero-variance-not-refused": Mutant(
+        _ZERO_VARIANCE, _on_module(experiments, "_require_variance", lambda var, what: None),
+        _zero_variance_is_refused,
     ),
 }
 
