@@ -25,7 +25,7 @@ limits far beyond any desk-size horizon.  At n = 10^6, Brownian motion on
 the walk's clock lands in the default LIL bands only 56-66% of the time, so
 agreement between walk and oracle is the checkable claim.
 
-The thread map and the block pipeline of `lil` and `chung` live in `paths`,
+The thread map and the lockstep engine of `lil` and `chung` live in `paths`,
 the KS statistic in `stats`, and f's variance profile and grid increments
 in `fractal`.  `SPECS` holds one `Spec` per CLI experiment, read off its
 runner's signature: its config keys with their defaults, its seed
@@ -111,7 +111,7 @@ def brownian_path(times, seed: int = 0, stream_id: int = 0) -> np.ndarray:
 
 def _brownian_from_rng(rng: np.random.Generator, step_sd: np.ndarray) -> np.ndarray:
     """Brownian path whose k-th increment has standard deviation step_sd[k]."""
-    return np.concatenate([b for _, b in paths._prefix_sums(paths._oracle_steps(rng, step_sd))])
+    return np.cumsum(rng.standard_normal(step_sd.size) * step_sd)
 
 
 def _require_finite(clock, what: str) -> None:
@@ -224,15 +224,35 @@ def _start_index(clock: np.ndarray, what: str) -> int:
     return i0
 
 
-def _walk_and_oracle_steps(params: WalkParams, s_sq: np.ndarray) -> tuple:
-    """The step sources of the walk and of its Brownian oracle on the clock s_sq."""
-    gaps = np.diff(s_sq, prepend=0.0)
-    if np.any(gaps < 0):
+def _require_monotone(clock) -> None:
+    """Refuse a variance clock with a negative gap: its oracle has no step sd.
+
+    On a finite clock, s_k^2 < s_{k-1}^2 is exactly s_k^2 - s_{k-1}^2 < 0, so
+    this is np.any(np.diff(clock, prepend=0.0) < 0) without the diff array.
+    """
+    if clock[0] < 0.0 or np.any(clock[1:] < clock[:-1]):
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
-    step_sd = np.sqrt(gaps)
+
+
+def _walk_and_oracle_sums(params: WalkParams, s_sq: np.ndarray):
+    """Per block, the running sums of the walk and of its Brownian oracle on the clock s_sq.
+
+    sums(start, stop) computes the block's oracle step sds once and returns
+    the function of (path, walk) that draws a path's steps there and sums
+    them.  np.diff of the clock one step wider gives the block's gaps the
+    values np.diff(s_sq, prepend=0.0) has there.
+    """
+    _require_monotone(s_sq)
     a = params.weights.values(params.horizon)
-    return (lambda gen: paths._walk_steps(gen, params.p, a),
-            lambda gen: paths._oracle_steps(gen, step_sd))
+
+    def sums(start: int, stop: int):
+        gaps = np.diff(s_sq[start - 1:stop]) if start else np.diff(s_sq[:stop], prepend=0.0)
+        step_sd = np.sqrt(gaps, out=gaps)
+        return lambda path, walk: paths._sum_block(
+            path, paths._walk_block(path, params.p, a[start:stop]) if walk
+            else paths._oracle_block(path, step_sd))
+
+    return sums
 
 
 def _terminals(walk, oracle) -> dict:
@@ -286,8 +306,10 @@ def lil_experiment(
     to both; coverage (the normalized path visiting all nine width-0.2 bins
     of [-0.9, 0.9]) is tracked for the exact-s_n normalization only.
 
-    Each path is drawn and reduced in blocks, so a replica holds about 2 MB,
-    and the replicas run on one thread per usable CPU (at most `replicas`).
+    The walks and oracles advance in lockstep, one block of steps at a time
+    on one thread per usable CPU, and each block's sqrt(2 D_k loglog D_k) is
+    computed once for all of them.  A run holds the weights and its clocks
+    whole, 8 bytes a step each, and past those a few MB.
     """
     config = _config("lil", params, replicas=replicas, seed=seed, normalization=normalization,
                      band=band, min_fraction=min_fraction)
@@ -299,15 +321,20 @@ def lil_experiment(
     min_fraction, coverage = config["min_fraction"], config["coverage"]
     den = _clock(params, normalization)
     i0 = _start_index(den, "denominator")
-    scale = np.sqrt(2.0 * den[i0:] * np.log(np.log(den[i0:])))
-    walk, oracle = paths._walks_and_oracles(
-        replicas, seed,
-        *_walk_and_oracle_steps(params, den if normalization == "exact_s" else _clock(params)),
-        lambda sums: paths._lil_terminal(sums, i0, scale, coverage),
-        lambda sums: paths._lil_terminal(sums, i0, scale, False)[0],
-    )
-    walk_terminals, oracle_terminals = np.array([t for t, _ in walk]), np.array(oracle)
-    covered_frac = float(np.mean([c for _, c in walk])) if coverage else None
+    sums = _walk_and_oracle_sums(params, den if normalization == "exact_s" else _clock(params))
+
+    def block(start: int, stop: int):
+        first = max(start, i0)
+        scale = np.sqrt(2.0 * den[first:stop] * np.log(np.log(den[first:stop])))
+        block_sums = sums(start, stop)
+        return lambda path, walk: paths._lil_block(
+            path, block_sums(path, walk)[first - start:], scale, coverage and walk)
+
+    out = paths._lockstep(replicas, seed, n, block)
+    walk_terminals = np.array([path.top for path in out[:replicas]])
+    oracle_terminals = np.array([path.top for path in out[replicas:]])
+    covered = [path.seen.all() for path in out[:replicas]]
+    covered_frac = float(np.mean(covered)) if coverage else None
 
     walk_frac = float(np.mean((walk_terminals >= lo) & (walk_terminals <= hi)))
     oracle_frac = float(np.mean((oracle_terminals >= lo) & (oracle_terminals <= hi)))
@@ -350,8 +377,10 @@ def chung_experiment(
     matched Brownian oracle (same clock s_k^2, same start index); the oracle
     itself is checked against a wide band around pi/sqrt(8).
 
-    Each path is drawn and reduced in blocks, so a replica holds about 2 MB,
-    and the replicas run on one thread per usable CPU (at most `replicas`).
+    The walks and oracles advance in lockstep, one block of steps at a time
+    on one thread per usable CPU, and each block's sqrt(loglog s_k^2 / s_k^2)
+    is computed once for all of them.  A run holds the weights and the
+    clock whole, 16 bytes a step, and past those a few MB.
     """
     config = _config("chung", params, replicas=replicas, seed=seed, median_tol=median_tol)
     replicas = _as_int(config["replicas"], "replicas", 1)
@@ -361,15 +390,18 @@ def chung_experiment(
         raise ValueError(f"Chung runs need horizon >= 1e5, got {n}")
     s_sq = _clock(params)
     i0 = _start_index(s_sq, "s_n^2")
-    coef = np.sqrt(np.log(np.log(s_sq[i0:])) / s_sq[i0:])
+    sums = _walk_and_oracle_sums(params, s_sq)
 
-    def terminal(sums) -> float:
-        return paths._chung_terminal(sums, i0, coef)
+    def block(start: int, stop: int):
+        first = max(start, i0)
+        coef = np.sqrt(np.log(np.log(s_sq[first:stop])) / s_sq[first:stop])
+        block_sums = sums(start, stop)
+        return lambda path, walk: paths._chung_block(
+            path, block_sums(path, walk), first - start, coef)
 
-    walk, oracle = paths._walks_and_oracles(
-        replicas, seed, *_walk_and_oracle_steps(params, s_sq), terminal, terminal
-    )
-    walk_terminals, oracle_terminals = np.array(walk), np.array(oracle)
+    out = paths._lockstep(replicas, seed, n, block)
+    walk_terminals = np.array([path.low for path in out[:replicas]])
+    oracle_terminals = np.array([path.low for path in out[replicas:]])
     walk_median = float(np.median(walk_terminals))
     oracle_median = float(np.median(oracle_terminals))
     oracle_band = (0.8 * CHUNG_CONSTANT, 1.4 * CHUNG_CONSTANT)

@@ -1,11 +1,14 @@
 """Long paths one block at a time, and the thread map the experiments share.
 
-A step source takes a Philox generator and yields a path's steps as
-(start, block) pairs, each block a fresh array.  `_walks_and_oracles` sums
-each replica's walk and oracle block by block for their reducers, so a
-replica holds about 2 MB at any horizon.  `rng.stream` and
-`walks._draw_signs` are looked up at each call, so a wrapper set on those
-module attributes (the benchmark's tracer) sees every draw.
+`_lockstep` runs lil's and chung's walks and Brownian oracles block-major:
+every path of a group takes one block of 2^16 steps per thread map, after
+the calling thread has computed the arrays that block's paths share.  The
+blocks are fresh arrays that die with their block, and between blocks a
+path keeps only a `_Path`: its generator, last sign, sum carry and reducer
+scalars.  So a run holds its whole-path arrays (the weights and the clock,
+16 bytes a step) plus a few MB.  `rng.stream` and `walks._draw_signs` are
+looked up at each call, so a wrapper set on those module attributes (the
+benchmark's tracer) sees every draw.
 """
 from __future__ import annotations
 
@@ -37,9 +40,9 @@ def _map_threads(fn, count: int) -> list:
     a helper that starts late.  The helper threads live for this call only.
     A call that raises empties the queue, so the other threads start no
     further call and the error (a Ctrl-C too) surfaces once their current
-    calls end.  Every experiment maps its independent work once, and the
-    kernels its fn calls run on the calling thread, so no more threads
-    compute than there are CPUs.
+    calls end.  The experiments map their independent work once, lil and
+    chung once per block, and the kernels fn calls run on the calling
+    thread, so no more threads compute than there are CPUs.
     """
     threads = min(_usable_cpus(), count)
     if threads <= 1:
@@ -72,76 +75,83 @@ def _map_threads(fn, count: int) -> list:
     return out
 
 
-# -- step sources and running sums ---------------------------------------------
+# -- paths in lockstep ------------------------------------------------------------
 
-_BLOCK = 1 << 16  # steps per block: a replica's arrays take about 2 MB
+_BLOCK = 1 << 16  # steps per block: a path's arrays in flight take about 2 MB
+_GROUP = 256  # paths in lockstep at once: a live Generator takes about 2.4 KB
 
 
-def _walk_steps(gen: np.random.Generator, p: float, a: np.ndarray):
-    """Weighted steps a_k X_k in blocks, as (start, block), each a fresh array.
+class _Path:
+    """What a path keeps between blocks: its generator, last sign and sum carry,
+    lil's running maximum and cover bins, and chung's running max and min."""
 
-    The same numbers as `a * _draw_signs(gen, p, a.size)`: the blocks draw
-    the same Philox uniforms in order, and each block continues from the sign
-    the one before ended on.
+    __slots__ = ("gen", "last", "carry", "top", "seen", "runmax", "low")
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen, self.last, self.carry = gen, None, None
+        self.top, self.seen = -math.inf, np.zeros(_COVER_EDGES.size - 1, dtype=bool)
+        self.runmax, self.low = 0.0, math.inf
+
+
+def _lockstep(replicas: int, seed: int, n: int, block) -> list:
+    """Walk i on stream (seed, i) and its oracle on (seed, replicas + i), n steps each.
+
+    The 2 * `replicas` paths run in groups of at most `_GROUP`, and a group's
+    paths advance together, one block of steps start..stop-1 per
+    `_map_threads` call.  Before each map the calling thread calls
+    `block(start, stop)` once: it computes the arrays the paths share and
+    returns `advance(path, walk)`, which takes one path's steps of that block
+    (walk is True for the walks) into its `_Path`.  Philox is counter-based,
+    so no number depends on the group size or on the order the paths run in.
+    The paths come back in order, walks first, without their generators.
     """
-    last = None
-    for start in range(0, a.size, _BLOCK):
-        x = walks._draw_signs(gen, p, min(_BLOCK, a.size - start), last)
-        last = x[-1]
-        x *= a[start:start + x.size]
-        yield start, x
+    done = []
+    for lo in range(0, 2 * replicas, _GROUP):
+        group = _map_threads(lambda j: _Path(rng.stream(seed, lo + j)),
+                             min(_GROUP, 2 * replicas - lo))
+        for start in range(0, n, _BLOCK):
+            advance = block(start, min(start + _BLOCK, n))
+            _map_threads(lambda j: advance(group[j], lo + j < replicas), len(group))
+        for path in group:
+            path.gen = None
+        done += group
+    return done
 
 
-def _oracle_steps(gen: np.random.Generator, step_sd: np.ndarray):
-    """Gaussian increments with sd step_sd[k] in blocks, as (start, block)."""
-    for start in range(0, step_sd.size, _BLOCK):
-        b = gen.standard_normal(min(_BLOCK, step_sd.size - start))
-        b *= step_sd[start:start + b.size]
-        yield start, b
+def _walk_block(path: _Path, p: float, a: np.ndarray) -> np.ndarray:
+    """The walk's next steps a_k X_k along the weights a, a fresh array.
+
+    One `_draw_signs` call continues from the sign the block before ended on,
+    so the blocks are the steps `a * _draw_signs(gen, p, n)` draws whole.
+    """
+    x = walks._draw_signs(path.gen, p, a.size, path.last)
+    path.last = x[-1]
+    x *= a
+    return x
 
 
-def _prefix_sums(blocks):
-    """Running sums of the step blocks, as (start, block), each a fresh array.
+def _oracle_block(path: _Path, step_sd: np.ndarray) -> np.ndarray:
+    """The oracle's next Gaussian increments with sd step_sd, a fresh array."""
+    b = path.gen.standard_normal(step_sd.size)
+    b *= step_sd
+    return b
 
-    The carry enters each block's first step before the cumsum, so every
+
+def _sum_block(path: _Path, b: np.ndarray) -> np.ndarray:
+    """The path's running sums over its next steps b, a fresh array.
+
+    The carry enters the block's first step before the cumsum, so every
     partial sum is the same float addition `np.cumsum` of the whole path
     makes; adding it to the block's sums afterwards would round differently.
-    The caller may overwrite a block: the carry is read before it is yielded.
     """
-    carry = 0.0
-    for start, b in blocks:
-        if start:  # the first sum is the first step itself, even -0.0
-            b[0] += carry
-        # Out of place: numpy holds the GIL through an in-place accumulate.
-        # Two threads each summing 2^16 steps ran 0.84-0.98x one thread in
-        # place, 1.55-1.97x out of place (2-vCPU VM).
-        s = np.cumsum(b)
-        carry = s[-1]
-        yield start, s
-
-
-def _from_index(i0: int, start: int, block: np.ndarray) -> tuple[int, np.ndarray]:
-    """The part of a block at path index >= i0, and its offset from i0."""
-    skip = max(i0 - start, 0)
-    return start + skip - i0, block[skip:]
-
-
-def _walks_and_oracles(replicas: int, seed: int, walk_steps, oracle_steps,
-                       walk_reduce, oracle_reduce) -> tuple[list, list]:
-    """Each replica's walk and its oracle, drawn from their step sources and reduced.
-
-    Walk i draws from stream (seed, i) and its oracle from (seed, replicas + i);
-    a reducer takes a path's running sums as (start, block) pairs, and the
-    results come back in replica order.  The walks and then the oracles run
-    as one map, on one thread per usable CPU (at most 2 * `replicas`).
-    """
-    def path(i: int):
-        if i < replicas:
-            return walk_reduce(_prefix_sums(walk_steps(rng.stream(seed, i))))
-        return oracle_reduce(_prefix_sums(oracle_steps(rng.stream(seed, i))))
-
-    out = _map_threads(path, 2 * replicas)
-    return out[:replicas], out[replicas:]
+    if path.carry is not None:  # the first sum is the first step itself, even -0.0
+        b[0] += path.carry
+    # Out of place: numpy holds the GIL through an in-place accumulate.
+    # Two threads each summing 2^16 steps ran 0.84-0.98x one thread in
+    # place, 1.55-1.97x out of place (2-vCPU VM).
+    s = np.cumsum(b)
+    path.carry = s[-1]
+    return s
 
 
 # -- lil and chung reducers ------------------------------------------------------
@@ -181,25 +191,19 @@ def _mark_bins(trace: np.ndarray, seen: np.ndarray) -> None:
             seen[i] = np.any(below & (trace >= _EDGES[i]))
 
 
-def _lil_terminal(sums, i0: int, scale: np.ndarray, coverage: bool) -> tuple[float, bool]:
-    """max S_k / scale[k - i0] over k >= i0, and whether it visits all nine bins.
+def _lil_block(path: _Path, trace: np.ndarray, scale: np.ndarray, coverage: bool) -> None:
+    """Take a block's sums S_k at k >= i0 into path.top = max S_k / scale, in place.
 
-    Once every bin has been seen the screen is skipped: coverage can only
-    turn true.
+    With coverage, the normalized trace also marks the cover bins it visits;
+    once all nine are seen the screen is skipped, since coverage can only
+    stay true.
     """
-    top = -math.inf
-    seen = np.zeros(_COVER_EDGES.size - 1, dtype=bool)
-    covered = False
-    for start, b in sums:
-        off, trace = _from_index(i0, start, b)
-        if trace.size == 0:
-            continue
-        np.divide(trace, scale[off:off + trace.size], out=trace)
-        top = max(top, float(np.max(trace)))
-        if coverage and not covered:
-            _mark_bins(trace, seen)
-            covered = bool(seen.all())
-    return top, covered
+    if trace.size == 0:
+        return
+    np.divide(trace, scale, out=trace)
+    path.top = max(path.top, float(np.max(trace)))
+    if coverage and not path.seen.all():
+        _mark_bins(trace, path.seen)
 
 
 def _running_max(b: np.ndarray, start: float) -> np.ndarray:
@@ -221,15 +225,15 @@ def _running_max(b: np.ndarray, start: float) -> np.ndarray:
     return np.maximum.accumulate(b.view(np.int64)).view(np.float64)
 
 
-def _chung_terminal(sums, i0: int, coef: np.ndarray) -> float:
-    """min over k >= i0 of coef[k - i0] max_{j<=k} |S_j|."""
-    runmax = 0.0
-    low = math.inf
-    for start, b in sums:
-        b = _running_max(b, runmax)
-        runmax = b[-1]
-        off, tail = _from_index(i0, start, b)
-        if tail.size:
-            np.multiply(coef[off:off + tail.size], tail, out=tail)
-            low = min(low, float(np.min(tail)))
-    return low
+def _chung_block(path: _Path, b: np.ndarray, skip: int, coef: np.ndarray) -> None:
+    """Take a block's sums b into path.low = min coef_k max_{j<=k} |S_j| over its k >= i0.
+
+    The running max covers the whole block; its first `skip` values lie
+    before i0, and coef holds the factors of the rest.
+    """
+    b = _running_max(b, path.runmax)
+    path.runmax = b[-1]
+    tail = b[skip:]
+    if tail.size:
+        np.multiply(coef, tail, out=tail)
+        path.low = min(path.low, float(np.min(tail)))

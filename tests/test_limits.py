@@ -22,17 +22,9 @@ from fractalwalk import (
     sign_walk_grid,
     variance_profile,
 )
-from fractalwalk import paths, stats
+from fractalwalk import experiments, paths, stats
 from fractalwalk.experiments import CHUNG_CONSTANT, _brownian_from_rng
-from fractalwalk.paths import (
-    _BLOCK,
-    _COVER_EDGES,
-    _lil_terminal,
-    _oracle_steps,
-    _prefix_sums,
-    _running_max,
-    _walk_steps,
-)
+from fractalwalk.paths import _BLOCK, _COVER_EDGES, _running_max
 from fractalwalk.rng import stream, uniform_mantissas
 from fractalwalk.walks import exact_second_moment, second_moment_profile
 
@@ -431,6 +423,21 @@ def _chung_reference(params, replicas, seed):
     ]
 
 
+def lockstep_sums(params, replicas, seed) -> list:
+    """The whole running sums of each walk and then each oracle, as lil and
+    chung draw them block by block on the exact clock."""
+    s_sq = second_moment_profile(params.p, params.weights, params.horizon)
+    sums = experiments._walk_and_oracle_sums(params, s_sq)
+    blocks = {}
+
+    def block(start, stop):
+        block_sums = sums(start, stop)
+        return lambda path, walk: blocks.setdefault(path, []).append(block_sums(path, walk))
+
+    done = paths._lockstep(replicas, seed, params.horizon, block)
+    return [np.concatenate(blocks[path]) for path in done]
+
+
 @pytest.mark.parametrize("seq,n", LONG_CASES)
 def test_block_sums_match_full_array_paths(seq, n):
     # the whole walk and oracle paths, not only the statistics: a maximum
@@ -438,16 +445,13 @@ def test_block_sums_match_full_array_paths(seq, n):
     params = WalkParams(0.7, seq, n)
     a = seq.values(n)
     step_sd = _oracle_sd(params)
+    got = lockstep_sums(params, 3, 4)
     for i in range(3):
-        blocks = _prefix_sums(_walk_steps(stream(4, i), params.p, a))
-        got = np.concatenate([b.copy() for _, b in blocks])
         want = np.cumsum(a * _signs(stream(4, i), params.p, n))
-        assert got.tobytes() == want.tobytes()
-        blocks = _prefix_sums(_oracle_steps(stream(4, i), step_sd))
-        got = np.concatenate([b.copy() for _, b in blocks])
-        want = _brownian(stream(4, i), step_sd)
-        assert got.tobytes() == want.tobytes()
-        assert _brownian_from_rng(stream(4, i), step_sd).tobytes() == want.tobytes()
+        assert got[i].tobytes() == want.tobytes()
+        want = _brownian(stream(4, 3 + i), step_sd)
+        assert got[3 + i].tobytes() == want.tobytes()
+        assert _brownian_from_rng(stream(4, 3 + i), step_sd).tobytes() == want.tobytes()
 
 
 # scaled_A runs the oracle on a clock other than its denominator; SMALL's
@@ -481,22 +485,19 @@ def test_lil_blocks_match_full_array_reference(seq, n, normalization):
 
 
 @pytest.mark.parametrize("seq,n", LONG_CASES[:4])
-def test_lil_coverage_flags_match_full_array_reference(seq, n):
+def test_lil_coverage_flags_match_full_array_reference(seq, n, monkeypatch):
     # a path stops binning once all nine bins are seen; that must not change
     # a single flag or maximum (SMALL's short trace covers nothing)
     params = WalkParams(0.75, seq, n)
     den = second_moment_profile(params.p, seq, n)
-    i0 = _start(den)
-    scale = np.sqrt(2.0 * den[i0:] * np.log(np.log(den[i0:])))
-    a = seq.values(n)
     want = _lil_reference(params, 12, 5, den, coverage=True)
-    got = [
-        _lil_terminal(_prefix_sums(_walk_steps(stream(5, i), params.p, a)), i0, scale, True)
-        for i in range(12)
-    ]
-    assert _bits([t for t, _ in got]) == _bits([t for t, _, _ in want])
-    assert [c for _, c in got] == [c for _, c, _ in want]
-    assert {c for _, c in got} == {True, False}
+    lockstep, runs = paths._lockstep, []
+    monkeypatch.setattr(paths, "_lockstep", lambda *args: runs.append(lockstep(*args)) or runs[-1])
+    lil_experiment(params, replicas=12, seed=5)
+    walks = runs[0][:12]
+    assert _bits([path.top for path in walks]) == _bits([t for t, _, _ in want])
+    assert [bool(path.seen.all()) for path in walks] == [c for _, c, _ in want]
+    assert {bool(path.seen.all()) for path in walks} == {True, False}
 
 
 @pytest.mark.parametrize("seq,n", LONG_CASES)

@@ -40,7 +40,13 @@ from finite_depth import grid_difference, increment_law
 from test_blocking import gordin_tail_covers_truncation
 from test_cli import _GOLDEN_OUTPUTS, _LIBRARY_CALLS
 from test_fractal import _walk_value_in_order, guard_case_matches_general_kernel
-from test_limits import POWER, _signs, fclt_moments_match_exact, screen_matches_histogram
+from test_limits import (
+    POWER,
+    _signs,
+    fclt_moments_match_exact,
+    lockstep_sums,
+    screen_matches_histogram,
+)
 from test_rng import LEFT_PART_WAY, rekeyed_draws_match
 from test_walks import CONST, clock_matches_lfilter
 
@@ -111,32 +117,23 @@ def _mark_bins_between_min_and_max(trace, seen):
     seen[max(first, 0):min(last, seen.size - 1) + 1] = True
 
 
-def _walks_and_oracles_on_walk_streams(replicas, seed, walk_steps, oracle_steps, walk_reduce,
-                                       oracle_reduce):
-    """`paths._walks_and_oracles` on one thread, oracle i on stream i, not replicas + i."""
-    def reduce(reducer, steps, i):
-        return reducer(paths._prefix_sums(steps(rng.stream(seed, i))))
-    return ([reduce(walk_reduce, walk_steps, i) for i in range(replicas)],
-            [reduce(oracle_reduce, oracle_steps, i) for i in range(replicas)])
+_LOCKSTEP = paths._lockstep
 
 
-def _walk_and_oracle_steps_unchecked(params, s_sq):
-    """`experiments._walk_and_oracle_steps` without its monotone-clock check."""
-    step_sd = np.sqrt(np.diff(s_sq, prepend=0.0))
-    a = params.weights.values(params.horizon)
-    return (lambda gen: paths._walk_steps(gen, params.p, a),
-            lambda gen: paths._oracle_steps(gen, step_sd))
+def _lockstep_with_oracles_on_walk_streams(replicas, seed, n, block):
+    """`paths._lockstep` with oracle i on stream i, not replicas + i."""
+    stream = rng.stream
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "stream", lambda key, i: stream(key, i % replicas))
+        return _LOCKSTEP(replicas, seed, n, block)
 
 
-_WALKS_AND_ORACLES = paths._walks_and_oracles
+_WALK_BLOCK = paths._walk_block
 
 
-def _walks_and_oracles_with_a_shrunk_walk(replicas, seed, walk_steps, oracle_steps, walk_reduce,
-                                          oracle_reduce):
-    """`paths._walks_and_oracles` with the walk sums divided by an extra sqrt(3)."""
-    def shrunk(sums):
-        return walk_reduce((start, b / math.sqrt(3.0)) for start, b in sums)
-    return _WALKS_AND_ORACLES(replicas, seed, walk_steps, oracle_steps, shrunk, oracle_reduce)
+def _walk_block_shrunk(path, p, a):
+    """`paths._walk_block` with the walk steps divided by an extra sqrt(3)."""
+    return _WALK_BLOCK(path, p, a) / math.sqrt(3.0)
 
 
 def _start_index_without_dip_check(clock, what):
@@ -200,12 +197,12 @@ def _draw_signs_forgetting_last(source, p, shape, last=None):
     return _DRAW_SIGNS(source, p, shape)
 
 
-def _prefix_sums_adding_the_carry_after(blocks):
-    carry = 0.0
-    for start, b in blocks:
-        s = np.cumsum(b) + carry
-        carry = s[-1]
-        yield start, s
+def _sum_block_adding_the_carry_after(path, b):
+    s = np.cumsum(b)
+    if path.carry is not None:
+        s += path.carry
+    path.carry = s[-1]
+    return s
 
 
 def _coverage_for_every_normalization(cfg):
@@ -263,14 +260,13 @@ def _walk_blocks_match_whole_path() -> bool:
     # two blocks of power(0.3) steps: their sums round, so a carry added after
     # the cumsum shows, and a walk that restarts its second block on a fair
     # sign departs from the whole path in one of the three
-    n = 2 * paths._BLOCK
-    a = POWER.values(n)
-    for i in range(3):
-        blocks = paths._prefix_sums(paths._walk_steps(rng.stream(4, i), 0.7, a))
-        want = np.cumsum(a * _signs(rng.stream(4, i), 0.7, n))
-        if np.concatenate([b for _, b in blocks]).tobytes() != want.tobytes():
-            return False
-    return True
+    params = WalkParams(0.7, POWER, 2 * paths._BLOCK)
+    a = POWER.values(params.horizon)
+    got = lockstep_sums(params, 3, 4)
+    return all(
+        got[i].tobytes() == np.cumsum(a * _signs(rng.stream(4, i), 0.7, params.horizon)).tobytes()
+        for i in range(3)
+    )
 
 
 def _report_matches_golden(name: str) -> Callable[[], bool]:
@@ -393,7 +389,7 @@ MUTANTS = {
     ),
     "lil-oracle-on-walk-streams": Mutant(
         _STREAMED,
-        _on_module(paths, "_walks_and_oracles", _walks_and_oracles_on_walk_streams),
+        _on_module(paths, "_lockstep", _lockstep_with_oracles_on_walk_streams),
         _report_matches_golden("lil-100000-2-1"),
     ),
     "lil-coverage-for-plain-A": Mutant(
@@ -417,7 +413,7 @@ MUTANTS = {
     ),
     "lil-walk-over-sqrt-3": Mutant(
         _FINITE_SIZE,
-        _on_module(paths, "_walks_and_oracles", _walks_and_oracles_with_a_shrunk_walk),
+        _on_module(paths, "_walk_block", _walk_block_shrunk),
         _lil_walk_matches_oracle,
     ),
     "fclt-increments-at-half-h": Mutant(
@@ -438,7 +434,7 @@ MUTANTS = {
     ),
     "oracles-without-monotone-check": Mutant(
         _WRITTEN_ONCE,
-        _on_module(experiments, "_walk_and_oracle_steps", _walk_and_oracle_steps_unchecked),
+        _on_module(experiments, "_require_monotone", lambda clock: None),
         # s_2^2 = 0.4 < s_1^2 = 1
         _clock_is_refused(CONST, 0.1, "not monotone"),
     ),
@@ -449,7 +445,7 @@ MUTANTS = {
     ),
     "prefix-sums-add-the-carry-after": Mutant(
         _ONE_DRAW,
-        _on_module(paths, "_prefix_sums", _prefix_sums_adding_the_carry_after),
+        _on_module(paths, "_sum_block", _sum_block_adding_the_carry_after),
         _walk_blocks_match_whole_path,
     ),
     "eval-grid-tent-drops-term-5": Mutant(

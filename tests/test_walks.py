@@ -14,6 +14,7 @@ from fractalwalk import (
     simulate,
     variance_ratio_bound,
 )
+from fractalwalk import walks
 from fractalwalk.rng import stream
 from fractalwalk.walks import _constant_run, _cross_accumulator, _draw_signs, _equal_runs
 
@@ -296,6 +297,24 @@ def test_variance_ratio_bound_values():
     assert variance_ratio_bound(0.5) == 1.0
     assert variance_ratio_bound(0.75) == 3.0
     assert variance_ratio_bound(0.25) == 3.0
+
+
+@pytest.mark.parametrize("p", MEMORY_PS[:2])
+@pytest.mark.parametrize(
+    "weights",
+    [
+        WeightSequence.power(0.3),
+        WeightSequence.explicit(np.random.default_rng(21).uniform(-2.0, 2.0, 10_000)),
+        WeightSequence.geometric(2.0),
+    ],
+    ids=["power0.3", "random", "overflow"],
+)
+def test_profile_summed_in_blocks_matches_one_cumsum(p, weights, monkeypatch):
+    # blocks of 7: a carry that entered a block after its cumsum would round
+    # the longdouble sums otherwise, which shows in a few dozen of 10^4
+    # float64 values
+    monkeypatch.setattr(walks, "_PROFILE_BLOCK", 7)
+    assert clock_matches_lfilter(p, weights, 10_000)
 
 
 def _odd_indicator_second_moment(p, n):
