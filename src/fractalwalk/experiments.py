@@ -60,11 +60,17 @@ from .walks import (
     simulate,
     variance_ratio_bound,
 )
-from .weights import _UNIT, WeightSequence, _as_int, growth_report, validate_assumptions
+from .weights import (
+    _UNIT,
+    WeightSequence,
+    _as_int,
+    _require_finite,
+    growth_report,
+    validate_assumptions,
+)
 
 __all__ = [
     "RegularVariationError",
-    "brownian_path",
     "clt_experiment",
     "lil_experiment",
     "chung_experiment",
@@ -86,40 +92,13 @@ class RegularVariationError(ValueError):
     """The variance profile is not regularly varying with the claimed index."""
 
 
-# -- reference process ------------------------------------------------------
-
-
-def brownian_path(times, seed: int = 0, stream_id: int = 0) -> np.ndarray:
-    """Standard Brownian motion sampled at the given times.
-
-    Increments are independent Gaussians with variance equal to the time
-    gaps (the first gap is from 0, so B(0) = 0 is implicit).  Deterministic
-    given (seed, stream).
-    """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a non-empty 1-d array")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
-    if t[0] < 0:
-        raise ValueError(f"times must start at >= 0, got {t[0]}")
-    gaps = np.diff(t, prepend=0.0)
-    if np.any(gaps < 0):
-        raise ValueError("times must be non-decreasing")
-    return _brownian_from_rng(stream(seed, stream_id), np.sqrt(gaps))
-
-
 def _brownian_from_rng(rng: np.random.Generator, step_sd: np.ndarray) -> np.ndarray:
-    """Brownian path whose k-th increment has standard deviation step_sd[k]."""
+    """Brownian path whose k-th increment has standard deviation step_sd[k].
+
+    No run calls it (`paths._lockstep` draws the oracles); it stays only
+    because `perfbench/tracing.py` wraps it (ROADMAP item 1).
+    """
     return np.cumsum(rng.standard_normal(step_sd.size) * step_sd)
-
-
-def _require_finite(clock, what: str) -> None:
-    """Refuse a variance clock that overflowed: no normalization or oracle."""
-    if not np.all(np.isfinite(clock)):
-        raise ValueError(
-            f"{what} is not finite: the weights overflow float64 by this horizon"
-        )
 
 
 def _require_variance(var: float, what: str) -> None:
@@ -234,27 +213,6 @@ def _require_monotone(clock) -> None:
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
 
 
-def _walk_and_oracle_sums(params: WalkParams, s_sq: np.ndarray):
-    """Per block, the running sums of the walk and of its Brownian oracle on the clock s_sq.
-
-    sums(start, stop) computes the block's oracle step sds once and returns
-    the function of (path, walk) that draws a path's steps there and sums
-    them.  np.diff of the clock one step wider gives the block's gaps the
-    values np.diff(s_sq, prepend=0.0) has there.
-    """
-    _require_monotone(s_sq)
-    a = params.weights.values(params.horizon)
-
-    def sums(start: int, stop: int):
-        gaps = np.diff(s_sq[start - 1:stop]) if start else np.diff(s_sq[:stop], prepend=0.0)
-        step_sd = np.sqrt(gaps, out=gaps)
-        return lambda path, walk: paths._sum_block(
-            path, paths._walk_block(path, params.p, a[start:stop]) if walk
-            else paths._oracle_block(path, step_sd))
-
-    return sums
-
-
 def _terminals(walk, oracle) -> dict:
     """The per-replica walk and oracle terminals as an attachment."""
     return {
@@ -306,10 +264,10 @@ def lil_experiment(
     to both; coverage (the normalized path visiting all nine width-0.2 bins
     of [-0.9, 0.9]) is tracked for the exact-s_n normalization only.
 
-    The walks and oracles advance in lockstep, one block of steps at a time
-    on one thread per usable CPU, and each block's sqrt(2 D_k loglog D_k) is
-    computed once for all of them.  A run holds the weights and its clocks
-    whole, 8 bytes a step each, and past those a few MB.
+    `paths._lockstep` draws the walks and oracles a block at a time on one
+    thread per usable CPU, and lil's reducer divides by each block's
+    sqrt(2 D_k loglog D_k), computed once for all paths.  A run holds the
+    weights and its clocks whole, 8 bytes a step each, and a few MB more.
     """
     config = _config("lil", params, replicas=replicas, seed=seed, normalization=normalization,
                      band=band, min_fraction=min_fraction)
@@ -321,16 +279,16 @@ def lil_experiment(
     min_fraction, coverage = config["min_fraction"], config["coverage"]
     den = _clock(params, normalization)
     i0 = _start_index(den, "denominator")
-    sums = _walk_and_oracle_sums(params, den if normalization == "exact_s" else _clock(params))
+    s_sq = den if normalization == "exact_s" else _clock(params)
+    _require_monotone(s_sq)
 
     def block(start: int, stop: int):
         first = max(start, i0)
         scale = np.sqrt(2.0 * den[first:stop] * np.log(np.log(den[first:stop])))
-        block_sums = sums(start, stop)
-        return lambda path, walk: paths._lil_block(
-            path, block_sums(path, walk)[first - start:], scale, coverage and walk)
+        return lambda path, sums, walk: paths._lil_block(
+            path, sums[first - start:], scale, coverage and walk)
 
-    out = paths._lockstep(replicas, seed, n, block)
+    out = paths._lockstep(params.p, params.weights.values(n), s_sq, replicas, seed, block)
     walk_terminals = np.array([path.top for path in out[:replicas]])
     oracle_terminals = np.array([path.top for path in out[replicas:]])
     covered = [path.seen.all() for path in out[:replicas]]
@@ -377,10 +335,10 @@ def chung_experiment(
     matched Brownian oracle (same clock s_k^2, same start index); the oracle
     itself is checked against a wide band around pi/sqrt(8).
 
-    The walks and oracles advance in lockstep, one block of steps at a time
-    on one thread per usable CPU, and each block's sqrt(loglog s_k^2 / s_k^2)
-    is computed once for all of them.  A run holds the weights and the
-    clock whole, 16 bytes a step, and past those a few MB.
+    `paths._lockstep` draws the walks and oracles a block at a time on one
+    thread per usable CPU, and chung's reducer scales by each block's
+    sqrt(loglog s_k^2 / s_k^2), computed once for all paths.  A run holds
+    the weights and the clock whole, 16 bytes a step, and a few MB more.
     """
     config = _config("chung", params, replicas=replicas, seed=seed, median_tol=median_tol)
     replicas = _as_int(config["replicas"], "replicas", 1)
@@ -390,16 +348,14 @@ def chung_experiment(
         raise ValueError(f"Chung runs need horizon >= 1e5, got {n}")
     s_sq = _clock(params)
     i0 = _start_index(s_sq, "s_n^2")
-    sums = _walk_and_oracle_sums(params, s_sq)
+    _require_monotone(s_sq)
 
     def block(start: int, stop: int):
         first = max(start, i0)
         coef = np.sqrt(np.log(np.log(s_sq[first:stop])) / s_sq[first:stop])
-        block_sums = sums(start, stop)
-        return lambda path, walk: paths._chung_block(
-            path, block_sums(path, walk), first - start, coef)
+        return lambda path, sums, walk: paths._chung_block(path, sums, first - start, coef)
 
-    out = paths._lockstep(replicas, seed, n, block)
+    out = paths._lockstep(params.p, params.weights.values(n), s_sq, replicas, seed, block)
     walk_terminals = np.array([path.low for path in out[:replicas]])
     oracle_terminals = np.array([path.low for path in out[replicas:]])
     walk_median = float(np.median(walk_terminals))

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import walks  # looked up at call time, so a wrapper set on walks sees each call
 from .rng import GRID, MANTISSA_BITS
-from .weights import WeightSequence, _as_int, _check_delta, _tail_constant
+from .weights import WeightSequence, _as_int, _check_delta, _require_finite, _tail_constant
 
 __all__ = [
     "CertificationError",
@@ -721,10 +721,12 @@ class VarianceProfile:
 def variance_profile(r: int, seq: WeightSequence, n_max: int) -> VarianceProfile:
     n_max = _as_int(n_max, "n_max", 1)
     r = _check_base(r)
-    if r % 2 == 0:
-        values = seq.energies(n_max).copy()
-    else:
-        values = walks.second_moment_profile((r + 1) / (2 * r), seq, n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if r % 2 == 0:
+            values = seq.energies(n_max).copy()
+        else:
+            values = walks.second_moment_profile((r + 1) / (2 * r), seq, n_max)
+    _require_finite(values, f"the variance profile to depth {n_max}")
     if np.any(np.diff(values) < 0):
         raise ValueError(
             "variance profile is not non-decreasing; no valid interpolant"

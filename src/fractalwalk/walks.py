@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .weights import WeightSequence, _as_int
+from .weights import WeightSequence, _as_int, _running_sum
 
 __all__ = [
     "WalkParams",
@@ -235,31 +235,17 @@ def _moment_increments(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (a * (a + 2.0 * t)).astype(np.longdouble)
 
 
-# increments summed at a time by `second_moment_profile`: 1 MB of longdouble
-_PROFILE_BLOCK = 1 << 16
-
-
 def second_moment_profile(p: float, weights: WeightSequence, n: int) -> np.ndarray:
     """Exact (E[S_1^2], ..., E[S_n^2]) in O(n), as running sums of the increments.
 
-    The increments are summed in longdouble one block at a time, into the
-    array that held the cross terms T, so the profile takes 8 bytes a step
-    besides the weights.  The carry enters a block's first increment before
-    its cumsum, so each sum is the addition one cumsum of all n makes.
+    `weights._running_sum` sums the increments in longdouble one block at a
+    time, the same helper as the energies, into the array that held the
+    cross terms T, so the profile takes 8 bytes a step besides the weights.
     """
     _check_p(p)
     a = weights.values(n)
     out = _cross_accumulator(a, 2.0 * p - 1.0)
-    carry = None
-    for start in range(0, n, _PROFILE_BLOCK):
-        part = slice(start, start + _PROFILE_BLOCK)
-        inc = _moment_increments(a[part], out[part])
-        if carry is not None:
-            inc[0] += carry
-        inc = np.cumsum(inc)
-        carry = inc[-1]
-        out[part] = inc
-    return out
+    return _running_sum(lambda part: _moment_increments(a[part], out[part]), out)
 
 
 def exact_second_moment(p: float, weights: WeightSequence, m: int, n: int) -> float:

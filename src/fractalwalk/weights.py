@@ -3,13 +3,15 @@
 A weight sequence is the deterministic part a_1, a_2, ... of a walk with
 variable step length.  The running energy A_n = sum_{k<=n} a_k^2 drives every
 normalization downstream, so it is cached once per sequence and accumulated
-in extended precision; the per-step identity A_n - A_{n-1} = a_n^2 then holds
-to 1e-12 relative even after 10^4 steps.
+in extended precision by `_running_sum`, which sums the exact variance clock
+too; the per-step identity A_n - A_{n-1} = a_n^2 then holds to 1e-12
+relative even after 10^4 steps.
 
-Two diagnostics live here as well.  `validate_assumptions` checks the pair of
-standing hypotheses on a finite horizon: the energy diverges, and the last
-step is small against it, a_n^2 = O(A_n^{1-delta}).  An O-statement is not
-falsifiable at finite n, so the check reports the observed constant
+Two diagnostics live here as well.  `validate_assumptions` checks on a
+finite horizon that the last step is small against the energy,
+a_n^2 = O(A_n^{1-delta}); it does not check that the energy diverges, and
+all-zero weights pass.  An O-statement is not falsifiable at finite n, so
+the check reports the observed constant
 K_hat = max_n a_n^2 / A_n^{1-delta} (with 0/0 := 0) together with a trend fit
 over the trailing window, and the verdict is explicitly heuristic.  A trend
 passes when its log-log slope is at most `_SLOPE_TOL` = 0.01: the tolerance
@@ -88,6 +90,45 @@ def _check_finite(kind: str, values) -> None:
         raise ValueError(f"{kind} weights need finite parameters")
 
 
+def _require_finite(values, what: str) -> None:
+    """Refuse a variance clock or profile that overflowed: nothing normalizes by it."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} is not finite: the weights overflow float64 by this horizon")
+
+
+def _alternate(n: int, odd: float, even: float) -> np.ndarray:
+    """n weights, odd at k = 1, 3, 5, ... and even at k = 2, 4, ..."""
+    out = np.full(n, even)
+    out[::2] = odd
+    return out
+
+
+# increments `_running_sum` sums at a time: 1 MB of longdouble
+_SUM_BLOCK = 1 << 16
+
+
+def _running_sum(increments, out: np.ndarray) -> np.ndarray:
+    """out[k] = increments 0..k summed in longdouble, rounded to float64, in place.
+
+    increments(part) returns the fresh longdouble increments at the slice
+    part of out, and may read out[part] first.  They are summed `_SUM_BLOCK`
+    at a time, the carry entering a block's first increment before its
+    cumsum, so each sum is the addition one cumsum of all of them makes.  A
+    sum past float64's range becomes inf.
+    """
+    carry = None
+    for start in range(0, out.size, _SUM_BLOCK):
+        part = slice(start, start + _SUM_BLOCK)
+        inc = increments(part)
+        if carry is not None:
+            inc[0] += carry
+        inc = np.cumsum(inc)
+        carry = inc[-1]
+        with np.errstate(over="ignore"):
+            out[part] = inc
+    return out
+
+
 def _check_delta(delta) -> float:
     """delta as a float, refused outside (0, 1]."""
     if not 0.0 < delta <= 1.0:
@@ -106,7 +147,7 @@ class WeightSequence:
 
     kind: str
     params: dict = field(default_factory=dict)
-    _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False, default=None)
+    _fn: Callable[[int], np.ndarray] = field(repr=False, compare=False, default=None)
     _cache: dict = field(repr=False, compare=False, default_factory=dict)
     _lock: threading.Lock = field(repr=False, compare=False, default_factory=threading.Lock)
 
@@ -116,23 +157,23 @@ class WeightSequence:
     def constant(cls, c: float = 1.0) -> "WeightSequence":
         c = float(c)
         _check_finite("constant", c)
-        return cls("constant", {"c": c}, lambda k: np.full(k.shape, c))
+        return cls("constant", {"c": c}, lambda n: np.full(n, c))
 
     @classmethod
     def power(cls, exponent: float) -> "WeightSequence":
         e = float(exponent)
         _check_finite("power", e)
-        return cls("power", {"exponent": e}, lambda k: k.astype(float) ** e)
+        return cls("power", {"exponent": e}, lambda n: np.arange(1.0, n + 1) ** e)
 
     @classmethod
     def alternating(cls) -> "WeightSequence":
         # +1, -1, +1, ... starting at k = 1
-        return cls("alternating", {}, lambda k: np.where(k % 2 == 1, 1.0, -1.0))
+        return cls("alternating", {}, lambda n: _alternate(n, 1.0, -1.0))
 
     @classmethod
     def odd_indicator(cls) -> "WeightSequence":
         # 1, 0, 1, 0, ...: half the steps are null moves
-        return cls("odd_indicator", {}, lambda k: (k % 2 == 1).astype(float))
+        return cls("odd_indicator", {}, lambda n: _alternate(n, 1.0, 0.0))
 
     @classmethod
     def geometric(cls, base: float) -> "WeightSequence":
@@ -141,11 +182,11 @@ class WeightSequence:
         if b <= 0:
             raise ValueError(f"geometric base must be positive, got {b}")
 
-        def fn(k: np.ndarray) -> np.ndarray:
+        def fn(n: int) -> np.ndarray:
             # b**k overflows float64 near k ~ 710/log(b); leave inf in place,
             # energies past that point are unusable and callers see it
             with np.errstate(over="ignore"):
-                return b ** k.astype(float)
+                return b ** np.arange(1.0, n + 1)
 
         return cls("geometric", {"base": b}, fn)
 
@@ -158,10 +199,9 @@ class WeightSequence:
         vals = vals.copy()
         vals.flags.writeable = False
 
-        def fn(k: np.ndarray) -> np.ndarray:
-            out = np.zeros(k.shape)
-            inside = k <= vals.size
-            out[inside] = vals[k[inside] - 1]
+        def fn(n: int) -> np.ndarray:
+            out = np.zeros(n)
+            out[:vals.size] = vals[:n]
             return out
 
         return cls("explicit", {"values": [float(v) for v in vals]}, fn)
@@ -223,18 +263,18 @@ class WeightSequence:
             have = self._cache.get("n", 0)
             if have < n:
                 grow = max(n, 2 * have, 64)
-                k = np.arange(1, grow + 1, dtype=np.int64)
-                vals = np.asarray(self._fn(k), dtype=float)
+                vals = np.asarray(self._fn(grow), dtype=float)
                 vals.flags.writeable = False
                 self._cache.clear()
                 self._cache.update(n=grow, values=vals)
             if key not in self._cache:
                 # longdouble partial sums keep the A_n - A_{n-1} = a_n^2
-                # identity testable at 1e-12 relative for 1e4+ terms
-                acc = np.cumsum(np.square(self._cache["values"].astype(np.longdouble)))
-                # an energy past float64's range becomes inf, as callers expect
-                with np.errstate(over="ignore"):
-                    energies = acc.astype(float)
+                # identity testable at 1e-12 relative for 1e4+ terms; an
+                # energy past float64's range becomes inf, as callers expect
+                vals = self._cache["values"]
+                energies = _running_sum(
+                    lambda part: np.square(vals[part].astype(np.longdouble)),
+                    np.empty(vals.size))
                 energies.flags.writeable = False
                 self._cache["energies"] = energies
             return self._cache[key]

@@ -757,6 +757,14 @@ def test_overflowing_weights_refuse_without_warnings(args, rc, err, tmp_path, ca
           "--x-samples", "100"], "error: sigma_l(1/8) = 0"),
         (["fclt", "--weights", "explicit:0", "--n", "12", "--x-samples", "100"],
          "error: V_12 = 0"),
+        # each once printed numpy's RuntimeWarnings; the first then exited 2
+        # with a regular-variation verdict on a V_n that was inf
+        (["fclt", "--weights", "geometric:1.9", "--n", "1200", "--x-samples", "100"],
+         "error: the variance profile to depth 1200 is not finite"),
+        (["modulus", "--weights", "geometric:1.9", "--h-grid", "2^-600", "--x-samples", "100"],
+         "error: the variance profile to depth 601 is not finite"),
+        (["fclt", "--r", "3", "--weights", "geometric:2.9", "--n", "700", "--x-samples", "100"],
+         "error: the variance profile to depth 700 is not finite"),
     ],
     ids=[
         "lil-0", "lil-negative", "chung-0", "lil-band", "lil-nan-band", "fclt", "modulus",
@@ -764,7 +772,8 @@ def test_overflowing_weights_refuse_without_warnings(args, rc, err, tmp_path, ca
         "fclt-nan-tol", "fclt-nan-beta", "validate-weights-nan-q", "clt-inf-tol",
         "eval-inf-eps", "validate-weights-one-point", "simulate-inf-weight",
         "eval-nan-weight", "clt-nan-weight", "clt-zero-variance", "modulus-zero-variance",
-        "modulus-one-scale-zero-variance", "fclt-zero-variance",
+        "modulus-one-scale-zero-variance", "fclt-zero-variance", "fclt-overflowed-profile",
+        "modulus-overflowed-profile", "fclt-r3-overflowed-profile",
     ],
 )
 def test_counts_without_a_statistic_are_refused(args, err, tmp_path, capsys, monkeypatch):

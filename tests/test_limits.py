@@ -12,7 +12,6 @@ from fractalwalk import (
     RegularVariationError,
     WalkParams,
     WeightSequence,
-    brownian_path,
     chung_experiment,
     clt_experiment,
     functional_clt_experiment,
@@ -22,7 +21,7 @@ from fractalwalk import (
     sign_walk_grid,
     variance_profile,
 )
-from fractalwalk import experiments, paths, stats
+from fractalwalk import paths, stats
 from fractalwalk.experiments import CHUNG_CONSTANT, _brownian_from_rng
 from fractalwalk.paths import _BLOCK, _COVER_EDGES, _running_max
 from fractalwalk.rng import stream, uniform_mantissas
@@ -107,33 +106,15 @@ def test_sigma_l_domain():
 # -- Brownian reference and KS ------------------------------------------------
 
 
-def test_brownian_edge_times():
-    assert brownian_path([0.0]).tolist() == [0.0]
-    b = brownian_path([0.0, 1.0, 1.0], seed=2)
-    assert b[0] == 0.0 and b[1] == b[2]
-    with pytest.raises(ValueError):
-        brownian_path([1.0, 0.5])
-    with pytest.raises(ValueError):
-        brownian_path([])
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            brownian_path([0.1, bad, 0.3])
-
-
 def test_brownian_quadratic_variation():
-    t = np.linspace(0.0, 1.0, 100_001)
-    b = brownian_path(t, seed=3)
-    inc = np.diff(np.concatenate([[0.0], b]))
-    assert float(np.sum(inc**2)) == pytest.approx(1.0, abs=0.02)
-    z = inc / math.sqrt(t[1])
-    lag1 = float(np.mean(z[:-1] * z[1:]))
-    assert abs(lag1) <= 3.0 / math.sqrt(z.size - 1)
-
-
-def test_brownian_determinism():
-    t = np.linspace(0.0, 1.0, 50)
-    np.testing.assert_array_equal(brownian_path(t, 5, 7), brownian_path(t, 5, 7))
-    assert not np.array_equal(brownian_path(t, 5, 7), brownian_path(t, 5, 8))
+    # the oracle on the unit clock s_k^2 = k (unit weights at p = 1/2), over
+    # two blocks: unit increment variance, no lag-1 correlation
+    n = 100_000
+    _, b = lockstep_sums(WalkParams(0.5, CONST, n), 1, 3)
+    inc = np.diff(b, prepend=0.0)
+    assert float(np.mean(inc**2)) == pytest.approx(1.0, abs=0.02)
+    lag1 = float(np.mean(inc[:-1] * inc[1:]))
+    assert abs(lag1) <= 3.0 / math.sqrt(n - 1)
 
 
 def test_ks_statistic_on_exact_quantiles():
@@ -426,15 +407,14 @@ def _chung_reference(params, replicas, seed):
 def lockstep_sums(params, replicas, seed) -> list:
     """The whole running sums of each walk and then each oracle, as lil and
     chung draw them block by block on the exact clock."""
-    s_sq = second_moment_profile(params.p, params.weights, params.horizon)
-    sums = experiments._walk_and_oracle_sums(params, s_sq)
+    n = params.horizon
+    s_sq = second_moment_profile(params.p, params.weights, n)
     blocks = {}
 
     def block(start, stop):
-        block_sums = sums(start, stop)
-        return lambda path, walk: blocks.setdefault(path, []).append(block_sums(path, walk))
+        return lambda path, sums, walk: blocks.setdefault(path, []).append(sums)
 
-    done = paths._lockstep(replicas, seed, params.horizon, block)
+    done = paths._lockstep(params.p, params.weights.values(n), s_sq, replicas, seed, block)
     return [np.concatenate(blocks[path]) for path in done]
 
 
@@ -757,8 +737,6 @@ EXPERIMENTS_REFUSALS = {
         lambda: variance_profile(3, WeightSequence.from_spec("explicit:10,-1"), 2),
         "variance profile is not non-decreasing; no valid interpolant",
     ),
-    "brownian-times-below-0": (lambda: brownian_path([-1.0, 0.5]),
-                               "times must start at >= 0, got -1.0"),
     "lil-band-of-three": (
         lambda: lil_experiment(WalkParams(0.75, CONST, 100_000), band=(0.1, 0.5, 1.0)),
         "band needs two values lo,hi, got [0.1, 0.5, 1.0]",

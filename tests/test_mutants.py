@@ -120,12 +120,12 @@ def _mark_bins_between_min_and_max(trace, seen):
 _LOCKSTEP = paths._lockstep
 
 
-def _lockstep_with_oracles_on_walk_streams(replicas, seed, n, block):
+def _lockstep_with_oracles_on_walk_streams(p, a, s_sq, replicas, seed, block):
     """`paths._lockstep` with oracle i on stream i, not replicas + i."""
     stream = rng.stream
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "stream", lambda key, i: stream(key, i % replicas))
-        return _LOCKSTEP(replicas, seed, n, block)
+        return _LOCKSTEP(p, a, s_sq, replicas, seed, block)
 
 
 _WALK_BLOCK = paths._walk_block
@@ -323,6 +323,17 @@ def _zero_variance_is_refused() -> bool:
     return False
 
 
+def _overflowing_profile_is_refused() -> bool:
+    # geometric:1.9 energies pass float64's range near k = 553; the mutant's
+    # monotone check then meets inf - inf
+    with np.errstate(all="ignore"):
+        try:
+            fractal.variance_profile(2, WeightSequence.geometric(1.9), 1200)
+        except ValueError as err:
+            return str(err).startswith("the variance profile to depth 1200 is not finite")
+    return False
+
+
 def _on_module(module, name: str, replacement):
     return lambda mp: mp.setattr(module, name, replacement, raising=True)
 
@@ -362,6 +373,7 @@ _ONE_DRAW = "one sign draw for every walk, each block a fresh array"
 _TENT = "r = 2 grid terms on the exact tent recursion"
 _INTEGER_WALKS = "modulus scales on threads, integer-weight slope walks summed exactly"
 _ZERO_VARIANCE = "one Gordin corrector path; zero variance refused before any draw"
+_FINITE_PROFILE = "one chain walk and one oracle in the engine; an overflowed profile refused"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -466,6 +478,10 @@ MUTANTS = {
     "zero-variance-not-refused": Mutant(
         _ZERO_VARIANCE, _on_module(experiments, "_require_variance", lambda var, what: None),
         _zero_variance_is_refused,
+    ),
+    "variance-profile-overflow-not-refused": Mutant(
+        _FINITE_PROFILE, _on_module(fractal, "_require_finite", lambda values, what: None),
+        _overflowing_profile_is_refused,
     ),
 }
 

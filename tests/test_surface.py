@@ -20,7 +20,7 @@ ENTRY_FILES = [
 
 # wrapped by perfbench/tracing.py until the benchmark drops them, and the
 # Doob split kept for the strong-approximation clock
-UNREACHED = {"brownian_path", "block_statistics", "doob_decompose"}
+UNREACHED = {"block_statistics", "doob_decompose"}
 
 
 def _module_exports() -> dict:

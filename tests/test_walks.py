@@ -14,7 +14,6 @@ from fractalwalk import (
     simulate,
     variance_ratio_bound,
 )
-from fractalwalk import walks
 from fractalwalk.rng import stream
 from fractalwalk.walks import _constant_run, _cross_accumulator, _draw_signs, _equal_runs
 
@@ -207,9 +206,7 @@ def _special_weights(values) -> WeightSequence:
     still meets them once a geometric sequence overflows.
     """
     vals = np.asarray(values, dtype=float)
-    return WeightSequence(
-        "special", {}, lambda k: np.where(k <= vals.size, vals[np.minimum(k, vals.size) - 1], 0.0)
-    )
+    return WeightSequence("special", {}, lambda n: np.pad(vals[:n], (0, max(0, n - vals.size))))
 
 
 def test_moments_match_lfilter_bytes_on_special_values():
@@ -313,7 +310,7 @@ def test_profile_summed_in_blocks_matches_one_cumsum(p, weights, monkeypatch):
     # blocks of 7: a carry that entered a block after its cumsum would round
     # the longdouble sums otherwise, which shows in a few dozen of 10^4
     # float64 values
-    monkeypatch.setattr(walks, "_PROFILE_BLOCK", 7)
+    monkeypatch.setattr("fractalwalk.weights._SUM_BLOCK", 7)
     assert clock_matches_lfilter(p, weights, 10_000)
 
 

@@ -1,6 +1,7 @@
 """Weight sequences: generators, energy cache, and assumption checks."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,71 @@ def test_energies_match_cumsum():
     a = rng.uniform(-2.0, 2.0, 50)
     seq = WeightSequence.explicit(a)
     np.testing.assert_allclose(seq.energies(50), np.cumsum(a**2), rtol=1e-13)
+
+
+# each kind's weights as an int64 index array 1..n once gave them
+OLD_INDEX_FORMULAS = {
+    "constant": (WeightSequence.constant(2.5), lambda k: np.full(k.shape, 2.5)),
+    "power0.3": (WeightSequence.power(0.3), lambda k: k.astype(float) ** 0.3),
+    "power0.5": (WeightSequence.power(0.5), lambda k: k.astype(float) ** 0.5),
+    "alternating": (WeightSequence.alternating(),
+                    lambda k: np.where(k % 2 == 1, 1.0, -1.0)),
+    "odd_indicator": (WeightSequence.odd_indicator(),
+                      lambda k: (k % 2 == 1).astype(float)),
+    "geometric": (WeightSequence.geometric(1.02), lambda k: 1.02 ** k.astype(float)),
+    "explicit": (WeightSequence.explicit([3.0, -0.5, 7.25]),
+                 lambda k: np.where(k <= 3, np.array([3.0, -0.5, 7.25])[np.minimum(k, 3) - 1],
+                                    0.0)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 64, 2**16 + 3])
+@pytest.mark.parametrize("seq,old", OLD_INDEX_FORMULAS.values(), ids=OLD_INDEX_FORMULAS)
+def test_weights_from_a_count_match_the_index_formula(seq, old, n):
+    with np.errstate(over="ignore"):
+        want = old(np.arange(1, n + 1, dtype=np.int64))
+    assert seq._fn(n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        WeightSequence.constant,
+        lambda: WeightSequence.power(0.3),
+        lambda: WeightSequence.explicit(np.random.default_rng(5).uniform(-2.0, 2.0, 10_000)),
+        lambda: WeightSequence.geometric(2.0),  # its energies pass float64's range at k = 512
+    ],
+    ids=["const", "power0.3", "random", "overflow"],
+)
+def test_energies_summed_in_blocks_match_one_cumsum(make, monkeypatch):
+    # blocks of 7: a carry that entered a block after its cumsum would round
+    # the longdouble sums otherwise
+    monkeypatch.setattr("fractalwalk.weights._SUM_BLOCK", 7)
+    seq = make()
+    a = seq.values(10_000)
+    with np.errstate(over="ignore"):
+        want = np.cumsum(np.square(a.astype(np.longdouble))).astype(float)
+    assert seq.energies(10_000).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call,limit",
+    [
+        (lambda n: WeightSequence.constant().values(n), 9),
+        (lambda n: WeightSequence.power(0.3).energies(n), 24),
+    ],
+    ids=["constant-values", "energies"],
+)
+def test_weight_arrays_peak_bytes_a_step(call, limit):
+    # the values (8 bytes a step) and the energies (8) and one block at a time
+    n = 10**6
+    tracemalloc.start()
+    try:
+        call(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * n
 
 
 def test_values_cache_is_read_only():
