@@ -54,9 +54,10 @@ from .stats import _quantiles, ks_statistic
 from .walks import (
     WalkParams,
     _check_p,
+    _clock_blocks,
     _draw_signs,
     exact_second_moment,
-    second_moment_profile,
+    second_moment_profile,  # no caller here; perfbench/tracing.py wraps this name
     simulate,
     variance_ratio_bound,
 )
@@ -64,6 +65,8 @@ from .weights import (
     _UNIT,
     WeightSequence,
     _as_int,
+    _energy_sums,
+    _overflowed,
     _require_finite,
     growth_report,
     validate_assumptions,
@@ -105,20 +108,6 @@ def _require_variance(var: float, what: str) -> None:
     """Refuse a normalization by zero: the weights give no variance there."""
     if var == 0.0:
         raise ValueError(f"{what} = 0: the weights give no variance to normalize by")
-
-
-def _clock(params: WalkParams, normalization: str = "exact_s") -> np.ndarray:
-    """D_1..D_n: exact s_k^2, (p/(1-p)) A_k or plain A_k; refused if it overflowed."""
-    n = params.horizon
-    with np.errstate(over="ignore", invalid="ignore"):
-        if normalization == "exact_s":
-            clock = second_moment_profile(params.p, params.weights, n)
-        elif normalization == "scaled_A":
-            clock = (params.p / (1.0 - params.p)) * params.weights.energies(n)
-        else:  # plain_A
-            clock = params.weights.energies(n)
-    _require_finite(clock, f"the {normalization} variance clock")
-    return clock
 
 
 # -- CLT ----------------------------------------------------------------------
@@ -189,28 +178,81 @@ def clt_experiment(
 # -- LIL family ---------------------------------------------------------------
 
 
-def _start_index(clock: np.ndarray, what: str) -> int:
-    """First index where the clock exceeds e^2 (loglog is not usable before).
+def _clock_source(params: WalkParams, normalization: str = "exact_s"):
+    """The engine's block source: blocks(size) yields (start, a, s_sq, den).
 
-    Refuses a clock that never gets there or dips back under e^2 later.
+    Block by block of `size` steps, the weights a_k, the exact clock s_k^2
+    and the denominator D_k: s_k^2 itself, (p/(1-p)) A_k or plain A_k.  The
+    weights are windows computed afresh, and the clock's recursion and the
+    longdouble sums carry their state from block to block, so each call
+    builds the clocks again and no array as long as the path is held.
     """
-    valid = clock > _E_SQUARED
-    if not valid.any():
-        raise ValueError(f"{what} never exceeds e^2; horizon too short")
-    i0 = int(np.argmax(valid))
-    if not np.all(clock[i0:] > _E_SQUARED):
-        raise ValueError(f"{what} dips below e^2 after first crossing it")
-    return i0
+    p, seq, n = params.p, params.weights, params.horizon
+
+    def blocks(size: int):
+        carry = None
+        for start, a, s_sq in _clock_blocks(p, seq._windows(n, size)):
+            den = s_sq
+            if normalization != "exact_s":
+                den, carry = _energy_sums(a, carry)
+                if normalization == "scaled_A":
+                    den *= p / (1.0 - p)
+            yield start, a, s_sq, den
+
+    return blocks
 
 
-def _require_monotone(clock) -> None:
-    """Refuse a variance clock with a negative gap: its oracle has no step sd.
+def _crossing(den: np.ndarray, start: int, i0: int | None) -> tuple[int | None, bool]:
+    """i0 after the block den of D_k from index start, and whether it dips there.
+
+    i0 is the first index where D_k exceeds e^2 (loglog is not usable
+    before), None while D_k has not; the block dips when D_k <= e^2 at one
+    of its indices past i0.
+    """
+    above = den > _E_SQUARED
+    if i0 is None:
+        if not above.any():
+            return None, False
+        i0 = start + int(np.argmax(above))
+    return i0, not above[max(i0 - start, 0):].all()
+
+
+def _falls(s_sq: np.ndarray, last) -> bool:
+    """Whether the exact clock has a negative gap in the block s_sq after the value last.
 
     On a finite clock, s_k^2 < s_{k-1}^2 is exactly s_k^2 - s_{k-1}^2 < 0, so
-    this is np.any(np.diff(clock, prepend=0.0) < 0) without the diff array.
+    this is np.any(np.diff(s_sq, prepend=last) < 0) without the diff array.
     """
-    if clock[0] < 0.0 or np.any(clock[1:] < clock[:-1]):
+    return bool(s_sq[0] < last or np.any(s_sq[1:] < s_sq[:-1]))
+
+
+def _check_clocks(blocks, normalization: str, what: str) -> int:
+    """i0 of the denominator `what`, from one pass over the source's blocks.
+
+    The pass keeps no block.  It refuses, in this order: a denominator that
+    is not finite (at its first such block, since nothing ranks before it),
+    one that never exceeds e^2 or dips back under it later, an exact clock
+    that is not finite, and one with a negative gap, which gives its oracle
+    no step sd.  Overflows on the way are refused, so they do not warn.
+    """
+    i0, dips, finite, falls, last = None, False, True, False, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, _, s_sq, den in blocks:
+            _require_finite(den, f"the {normalization} variance clock")
+            i0, dip = _crossing(den, start, i0)
+            dips = dips or dip
+            finite = finite and bool(np.all(np.isfinite(s_sq)))
+            falls = falls or _falls(s_sq, last)
+            last = s_sq[-1]
+    if i0 is None:
+        raise ValueError(f"{what} never exceeds e^2; horizon too short")
+    if dips:
+        raise ValueError(f"{what} dips below e^2 after first crossing it")
+    if not finite:
+        raise _overflowed("the exact_s variance clock")
+    if falls:
         raise ValueError("exact variance clock is not monotone; no Brownian oracle")
+    return i0
 
 
 def _terminals(walk, oracle) -> dict:
@@ -266,8 +308,13 @@ def lil_experiment(
 
     `paths._lockstep` draws the walks and oracles a block at a time on one
     thread per usable CPU, and lil's reducer divides by each block's
-    sqrt(2 D_k loglog D_k), computed once for all paths.  A run holds the
-    weights and its clocks whole, 8 bytes a step each, and a few MB more.
+    sqrt(2 D_k loglog D_k), computed once for all paths.  The weights and
+    clocks are built a block at a time too, so a run holds a few MB
+    whatever n is.  They are built twice: `_check_clocks` refuses an
+    unusable clock before any stream opens, and the engine builds them
+    again.  Where the weights have no equal runs (power, geometric) the
+    second clock recursion costs 0.13-0.22 s per 10^6 steps; a vectorized
+    clock (ROADMAP item 2) would remove it.
     """
     config = _config("lil", params, replicas=replicas, seed=seed, normalization=normalization,
                      band=band, min_fraction=min_fraction)
@@ -277,18 +324,16 @@ def lil_experiment(
         raise ValueError(f"LIL runs need horizon >= 1e5, got {n}")
     seed, normalization, (lo, hi) = config["seed"], config["normalization"], config["band"]
     min_fraction, coverage = config["min_fraction"], config["coverage"]
-    den = _clock(params, normalization)
-    i0 = _start_index(den, "denominator")
-    s_sq = den if normalization == "exact_s" else _clock(params)
-    _require_monotone(s_sq)
+    clocks = _clock_source(params, normalization)
+    i0 = _check_clocks(clocks(paths._BLOCK), normalization, "denominator")
 
-    def block(start: int, stop: int):
-        first = max(start, i0)
-        scale = np.sqrt(2.0 * den[first:stop] * np.log(np.log(den[first:stop])))
+    def block(start: int, den: np.ndarray):
+        skip = max(i0 - start, 0)
+        scale = np.sqrt(2.0 * den[skip:] * np.log(np.log(den[skip:])))
         return lambda path, sums, walk: paths._lil_block(
-            path, sums[first - start:], scale, coverage and walk)
+            path, sums[skip:], scale, coverage and walk)
 
-    out = paths._lockstep(params.p, params.weights.values(n), s_sq, replicas, seed, block)
+    out = paths._lockstep(params.p, clocks, replicas, seed, block)
     walk_terminals = np.array([path.top for path in out[:replicas]])
     oracle_terminals = np.array([path.top for path in out[replicas:]])
     covered = [path.seen.all() for path in out[:replicas]]
@@ -337,8 +382,9 @@ def chung_experiment(
 
     `paths._lockstep` draws the walks and oracles a block at a time on one
     thread per usable CPU, and chung's reducer scales by each block's
-    sqrt(loglog s_k^2 / s_k^2), computed once for all paths.  A run holds
-    the weights and the clock whole, 16 bytes a step, and a few MB more.
+    sqrt(loglog s_k^2 / s_k^2), computed once for all paths.  As for lil,
+    the weights and the clock are built a block at a time, twice (the clock
+    check, then the engine), so a run holds a few MB whatever n is.
     """
     config = _config("chung", params, replicas=replicas, seed=seed, median_tol=median_tol)
     replicas = _as_int(config["replicas"], "replicas", 1)
@@ -346,16 +392,15 @@ def chung_experiment(
     n = params.horizon
     if n < 100_000:
         raise ValueError(f"Chung runs need horizon >= 1e5, got {n}")
-    s_sq = _clock(params)
-    i0 = _start_index(s_sq, "s_n^2")
-    _require_monotone(s_sq)
+    clocks = _clock_source(params)
+    i0 = _check_clocks(clocks(paths._BLOCK), "exact_s", "s_n^2")
 
-    def block(start: int, stop: int):
-        first = max(start, i0)
-        coef = np.sqrt(np.log(np.log(s_sq[first:stop])) / s_sq[first:stop])
-        return lambda path, sums, walk: paths._chung_block(path, sums, first - start, coef)
+    def block(start: int, s_sq: np.ndarray):
+        skip = max(i0 - start, 0)
+        coef = np.sqrt(np.log(np.log(s_sq[skip:])) / s_sq[skip:])
+        return lambda path, sums, walk: paths._chung_block(path, sums, skip, coef)
 
-    out = paths._lockstep(params.p, params.weights.values(n), s_sq, replicas, seed, block)
+    out = paths._lockstep(params.p, clocks, replicas, seed, block)
     walk_terminals = np.array([path.low for path in out[:replicas]])
     oracle_terminals = np.array([path.low for path in out[replicas:]])
     walk_median = float(np.median(walk_terminals))

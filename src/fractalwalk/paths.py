@@ -2,14 +2,14 @@
 
 `_lockstep` draws lil's and chung's walks and Brownian oracles block-major:
 every path of a group takes one block of 2^16 steps per thread map, after
-the calling thread has computed the arrays that block's paths share.  lil
-and chung hand it only their reducers.  The blocks are fresh arrays that
-die with their block, and between blocks a path keeps only a `_Path`: its
-generator, last sign, sum carry and reducer scalars.  So a run holds its
-whole-path arrays (the weights and the clock, 16 bytes a step) plus a few
-MB.  `rng.stream` and `walks._draw_signs` are looked up at each call, so a
-wrapper set on those module attributes (the benchmark's tracer) sees every
-draw.
+the calling thread has taken the block's weights and clocks from a block
+source and computed the arrays that block's paths share.  lil and chung
+hand it only the source and their reducers.  The blocks are fresh arrays
+that die with their block, and between blocks a path keeps only a `_Path`:
+its generator, last sign, sum carry and reducer scalars.  So a run holds a
+few MB whatever its horizon.  `rng.stream` and `walks._draw_signs` are
+looked up at each call, so a wrapper set on those module attributes (the
+benchmark's tracer) sees every draw.
 """
 from __future__ import annotations
 
@@ -94,31 +94,35 @@ class _Path:
         self.runmax, self.low = 0.0, math.inf
 
 
-def _lockstep(p: float, a: np.ndarray, s_sq: np.ndarray, replicas: int, seed: int, block) -> list:
+def _lockstep(p: float, source, replicas: int, seed: int, block) -> list:
     """Walk i on stream (seed, i) and its Brownian oracle on (seed, replicas + i).
 
-    Walk i steps a_k X_k, the chain at repeat probability p along the
-    weights a; its oracle steps Gaussians whose variances are the gaps of
-    the exact clock s_sq.  The 2 * `replicas` paths run in groups of at most
-    `_GROUP`, and a group's paths advance together, one block of steps
-    start..stop-1 per `_map_threads` call.  Before each map the calling
-    thread computes the block's oracle step sds (np.diff of the clock one
-    step wider gives the gaps np.diff(s_sq, prepend=0.0) has there) and calls
-    `block(start, stop)`.  It returns `reduce(path, sums, walk)`, which takes
-    one path's running sums over the block (walk is True for the walks) into
-    its `_Path` and may overwrite them.  Philox is counter-based, so no
-    number depends on the group size or on the order the paths run in.  The
-    paths come back in order, walks first, without their generators.
+    source(size) yields, block after block of `size` steps from the first,
+    (start, a, s_sq, den): the block's first index, its weights, its exact
+    clock and the denominator its reducer reads.  Walk i steps a_k X_k, the
+    chain at repeat probability p along the weights; its oracle steps
+    Gaussians whose variances are the gaps of the exact clock.  The
+    2 * `replicas` paths run in groups of at most `_GROUP`, and each group
+    walks the source once: its paths advance together, one block per
+    `_map_threads` call.  Before each map the calling thread computes the
+    block's oracle step sds, np.sqrt of np.diff of the clock block after the
+    previous block's last value (the gaps np.diff(s_sq, prepend=0.0) has
+    there), and calls `block(start, den)`.  It returns
+    `reduce(path, sums, walk)`, which takes one path's running sums over the
+    block (walk is True for the walks) into its `_Path` and may overwrite
+    them.  Philox is counter-based, so no number depends on the group size
+    or on the order the paths run in.  The paths come back in order, walks
+    first, without their generators.
     """
     done = []
     for lo in range(0, 2 * replicas, _GROUP):
         group = _map_threads(lambda j: _Path(rng.stream(seed, lo + j)),
                              min(_GROUP, 2 * replicas - lo))
-        for start in range(0, a.size, _BLOCK):
-            stop = min(start + _BLOCK, a.size)
-            gaps = np.diff(s_sq[start - 1:stop]) if start else np.diff(s_sq[:stop], prepend=0.0)
-            step_sd = np.sqrt(gaps, out=gaps)
-            weights, reduce = a[start:stop], block(start, stop)
+        last = 0.0
+        for start, weights, s_sq, den in source(_BLOCK):
+            step_sd = np.diff(s_sq, prepend=last)
+            np.sqrt(step_sd, out=step_sd)
+            last, reduce = s_sq[-1], block(start, den)
 
             def advance(j: int) -> None:
                 path, walk = group[j], lo + j < replicas

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .weights import WeightSequence, _as_int, _running_sum
+from .weights import WeightSequence, _as_int, _carried_sum
 
 __all__ = [
     "WalkParams",
@@ -196,16 +196,17 @@ def _constant_run(out: np.ndarray, x: float, lo: int, hi: int, u: float,
     return back2 if (hi - j) % 2 == 0 else back1
 
 
-def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
-    """T_j = sum_{i<j} a_i alpha^{j-i}, one sequential step per weight.
+def _cross_accumulator(a: np.ndarray, alpha: float, u: float = 0.0) -> tuple[np.ndarray, float]:
+    """T_j = sum_{i<j} a_i alpha^{j-i}, one sequential step per weight, and the state after.
 
     Step j is lfilter's transposed direct-form step for the filter
     [0, alpha] / [1, -alpha]: T_j = U_j + 0*a_j, then
-    U_{j+1} = alpha*a_j + alpha*T_j, with U_1 = 0 and every operation rounded
-    on its own, so the output matches scipy.signal.lfilter in every bit but
-    the sign of a NaN.  The 0*a_j term keeps lfilter's sign on zero entries
-    and its NaN from the first infinite weight on; without it an overflowing
-    geometric sequence gives inf where the reports have NaN.  Reordering the
+    U_{j+1} = alpha*a_j + alpha*T_j, with U_1 = u (0 for a whole sequence)
+    and every operation rounded on its own, so the output matches
+    scipy.signal.lfilter in every bit but the sign of a NaN.  The 0*a_j term
+    keeps lfilter's sign on zero entries and its NaN from the first infinite
+    weight on; without it an overflowing geometric sequence gives inf where
+    the reports have NaN.  Reordering the
     sums to vectorize would change their last bits, so the steps run in a
     Python loop, which also spares every process the ~1 s import of
     scipy.signal.  On a run of weights equal bit for bit the state reaches a
@@ -213,11 +214,12 @@ def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
     p = 0.75 and weight 1, about 30,000 at p = 0.9995.  From there
     `_constant_run` fills the rest of the run without looping, with the very
     bits the loop would compute, since each step depends only on its state
-    and its weight.
+    and its weight.  The state returned, U after the last weight, continues
+    the recursion on the next block of weights with the same bits.
     """
     alpha = float(alpha)
     out = np.empty(a.size)
-    u, done = 0.0, 0
+    done = 0
     for lo, hi in [*_equal_runs(a), (a.size, a.size)]:
         if done < lo:
             out[done:lo] = np.fromiter(_steps(a[done:lo].tolist(), alpha, u),
@@ -227,7 +229,7 @@ def _cross_accumulator(a: np.ndarray, alpha: float) -> np.ndarray:
         if lo < hi:
             u = _constant_run(out, float(a[lo]), lo, hi, u, alpha)
         done = hi
-    return out
+    return out, u
 
 
 def _moment_increments(a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -235,17 +237,34 @@ def _moment_increments(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (a * (a + 2.0 * t)).astype(np.longdouble)
 
 
+def _clock_blocks(p: float, windows):
+    """(start, a, s_sq) for each (start, a) of windows: E[S_k^2] at the weights a.
+
+    windows yields the weights block after block from a_1 on.  The
+    cross-term state and the longdouble carry of the running sums pass from
+    block to block, so the clock has the bits of one recursion and one
+    cumsum over the whole sequence, whatever the blocks' sizes.
+    """
+    alpha, u, carry = 2.0 * p - 1.0, 0.0, None
+    for start, a in windows:
+        t, u = _cross_accumulator(a, alpha, u)
+        s_sq, carry = _carried_sum(_moment_increments(a, t), carry)
+        yield start, a, s_sq
+
+
 def second_moment_profile(p: float, weights: WeightSequence, n: int) -> np.ndarray:
     """Exact (E[S_1^2], ..., E[S_n^2]) in O(n), as running sums of the increments.
 
-    `weights._running_sum` sums the increments in longdouble one block at a
-    time, the same helper as the energies, into the array that held the
-    cross terms T, so the profile takes 8 bytes a step besides the weights.
+    It is filled from `_clock_blocks`, the exact variance clock lil and chung
+    build a block at a time, over windows of the weights, so it takes 8 bytes
+    a step and a few MB.
     """
     _check_p(p)
-    a = weights.values(n)
-    out = _cross_accumulator(a, 2.0 * p - 1.0)
-    return _running_sum(lambda part: _moment_increments(a[part], out[part]), out)
+    n = _as_int(n, "n", 1)
+    out = np.empty(n)
+    for start, _, s_sq in _clock_blocks(p, weights._windows(n)):
+        out[start:start + s_sq.size] = s_sq
+    return out
 
 
 def exact_second_moment(p: float, weights: WeightSequence, m: int, n: int) -> float:
@@ -260,7 +279,7 @@ def exact_second_moment(p: float, weights: WeightSequence, m: int, n: int) -> fl
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     a = weights.values(n)[m:]
-    return float(np.sum(_moment_increments(a, _cross_accumulator(a, 2.0 * p - 1.0))))
+    return float(np.sum(_moment_increments(a, _cross_accumulator(a, 2.0 * p - 1.0)[0])))
 
 
 def variance_ratio_bound(p: float) -> float:

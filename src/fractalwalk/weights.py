@@ -3,7 +3,7 @@
 A weight sequence is the deterministic part a_1, a_2, ... of a walk with
 variable step length.  The running energy A_n = sum_{k<=n} a_k^2 drives every
 normalization downstream, so it is cached once per sequence and accumulated
-in extended precision by `_running_sum`, which sums the exact variance clock
+in extended precision by `_carried_sum`, which sums the exact variance clock
 too; the per-step identity A_n - A_{n-1} = a_n^2 then holds to 1e-12
 relative even after 10^4 steps.
 
@@ -90,43 +90,47 @@ def _check_finite(kind: str, values) -> None:
         raise ValueError(f"{kind} weights need finite parameters")
 
 
+def _overflowed(what: str) -> ValueError:
+    """The refusal of a variance clock or profile that overflowed: nothing normalizes by it."""
+    return ValueError(f"{what} is not finite: the weights overflow float64 by this horizon")
+
+
 def _require_finite(values, what: str) -> None:
-    """Refuse a variance clock or profile that overflowed: nothing normalizes by it."""
+    """Refuse values of a variance clock or profile unless all are finite."""
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} is not finite: the weights overflow float64 by this horizon")
+        raise _overflowed(what)
 
 
-def _alternate(n: int, odd: float, even: float) -> np.ndarray:
-    """n weights, odd at k = 1, 3, 5, ... and even at k = 2, 4, ..."""
-    out = np.full(n, even)
-    out[::2] = odd
+def _alternate(start: int, stop: int, odd: float, even: float) -> np.ndarray:
+    """Weights start+1..stop, odd at k = 1, 3, 5, ... and even at k = 2, 4, ..."""
+    out = np.full(stop - start, even)
+    out[start % 2::2] = odd
     return out
 
 
-# increments `_running_sum` sums at a time: 1 MB of longdouble
+# increments the whole-array sums take a block at a time: 1 MB of longdouble
 _SUM_BLOCK = 1 << 16
 
 
-def _running_sum(increments, out: np.ndarray) -> np.ndarray:
-    """out[k] = increments 0..k summed in longdouble, rounded to float64, in place.
+def _carried_sum(inc: np.ndarray, carry):
+    """The running sums of the longdouble increments inc after carry, and the new carry.
 
-    increments(part) returns the fresh longdouble increments at the slice
-    part of out, and may read out[part] first.  They are summed `_SUM_BLOCK`
-    at a time, the carry entering a block's first increment before its
-    cumsum, so each sum is the addition one cumsum of all of them makes.  A
-    sum past float64's range becomes inf.
+    The sums come back rounded to float64, a sum past its range as inf; the
+    carry is their last longdouble sum, None before the first block.  It
+    enters the block's first increment before the cumsum, so summing the
+    blocks one after another makes each addition one cumsum of all the
+    increments would make, whatever the blocks' sizes.
     """
-    carry = None
-    for start in range(0, out.size, _SUM_BLOCK):
-        part = slice(start, start + _SUM_BLOCK)
-        inc = increments(part)
-        if carry is not None:
-            inc[0] += carry
-        inc = np.cumsum(inc)
-        carry = inc[-1]
-        with np.errstate(over="ignore"):
-            out[part] = inc
-    return out
+    if carry is not None:
+        inc[0] += carry
+    inc = np.cumsum(inc)
+    with np.errstate(over="ignore"):
+        return inc.astype(float), inc[-1]
+
+
+def _energy_sums(a: np.ndarray, carry):
+    """The energies A_k over a block of weights a after carry, and the new carry."""
+    return _carried_sum(np.square(a.astype(np.longdouble)), carry)
 
 
 def _check_delta(delta) -> float:
@@ -142,12 +146,15 @@ class WeightSequence:
 
     Build one through the classmethods (`constant`, `power`, ...) or from a
     spec via `from_spec`; `explicit` sequences are zero
-    beyond their stored values.
+    beyond their stored values.  `_fn(start, stop)` computes the weights
+    a_{start+1}..a_stop from the kind's formula.  `values` and `energies`
+    cache them from a_1 on for the short callers; `_window` computes a
+    window afresh, so lil and chung never hold the whole sequence.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    _fn: Callable[[int], np.ndarray] = field(repr=False, compare=False, default=None)
+    _fn: Callable[[int, int], np.ndarray] = field(repr=False, compare=False, default=None)
     _cache: dict = field(repr=False, compare=False, default_factory=dict)
     _lock: threading.Lock = field(repr=False, compare=False, default_factory=threading.Lock)
 
@@ -157,23 +164,24 @@ class WeightSequence:
     def constant(cls, c: float = 1.0) -> "WeightSequence":
         c = float(c)
         _check_finite("constant", c)
-        return cls("constant", {"c": c}, lambda n: np.full(n, c))
+        return cls("constant", {"c": c}, lambda start, stop: np.full(stop - start, c))
 
     @classmethod
     def power(cls, exponent: float) -> "WeightSequence":
         e = float(exponent)
         _check_finite("power", e)
-        return cls("power", {"exponent": e}, lambda n: np.arange(1.0, n + 1) ** e)
+        return cls("power", {"exponent": e},
+                   lambda start, stop: np.arange(start + 1.0, stop + 1) ** e)
 
     @classmethod
     def alternating(cls) -> "WeightSequence":
         # +1, -1, +1, ... starting at k = 1
-        return cls("alternating", {}, lambda n: _alternate(n, 1.0, -1.0))
+        return cls("alternating", {}, lambda start, stop: _alternate(start, stop, 1.0, -1.0))
 
     @classmethod
     def odd_indicator(cls) -> "WeightSequence":
         # 1, 0, 1, 0, ...: half the steps are null moves
-        return cls("odd_indicator", {}, lambda n: _alternate(n, 1.0, 0.0))
+        return cls("odd_indicator", {}, lambda start, stop: _alternate(start, stop, 1.0, 0.0))
 
     @classmethod
     def geometric(cls, base: float) -> "WeightSequence":
@@ -182,11 +190,11 @@ class WeightSequence:
         if b <= 0:
             raise ValueError(f"geometric base must be positive, got {b}")
 
-        def fn(n: int) -> np.ndarray:
+        def fn(start: int, stop: int) -> np.ndarray:
             # b**k overflows float64 near k ~ 710/log(b); leave inf in place,
             # energies past that point are unusable and callers see it
             with np.errstate(over="ignore"):
-                return b ** np.arange(1.0, n + 1)
+                return b ** np.arange(start + 1.0, stop + 1)
 
         return cls("geometric", {"base": b}, fn)
 
@@ -199,9 +207,10 @@ class WeightSequence:
         vals = vals.copy()
         vals.flags.writeable = False
 
-        def fn(n: int) -> np.ndarray:
-            out = np.zeros(n)
-            out[:vals.size] = vals[:n]
+        def fn(start: int, stop: int) -> np.ndarray:
+            out = np.zeros(stop - start)
+            stored = vals[start:stop]
+            out[:stored.size] = stored
             return out
 
         return cls("explicit", {"values": [float(v) for v in vals]}, fn)
@@ -263,7 +272,7 @@ class WeightSequence:
             have = self._cache.get("n", 0)
             if have < n:
                 grow = max(n, 2 * have, 64)
-                vals = np.asarray(self._fn(grow), dtype=float)
+                vals = self._window(0, grow)
                 vals.flags.writeable = False
                 self._cache.clear()
                 self._cache.update(n=grow, values=vals)
@@ -272,12 +281,27 @@ class WeightSequence:
                 # identity testable at 1e-12 relative for 1e4+ terms; an
                 # energy past float64's range becomes inf, as callers expect
                 vals = self._cache["values"]
-                energies = _running_sum(
-                    lambda part: np.square(vals[part].astype(np.longdouble)),
-                    np.empty(vals.size))
+                energies, carry = np.empty(vals.size), None
+                for start in range(0, vals.size, _SUM_BLOCK):
+                    part = slice(start, start + _SUM_BLOCK)
+                    energies[part], carry = _energy_sums(vals[part], carry)
                 energies.flags.writeable = False
                 self._cache["energies"] = energies
             return self._cache[key]
+
+    def _window(self, start: int, stop: int) -> np.ndarray:
+        """(a_{start+1}, ..., a_stop), computed afresh: the uncached weights of a block.
+
+        Every kind's formula takes the window's own indices, so a window has
+        the bits of the same slice of the whole array.
+        """
+        return np.asarray(self._fn(start, stop), dtype=float)
+
+    def _windows(self, n: int, size: int | None = None):
+        """(start, window) for each block of `size` (default `_SUM_BLOCK`) weights to a_n."""
+        size = size or _SUM_BLOCK
+        for start in range(0, n, size):
+            yield start, self._window(start, min(start + size, n))
 
     def values(self, n: int) -> np.ndarray:
         """Read-only array (a_1, ..., a_n)."""

@@ -22,7 +22,7 @@ from fractalwalk import (
     variance_profile,
 )
 from fractalwalk import paths, stats
-from fractalwalk.experiments import CHUNG_CONSTANT, _brownian_from_rng
+from fractalwalk.experiments import CHUNG_CONSTANT, _brownian_from_rng, _clock_source
 from fractalwalk.paths import _BLOCK, _COVER_EDGES, _running_max
 from fractalwalk.rng import stream, uniform_mantissas
 from fractalwalk.walks import exact_second_moment, second_moment_profile
@@ -407,14 +407,12 @@ def _chung_reference(params, replicas, seed):
 def lockstep_sums(params, replicas, seed) -> list:
     """The whole running sums of each walk and then each oracle, as lil and
     chung draw them block by block on the exact clock."""
-    n = params.horizon
-    s_sq = second_moment_profile(params.p, params.weights, n)
     blocks = {}
 
-    def block(start, stop):
+    def block(start, den):
         return lambda path, sums, walk: blocks.setdefault(path, []).append(sums)
 
-    done = paths._lockstep(params.p, params.weights.values(n), s_sq, replicas, seed, block)
+    done = paths._lockstep(params.p, _clock_source(params), replicas, seed, block)
     return [np.concatenate(blocks[path]) for path in done]
 
 
@@ -612,6 +610,14 @@ def test_chung_horizon_floor():
         chung_experiment(WalkParams(0.5, CONST, 1000))
 
 
+# clocks that go wrong only in the second block of 2^16 steps: geometric(1.005)
+# overflows near k = 71,000; after 70,000 zero weights s_k^2 is 9, then 0.36
+# at p = 0.01, and 100, then 40 at p = 0.1
+LATE_OVERFLOW = WeightSequence.geometric(1.005)
+LATE_DIP = WeightSequence.explicit([0.0] * 70_000 + [3.0, 3.0])
+LATE_FALL = WeightSequence.explicit([0.0] * 70_000 + [10.0, 10.0])
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -624,16 +630,17 @@ def test_chung_horizon_floor():
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_variance_clock_is_refused(run, monkeypatch):
-    """2^k weights overflow the clock near k = 1024; NaN gaps slipped past
-    the monotonicity check.  The refusal comes before any path is drawn,
-    and without a numpy overflow warning."""
+    """2^k weights overflow the clock near k = 1024, 1.005^k near k = 71,000;
+    NaN gaps slipped past the monotonicity check.  The refusal comes before
+    any path is drawn, and without a numpy overflow warning."""
 
     def no_paths(*args):
         raise AssertionError("a path was drawn")
 
     monkeypatch.setattr("fractalwalk.rng.stream", no_paths)
-    with pytest.raises(ValueError, match="not finite"):
-        run(WalkParams(0.75, WeightSequence.geometric(2.0), 100_000))
+    for weights in (WeightSequence.geometric(2.0), LATE_OVERFLOW):
+        with pytest.raises(ValueError, match="variance clock is not finite"):
+            run(WalkParams(0.75, weights, 100_000))
 
 
 @pytest.mark.parametrize("run", [lil_experiment, chung_experiment], ids=["lil", "chung"])
@@ -646,8 +653,10 @@ def test_overflowing_variance_clock_is_refused(run, monkeypatch):
         (WeightSequence.explicit([3.0, 3.0]), 0.01, r"dips below e\^2"),
         # s_2^2 = 0.4 < s_1^2 = 1, long before the clock passes e^2
         (CONST, 0.1, "not monotone"),
+        (LATE_DIP, 0.01, r"dips below e\^2"),
+        (LATE_FALL, 0.1, "not monotone"),
     ],
-    ids=["short", "dip", "non-monotone"],
+    ids=["short", "dip", "non-monotone", "dip-in-block-2", "non-monotone-in-block-2"],
 )
 def test_unusable_variance_clock_is_refused(run, weights, p, message, monkeypatch):
     def no_paths(*args):

@@ -10,6 +10,7 @@ present, so a rename fails here rather than leaving a mutant unapplied.
 """
 import dataclasses
 import hashlib
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ from test_blocking import gordin_tail_covers_truncation
 from test_cli import _GOLDEN_OUTPUTS, _LIBRARY_CALLS
 from test_fractal import _walk_value_in_order, guard_case_matches_general_kernel
 from test_limits import (
+    LATE_DIP,
+    LATE_FALL,
+    LATE_OVERFLOW,
     POWER,
     _signs,
     fclt_moments_match_exact,
@@ -120,12 +124,12 @@ def _mark_bins_between_min_and_max(trace, seen):
 _LOCKSTEP = paths._lockstep
 
 
-def _lockstep_with_oracles_on_walk_streams(p, a, s_sq, replicas, seed, block):
+def _lockstep_with_oracles_on_walk_streams(p, source, replicas, seed, block):
     """`paths._lockstep` with oracle i on stream i, not replicas + i."""
     stream = rng.stream
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "stream", lambda key, i: stream(key, i % replicas))
-        return _LOCKSTEP(p, a, s_sq, replicas, seed, block)
+        return _LOCKSTEP(p, source, replicas, seed, block)
 
 
 _WALK_BLOCK = paths._walk_block
@@ -136,11 +140,20 @@ def _walk_block_shrunk(path, p, a):
     return _WALK_BLOCK(path, p, a) / math.sqrt(3.0)
 
 
-def _start_index_without_dip_check(clock, what):
-    valid = clock > experiments._E_SQUARED
-    if not valid.any():
-        raise ValueError(f"{what} never exceeds e^2; horizon too short")
-    return int(np.argmax(valid))
+_CROSSING = experiments._crossing
+
+
+def _crossing_without_dip_check(den, start, i0):
+    """`experiments._crossing` that finds the crossing but never a dip."""
+    return _CROSSING(den, start, i0)[0], False
+
+
+_CHECK_CLOCKS = experiments._check_clocks
+
+
+def _check_clocks_on_the_first_block(blocks, normalization, what):
+    """`experiments._check_clocks` that reads only the source's first block."""
+    return _CHECK_CLOCKS(itertools.islice(blocks, 1), normalization, what)
 
 
 def _tail_constant_without_energy_factor(seq, n, pad, delta, log_q):
@@ -242,14 +255,27 @@ def _fclt_moments_match() -> bool:
 
 def _clock_is_refused(seq: WeightSequence, p: float, message: str) -> Callable[[], bool]:
     def check() -> bool:
-        # the mutants run on through the NaN scales the check keeps out
-        with np.errstate(all="ignore"):
+        # the mutants run on through the NaN scales the check keeps out, on
+        # the map's threads too, which numpy's errstate does not reach
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             try:
                 chung_experiment(WalkParams(p, seq, 100_000), replicas=1)
             except ValueError as err:
                 return message in str(err)
         return False
     return check
+
+
+_PAST_THE_FIRST_BLOCK = [
+    (LATE_OVERFLOW, 0.75, "not finite"),
+    (LATE_DIP, 0.01, "dips below e^2"),
+    (LATE_FALL, 0.1, "not monotone"),
+]
+
+
+def _clocks_past_the_first_block_are_refused() -> bool:
+    return all(_clock_is_refused(*case)() for case in _PAST_THE_FIRST_BLOCK)
 
 
 def _gordin_tail_covers_truncation() -> bool:
@@ -374,6 +400,7 @@ _TENT = "r = 2 grid terms on the exact tent recursion"
 _INTEGER_WALKS = "modulus scales on threads, integer-weight slope walks summed exactly"
 _ZERO_VARIANCE = "one Gordin corrector path; zero variance refused before any draw"
 _FINITE_PROFILE = "one chain walk and one oracle in the engine; an overflowed profile refused"
+_CONSTANT_MEMORY = "lil and chung in constant memory; the clocks checked in one streaming pass"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -440,13 +467,13 @@ MUTANTS = {
     ),
     "start-index-without-dip-check": Mutant(
         _WRITTEN_ONCE,
-        _on_module(experiments, "_start_index", _start_index_without_dip_check),
+        _on_module(experiments, "_crossing", _crossing_without_dip_check),
         # s_1^2 = 9, then alpha = -0.98 cancels it down to 0.36 for good
         _clock_is_refused(WeightSequence.explicit([3.0, 3.0]), 0.01, "dips below e^2"),
     ),
     "oracles-without-monotone-check": Mutant(
         _WRITTEN_ONCE,
-        _on_module(experiments, "_require_monotone", lambda clock: None),
+        _on_module(experiments, "_falls", lambda s_sq, last: False),
         # s_2^2 = 0.4 < s_1^2 = 1
         _clock_is_refused(CONST, 0.1, "not monotone"),
     ),
@@ -482,6 +509,11 @@ MUTANTS = {
     "variance-profile-overflow-not-refused": Mutant(
         _FINITE_PROFILE, _on_module(fractal, "_require_finite", lambda values, what: None),
         _overflowing_profile_is_refused,
+    ),
+    "clock-check-reads-first-block": Mutant(
+        _CONSTANT_MEMORY,
+        _on_module(experiments, "_check_clocks", _check_clocks_on_the_first_block),
+        _clocks_past_the_first_block_are_refused,
     ),
 }
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from fractalwalk import WalkParams, WeightSequence, chung_experiment, lil_experiment, paths, rng
+from fractalwalk.experiments import _clock_source
+from fractalwalk.walks import second_moment_profile
 
 N, BLOCK, REPLICAS, SEED = 23, 7, 5, 3
 
@@ -18,24 +20,33 @@ A = np.ones(N)  # walk steps +-1
 S_SQ = np.cumsum(np.full(N, 0.01))  # oracle steps near +-0.1
 
 
-def _stub_lockstep() -> tuple[list, list, list]:
+def _stub_lockstep() -> tuple[list, list, list, list]:
     """Each path's running sums of `_stub_steps` as `paths._lockstep` draws
     them, walks along A and oracles along the step sds of the clock S_SQ;
-    the walk flag each path's reducer was given; and the starts of the
-    block calls."""
-    blocks, flags, calls = {}, {}, []
+    the walk flag each path's reducer was given; the block sizes the source
+    was called with; and the starts of the block calls."""
+    blocks, flags, sources, calls = {}, {}, [], []
 
-    def block(start, stop):
+    def source(size):
+        sources.append(size)
+        for start in range(0, N, size):
+            part = slice(start, start + size)
+            # a denominator other than the clock, so a mix-up shows
+            yield start, A[part], S_SQ[part], -S_SQ[part]
+
+    def block(start, den):
         calls.append(start)
+        assert den.tobytes() == (-S_SQ[start:start + paths._BLOCK]).tobytes()
 
         def reduce(path, sums, walk):
             blocks.setdefault(path, []).append(sums)
             flags.setdefault(path, set()).add(walk)
         return reduce
 
-    done = paths._lockstep(0.5, A, S_SQ, REPLICAS, SEED, block)
+    done = paths._lockstep(0.5, source, REPLICAS, SEED, block)
     assert all(path.gen is None for path in done)
-    return [np.concatenate(blocks[path]) for path in done], [flags[path] for path in done], calls
+    sums = [np.concatenate(blocks[path]) for path in done]
+    return sums, [flags[path] for path in done], sources, calls
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
@@ -48,13 +59,31 @@ def test_lockstep_sums_stub_steps_in_path_order_on_cpus(cpus, monkeypatch):
     step_sd = np.sqrt(np.diff(S_SQ, prepend=0.0))
     for group in (1, 3, paths._GROUP):
         monkeypatch.setattr(paths, "_GROUP", group)
-        sums, flags, calls = _stub_lockstep()
-        # one call per block of each group, the last block short
-        assert calls == list(range(0, N, BLOCK)) * -(-2 * REPLICAS // group)
+        sums, flags, sources, calls = _stub_lockstep()
+        # each group walks the source once, one call per block, the last short
+        groups = -(-2 * REPLICAS // group)
+        assert sources == [BLOCK] * groups
+        assert calls == list(range(0, N, BLOCK)) * groups
         assert flags == [{True}] * REPLICAS + [{False}] * REPLICAS
         for i, got in enumerate(sums):
             want = np.cumsum(_stub_steps(rng.stream(SEED, i), A if i < REPLICAS else step_sd))
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size,n", [(7, 10_003), (paths._BLOCK, 2 * paths._BLOCK + 3)])
+@pytest.mark.parametrize("normalization", ["exact_s", "scaled_A", "plain_A"])
+def test_clock_source_blocks_match_the_whole_arrays(normalization, size, n):
+    # what lil and chung hand the engine, against the arrays they once held
+    params = WalkParams(0.7, WeightSequence.power(0.3), n)
+    seq = params.weights
+    whole = {"exact_s": second_moment_profile(params.p, seq, n),
+             "scaled_A": (params.p / (1.0 - params.p)) * seq.energies(n),
+             "plain_A": seq.energies(n)}
+    start, a, s_sq, den = zip(*_clock_source(params, normalization)(size))
+    assert start == tuple(range(0, n, size))
+    assert np.concatenate(a).tobytes() == seq.values(n).tobytes()
+    assert np.concatenate(s_sq).tobytes() == whole["exact_s"].tobytes()
+    assert np.concatenate(den).tobytes() == whole[normalization].tobytes()
 
 
 LOCKSTEP_PARAMS = WalkParams(0.7, WeightSequence.power(0.3), 100_003)
@@ -75,30 +104,24 @@ def test_group_size_does_not_change_terminals_on_cpus(run, cpus, monkeypatch):
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-def _peak_bytes_a_step(run, **kwargs) -> float:
-    """The tracemalloc peak of a 4-replica run at 10^6 steps, per step, on
-    fresh weights, so their cache counts too."""
-    n = 10**6
+RUNS = {
+    "lil-exact_s": lil_experiment,
+    "lil-scaled_A": lambda params, **kw: lil_experiment(params, normalization="scaled_A", **kw),
+    "lil-plain_A": lambda params, **kw: lil_experiment(params, normalization="plain_A", **kw),
+    "chung": chung_experiment,
+}
+
+
+@pytest.mark.parametrize("n", [10**6, 3 * 10**6])
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+def test_lil_and_chung_peak_at_most_8_mb_at_any_horizon(run, n):
+    # every array, the weights and clocks too, lives for one block of
+    # 2^16 steps; fresh weights, so a cache they filled would count
     params = WalkParams(0.75, WeightSequence.constant(), n)
     tracemalloc.start()
     try:
-        run(params, replicas=4, **kwargs)
+        run(params, replicas=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / n
-
-
-@pytest.mark.parametrize("run", [lil_experiment, chung_experiment], ids=["lil", "chung"])
-def test_lil_and_chung_hold_at_most_24_bytes_a_step(run):
-    # the weights (8 bytes a step) and the clock (8) are held whole, every
-    # other array for one block
-    assert _peak_bytes_a_step(run) <= 24
-
-
-@pytest.mark.parametrize("normalization,limit", [("scaled_A", 40), ("plain_A", 32)])
-def test_lil_on_the_energy_clocks_holds_its_whole_arrays(normalization, limit):
-    # the weights, the energies and the exact clock (8 bytes a step each),
-    # and for scaled_A its scaled energies; the energies are summed a block
-    # at a time
-    assert _peak_bytes_a_step(lil_experiment, normalization=normalization) <= limit
+    assert peak <= 8 * 2**20

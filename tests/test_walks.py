@@ -15,7 +15,14 @@ from fractalwalk import (
     variance_ratio_bound,
 )
 from fractalwalk.rng import stream
-from fractalwalk.walks import _constant_run, _cross_accumulator, _draw_signs, _equal_runs
+from fractalwalk.paths import _BLOCK
+from fractalwalk.walks import (
+    _clock_blocks,
+    _constant_run,
+    _cross_accumulator,
+    _draw_signs,
+    _equal_runs,
+)
 
 CONST = WeightSequence.constant()
 
@@ -159,7 +166,7 @@ def clock_matches_lfilter(p, weights, n, windows=()) -> bool:
     alpha = 2.0 * p - 1.0
     a = weights.values(n)
     with np.errstate(invalid="ignore", over="ignore"):
-        t = _cross_accumulator(a, alpha)
+        t, _ = _cross_accumulator(a, alpha)
         want = lfilter([0.0, alpha], [1.0, -alpha], a)
         nan = np.isnan(want)
         if not (np.array_equal(np.isnan(t), nan) and t[~nan].tobytes() == want[~nan].tobytes()):
@@ -206,7 +213,8 @@ def _special_weights(values) -> WeightSequence:
     still meets them once a geometric sequence overflows.
     """
     vals = np.asarray(values, dtype=float)
-    return WeightSequence("special", {}, lambda n: np.pad(vals[:n], (0, max(0, n - vals.size))))
+    return WeightSequence("special", {}, lambda start, stop: np.pad(
+        vals[start:stop], (0, stop - start - vals[start:stop].size)))
 
 
 def test_moments_match_lfilter_bytes_on_special_values():
@@ -312,6 +320,31 @@ def test_profile_summed_in_blocks_matches_one_cumsum(p, weights, monkeypatch):
     # float64 values
     monkeypatch.setattr("fractalwalk.weights._SUM_BLOCK", 7)
     assert clock_matches_lfilter(p, weights, 10_000)
+
+
+@pytest.mark.parametrize("size,n", [(7, 10_000), (_BLOCK, 2 * _BLOCK + 3)])
+@pytest.mark.parametrize("p", MEMORY_PS[:2])
+@pytest.mark.parametrize(
+    "weights",
+    [
+        CONST,
+        WeightSequence.power(0.3),
+        WeightSequence.alternating(),
+        WeightSequence.explicit(np.random.default_rng(21).uniform(-2.0, 2.0, 10_000)),
+        WeightSequence.geometric(2.0),
+    ],
+    ids=["const", "power0.3", "alternating", "random", "overflow"],
+)
+def test_clock_blocks_match_lfilter(p, weights, size, n):
+    # lil's and chung's clock, built a block at a time on weight windows: the
+    # recursion's state and the sums' carry cross each block edge, inside a
+    # run of equal weights too
+    with np.errstate(invalid="ignore", over="ignore"):
+        blocks = list(_clock_blocks(p, weights._windows(n, size)))
+        want = np.cumsum(_lfilter_increments(p, weights, 0, n)).astype(float)
+    assert [start for start, _, _ in blocks] == list(range(0, n, size))
+    assert np.concatenate([a for _, a, _ in blocks]).tobytes() == weights.values(n).tobytes()
+    assert np.concatenate([s_sq for _, _, s_sq in blocks]).tobytes() == want.tobytes()
 
 
 def _odd_indicator_second_moment(p, n):

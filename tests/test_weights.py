@@ -1,13 +1,18 @@
 """Weight sequences: generators, energy cache, and assumption checks."""
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fractalwalk import WeightSequence, growth_report, validate_assumptions
-from fractalwalk.weights import _growth_ok, _ratio_sequence
+from fractalwalk.weights import _energy_sums, _growth_ok, _ratio_sequence
+from test_cli import _kernel_env
 
 
 def test_partial_energy_constant():
@@ -57,19 +62,72 @@ OLD_INDEX_FORMULAS = {
 def test_weights_from_a_count_match_the_index_formula(seq, old, n):
     with np.errstate(over="ignore"):
         want = old(np.arange(1, n + 1, dtype=np.int64))
-    assert seq._fn(n).tobytes() == want.tobytes()
+    assert seq._fn(0, n).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        WeightSequence.constant,
-        lambda: WeightSequence.power(0.3),
-        lambda: WeightSequence.explicit(np.random.default_rng(5).uniform(-2.0, 2.0, 10_000)),
-        lambda: WeightSequence.geometric(2.0),  # its energies pass float64's range at k = 512
-    ],
-    ids=["const", "power0.3", "random", "overflow"],
-)
+# a window of each kind against the same slice of its whole array: starts on
+# either side of 2^16 and of an odd index, sizes past a SIMD vector and 2^16
+WINDOW_KINDS = {
+    **{name: seq for name, (seq, _) in OLD_INDEX_FORMULAS.items()},
+    "geometric1.00001": WeightSequence.geometric(1.00001),
+    "explicit-long": WeightSequence.explicit(np.random.default_rng(4).uniform(-2.0, 2.0, 65_560)),
+}
+
+
+def window_mismatches(seqs) -> int:
+    """How many windows of the sequences differ from values(stop)[start:]."""
+    bad = 0
+    for seq in seqs:
+        for start in (0, 1, 3, 65535, 65541):
+            for size in (1, 7, 65539):
+                want = seq.values(start + size)[start:]
+                bad += seq._window(start, start + size).tobytes() != want.tobytes()
+    return bad
+
+
+@pytest.mark.parametrize("name", WINDOW_KINDS)
+def test_weight_windows_match_the_whole_array(name):
+    assert window_mismatches([WINDOW_KINDS[name]]) == 0
+
+
+def test_pow_windows_match_the_whole_array_without_wide_simd():
+    # np.power's loops differ with and without AVX512, and a window starts
+    # its vectors at another index than the whole array
+    tests = Path(__file__).resolve().parent
+    code = ("from fractalwalk import WeightSequence as W\n"
+            "from test_weights import window_mismatches\n"
+            "print(window_mismatches([W.power(0.3), W.geometric(1.02)]))\n")
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path, **_kernel_env("numpy-without-avx512")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+ENERGY_CASES = [
+    WeightSequence.constant,
+    lambda: WeightSequence.power(0.3),
+    lambda: WeightSequence.explicit(np.random.default_rng(5).uniform(-2.0, 2.0, 10_000)),
+    lambda: WeightSequence.geometric(2.0),  # its energies pass float64's range at k = 512
+]
+ENERGY_IDS = ["const", "power0.3", "random", "overflow"]
+
+
+@pytest.mark.parametrize("size,n", [(7, 10_000), (1 << 16, 2 * (1 << 16) + 3)])
+@pytest.mark.parametrize("make", ENERGY_CASES, ids=ENERGY_IDS)
+def test_energy_blocks_match_the_energies(make, size, n):
+    # the blocks of lil's energy clocks: windows summed on from the carry
+    seq, carry, blocks = make(), None, []
+    for _, a in seq._windows(n, size):
+        energies, carry = _energy_sums(a, carry)
+        blocks.append(energies)
+    assert np.concatenate(blocks).tobytes() == seq.energies(n).tobytes()
+
+
+@pytest.mark.parametrize("make", ENERGY_CASES, ids=ENERGY_IDS)
 def test_energies_summed_in_blocks_match_one_cumsum(make, monkeypatch):
     # blocks of 7: a carry that entered a block after its cumsum would round
     # the longdouble sums otherwise
