@@ -49,7 +49,7 @@ from . import fractal, paths
 from .blocking import build_blocks
 from .fractal import FractalFunction, scale_index, variance_profile
 from .reports import ExperimentReport, SeedManifest, make_manifest, statistic
-from .rng import _streams, stream, uniform_mantissas
+from .rng import _mantissa_block, _streams, stream, uniform_mantissas
 from .stats import _quantiles, ks_statistic
 from .walks import (
     WalkParams,
@@ -510,6 +510,49 @@ def modulus_experiment(
     return report
 
 
+def _covariance(pair: np.ndarray) -> float:
+    """np.cov(x, y, ddof=1)[0, 1] of the centred rows of `pair`, bit for bit.
+
+    The same BLAS product and scale as np.cov, whose fresh (2, N) copy takes
+    BLAS's symmetric path; `pair` must be a C-contiguous (2, N) view for
+    this one to take it too.  A strided view, or the pair read out of a
+    wider product, is summed otherwise on some kernels.
+    """
+    return float(np.dot(pair, pair.T)[0, 1] * (1.0 / (pair.shape[1] - 1)))
+
+
+def _moments(rows: np.ndarray) -> tuple[list[float], dict[tuple[int, int], float]]:
+    """np.var(ddof=1) of each row and `_covariance` of each pair a < b, in place.
+
+    The rows are centred on means summed as np.var and np.cov sum theirs,
+    then moved into reverse order by swapping neighbours through one block
+    buffer: each pair is adjacent, as the contiguous view np.cov would copy,
+    exactly once, just before its two rows swap.  Last, each row is squared
+    and summed, np.var's own steps.  Nothing the size of a row is allocated,
+    and the rows are left squared.
+    """
+    k, n = rows.shape
+    rows -= np.add.reduce(rows, axis=1, keepdims=True) / n
+    at = list(range(k))  # the row held at each position
+    buf = np.empty(min(n, fractal._EVAL_BLOCK))
+    cov = {}
+    for end in range(k - 1, 0, -1):
+        for q in range(end):
+            cov[at[q], at[q + 1]] = _covariance(rows[q:q + 2])
+            for lo in range(0, n, buf.size):
+                upper, lower = rows[q, lo:lo + buf.size], rows[q + 1, lo:lo + buf.size]
+                part = buf[:upper.size]
+                np.copyto(part, upper)
+                np.copyto(upper, lower)
+                np.copyto(lower, part)
+            at[q], at[q + 1] = at[q + 1], at[q]
+    var = [0.0] * k
+    for a, row in zip(at, rows):
+        np.square(row, out=row)
+        var[a] = float(np.add.reduce(row) / (n - 1))
+    return var, cov
+
+
 def functional_clt_experiment(
     f: FractalFunction,
     beta: float = 1.0,
@@ -531,8 +574,11 @@ def functional_clt_experiment(
     falls short of i/V_n by (2 - 2^{1-i})/V_n up to O(2^{i-j}), which puts
     Cov(t=0.5, t=1) at n = 40 at 0.45000, the floor of the default band.
     V is f's own variance profile to depth n.  The points run in blocks of
-    `fractal._EVAL_BLOCK` on one thread per usable CPU; no number depends on
-    the block or thread that computes it.
+    `fractal._EVAL_BLOCK` on one thread per usable CPU, each block drawing
+    its own slice of stream (seed, 0); no number depends on the block or
+    thread that computes it.  The moments are np.var's and np.cov's own
+    float steps, taken in place on the stored increments (`_moments`), so a
+    run holds 8 bytes per point per time plus the blocks' buffers.
     """
     config = _config("fclt", f, beta=beta, n=n, t_grid=t_grid, x_samples=x_samples,
                      seed=seed, var_tol=var_tol, eps=eps)
@@ -562,7 +608,7 @@ def functional_clt_experiment(
                 f"with index {beta}"
             )
 
-    mx = uniform_mantissas(stream(seed, 0), x_samples)
+    source = stream(seed, 0)
     sqrt_vn = math.sqrt(v_n)
     hs = [Fraction(1, f.r**i) for i in idx]
     scales = np.array([[float(hq) * sqrt_vn] for hq in hs])
@@ -571,27 +617,24 @@ def functional_clt_experiment(
 
     def fill(b: int) -> None:
         part = slice(b * block, (b + 1) * block)
-        np.divide(f.increment_grid(mx[part], hs, eps), scales, out=incs[:, part])
+        mx = _mantissa_block(source, b * block, min(block, x_samples - b * block))
+        np.divide(f.increment_grid(mx, hs, eps), scales, out=incs[:, part])
 
     paths._map_threads(fill, -(-x_samples // block))
-    # the moments below read the increments only, and np.cov copies two rows
-    del mx
+    variances, covariances = _moments(incs)
 
     report = _new_report(config)
     rows = []
-    for row, (t, i) in enumerate(zip(ts, idx)):
-        var = float(np.var(incs[row], ddof=1))
+    for t, i, var in zip(ts, idx, variances):
         report.statistics.append(
             statistic(f"var_t={t:g}", var, {"target": t, "abs": var_tol}, detail=f"idx={i}")
         )
         rows.append([t, i, var])
-    for a_i in range(len(ts)):
-        for b_i in range(a_i + 1, len(ts)):
-            cov = float(np.cov(incs[a_i], incs[b_i], ddof=1)[0, 1])
-            target = min(ts[a_i], ts[b_i])
-            report.statistics.append(
-                statistic(f"cov_t={ts[a_i]:g},{ts[b_i]:g}", cov, {"target": target, "abs": var_tol})
-            )
+    for (a_i, b_i), cov in sorted(covariances.items()):
+        target = min(ts[a_i], ts[b_i])
+        report.statistics.append(
+            statistic(f"cov_t={ts[a_i]:g},{ts[b_i]:g}", cov, {"target": target, "abs": var_tol})
+        )
     report.attachments["marginals"] = {"columns": ["t", "index", "variance"], "rows": rows}
     return report
 

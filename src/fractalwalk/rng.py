@@ -112,3 +112,19 @@ def _streams(seed: int, lo: int, hi: int):
 def uniform_mantissas(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform grid points in [0,1) as uint64 mantissas (x = m * 2**-53)."""
     return rng.integers(0, GRID, size=size, dtype=np.uint64)
+
+
+def _mantissa_block(rng: np.random.Generator, start: int, size: int) -> np.ndarray:
+    """Draws start..start+size-1 of `uniform_mantissas` on a fresh copy of `rng`.
+
+    A mantissa takes exactly one 64-bit word (Lemire's method never rejects
+    at the power-of-two range 2**53), and Philox yields four words per
+    counter step, so a new Philox under rng's key advanced start / 4 steps
+    draws the block alone.  Only rng's key is read: rng is not moved, and
+    where it stands does not count.  Blocks can be drawn on any thread.
+    """
+    if start % 4:
+        raise ValueError(f"a mantissa block must start at a multiple of 4, got {start}")
+    bit_generator = np.random.Philox(key=rng.bit_generator.state["state"]["key"])
+    bit_generator.advance(start // 4)
+    return uniform_mantissas(np.random.Generator(bit_generator), size)

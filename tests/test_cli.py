@@ -472,11 +472,12 @@ def test_small_config_outputs_match_goldens(config, tmp_path, capsys):
 # those this CPU has, the ones numpy can switch off).  One subprocess per
 # environment runs every config.
 _WIDE_SIMD = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+_OPENBLAS_KERNELS = {"openblas-prescott": "Prescott", "openblas-haswell": "Haswell"}
 
 
 def _kernel_env(kernel: str) -> dict:
-    if kernel == "openblas-prescott":
-        return {"OPENBLAS_CORETYPE": "Prescott"}
+    if kernel in _OPENBLAS_KERNELS:
+        return {"OPENBLAS_CORETYPE": _OPENBLAS_KERNELS[kernel]}
     from numpy._core._multiarray_umath import __cpu_features__
 
     return {"NPY_DISABLE_CPU_FEATURES": " ".join(f for f in _WIDE_SIMD if __cpu_features__.get(f))}
@@ -513,7 +514,9 @@ def _digests_under(kernel: str) -> dict:
 
 
 _COV_ORDER = pytest.mark.xfail(
-    strict=True, reason="fclt's np.cov sums in the BLAS kernel's order (ROADMAP item 1)"
+    strict=True,
+    reason="fclt's covariance, np.cov's 2-row BLAS product, sums in the kernel's order "
+    "(ROADMAP item 24)",
 )
 
 

@@ -1,7 +1,12 @@
 """Variance profiles, reference statistics, and the limit-theorem experiments."""
+import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from fractalwalk import (
     variance_profile,
 )
 from fractalwalk import paths, stats
-from fractalwalk.experiments import CHUNG_CONSTANT, _brownian_from_rng, _clock_source
+from fractalwalk.experiments import CHUNG_CONSTANT, _brownian_from_rng, _clock_source, _moments
 from fractalwalk.paths import _BLOCK, _COVER_EDGES, _running_max
 from fractalwalk.rng import stream, uniform_mantissas
 from fractalwalk.walks import exact_second_moment, second_moment_profile
@@ -33,6 +38,7 @@ from finite_depth import (
     fclt_covariance,
     fclt_paths,
 )
+from test_cli import _kernel_env
 
 CONST = WeightSequence.constant()
 
@@ -738,6 +744,42 @@ def test_fclt_t_grid_validation():
         functional_clt_experiment(f, 1.0, 40, [0.5, 1.5])
     with pytest.raises(ValueError):
         functional_clt_experiment(f, 0.0, 40, [0.5, 1.0])
+
+
+def moment_mismatches() -> list[str]:
+    """The (rows, length) cases where `_moments` differs in any bit from
+    np.var(ddof=1) of each row or np.cov(ddof=1)[0, 1] of each pair, on
+    random rows with means of their own."""
+    gen = np.random.default_rng(11)
+    bad = []
+    for k, n in itertools.product((1, 2, 3, 4, 6), (2, 3, 1001, 65537, 2**17 + 3)):
+        rows = gen.standard_normal((k, n)) + gen.uniform(-3.0, 3.0, (k, 1))
+        want = ([float(np.var(row, ddof=1)).hex() for row in rows],
+                {(a, b): float(np.cov(rows[a], rows[b], ddof=1)[0, 1]).hex()
+                 for a, b in itertools.combinations(range(k), 2)})
+        var, cov = _moments(rows)
+        if ([v.hex() for v in var], {pair: c.hex() for pair, c in cov.items()}) != want:
+            bad.append(f"{k}x{n}")
+    return bad
+
+
+@pytest.mark.parametrize("kernel", ["this-process", "openblas-prescott", "openblas-haswell"])
+def test_fclt_moments_are_numpys_on_each_blas_kernel(kernel):
+    # np.cov's product sums in the BLAS kernel's order, so each kernel is
+    # checked against np.cov in its own process, not against a golden
+    if kernel == "this-process":
+        assert moment_mismatches() == []
+        return
+    tests = Path(__file__).resolve().parent
+    code = "from test_limits import moment_mismatches\nprint(moment_mismatches())\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+             **_kernel_env(kernel)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 EXPERIMENTS_REFUSALS = {

@@ -202,6 +202,16 @@ def _mantissa_step_of_half(h):
     return _EXACT_MANTISSA_STEP(h / 2)
 
 
+_COVARIANCE = experiments._covariance
+
+
+def _covariance_of_strided_rows(pair):
+    """`experiments._covariance` on the pair held one row apart, as a strided view."""
+    spaced = np.zeros((3, pair.shape[1]))
+    spaced[::2] = pair
+    return _COVARIANCE(spaced[::2])
+
+
 _DRAW_SIGNS = walks._draw_signs
 
 
@@ -401,6 +411,7 @@ _INTEGER_WALKS = "modulus scales on threads, integer-weight slope walks summed e
 _ZERO_VARIANCE = "one Gordin corrector path; zero variance refused before any draw"
 _FINITE_PROFILE = "one chain walk and one oracle in the engine; an overflowed profile refused"
 _CONSTANT_MEMORY = "lil and chung in constant memory; the clocks checked in one streaming pass"
+_IN_PLACE = "fclt's moments in place on the stored increments, mantissas drawn per block"
 
 MUTANTS = {
     "growth-ok-no-nan-check": Mutant(
@@ -514,6 +525,10 @@ MUTANTS = {
         _CONSTANT_MEMORY,
         _on_module(experiments, "_check_clocks", _check_clocks_on_the_first_block),
         _clocks_past_the_first_block_are_refused,
+    ),
+    "fclt-covariance-from-strided-rows": Mutant(
+        _IN_PLACE, _on_module(experiments, "_covariance", _covariance_of_strided_rows),
+        _report_matches_golden("fclt-12-1000"),
     ),
 }
 

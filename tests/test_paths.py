@@ -1,10 +1,25 @@
-"""The lockstep engine on step sources it is given, and what lil and chung hold."""
+"""The lockstep engine on step sources it is given, what lil and chung hold,
+and fclt's blocks on threads and what it holds."""
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fractalwalk import WalkParams, WeightSequence, chung_experiment, lil_experiment, paths, rng
+from fractalwalk import (
+    FractalFunction,
+    WalkParams,
+    WeightSequence,
+    chung_experiment,
+    experiments,
+    fractal,
+    functional_clt_experiment,
+    lil_experiment,
+    paths,
+    rng,
+    variance_profile,
+)
 from fractalwalk.experiments import _clock_source
 from fractalwalk.walks import second_moment_profile
 
@@ -125,3 +140,60 @@ def test_lil_and_chung_peak_at_most_8_mb_at_any_horizon(run, n):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+FCLT_F = FractalFunction(2, WeightSequence.constant(), 1.0)
+FCLT_TS, FCLT_N, FCLT_SEED = (0.25, 0.5, 1.0), 12, 6
+
+
+def _fclt_by_numpy(x_samples: int) -> list[str]:
+    """fclt's statistics, in report order, as np.var and np.cov give them
+    on the increments of one whole draw of the points."""
+    v_n = variance_profile(2, FCLT_F.weights, FCLT_N).grid_value(FCLT_N)
+    hs = [Fraction(1, 2 ** int(FCLT_N * t)) for t in FCLT_TS]
+    mx = rng.uniform_mantissas(rng.stream(FCLT_SEED, 0), x_samples)
+    incs = FCLT_F.increment_grid(mx, hs, 1e-12) / np.array(
+        [[float(h) * math.sqrt(v_n)] for h in hs])
+    var = [np.var(row, ddof=1) for row in incs]
+    cov = [np.cov(incs[a], incs[b], ddof=1)[0, 1]
+           for a in range(len(hs)) for b in range(a + 1, len(hs))]
+    return [float(v).hex() for v in var + cov]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_fclt_draws_its_blocks_from_one_stream_on_cpus(cpus, monkeypatch):
+    # three fill blocks, the last of 5 points, each drawing its own mantissas
+    x_samples = 2 * fractal._EVAL_BLOCK + 5
+    want = _fclt_by_numpy(x_samples)
+    opened, open_stream = [], rng.stream
+
+    def recording_stream(seed, stream_id=0):
+        opened.append((seed, stream_id))
+        return open_stream(seed, stream_id)
+
+    for module in (rng, experiments):
+        monkeypatch.setattr(module, "stream", recording_stream)
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: cpus)
+    rep = functional_clt_experiment(FCLT_F, 1.0, FCLT_N, list(FCLT_TS),
+                                    x_samples=x_samples, seed=FCLT_SEED)
+    assert opened == [(FCLT_SEED, 0)]
+    assert [float(s.value).hex() for s in rep.statistics] == want
+
+
+def _fclt_peak(x_samples: int) -> int:
+    tracemalloc.start()
+    try:
+        functional_clt_experiment(FCLT_F, 1.0, 40, "0.25,0.5,0.75,1", x_samples=x_samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fclt_holds_8_bytes_a_point_a_time_and_its_block_buffers(monkeypatch):
+    # four times: the increments are 32 bytes a point; the block buffers
+    # scale with the threads, so two are set
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 2)
+    _fclt_peak(1000)  # f's certificate and variance profile, once
+    small, large, at_million = (_fclt_peak(n) for n in (2**19, 2**20, 10**6))
+    assert (large - small) / (4 * 2**19) <= 8.5
+    assert at_million <= 44 * 2**20

@@ -217,7 +217,8 @@ def test_map_threads_starts_no_call_after_a_raise_on_4_cpus(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        # five scales, and 625-point eval_grid blocks, so each row has eight
+        # five scales, and 628-point eval_grid blocks, so each row has eight
+        # (fclt draws a block's mantissas from a start on a multiple of 4)
         lambda: modulus_experiment(FractalFunction(3, POWER, 0.5),
                                    [f"3^-{e}" for e in (2, 3, 5, 7, 9)],
                                    x_samples=5000, seed=4),
@@ -230,7 +231,7 @@ def test_grid_experiments_on_4_cpus_start_at_most_3_helpers(run, monkeypatch):
     """The experiment maps its work once, and the grid calls inside run on
     their task's thread, so no more threads compute than there are CPUs."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(fractal, "_EVAL_BLOCK", 625)
+    monkeypatch.setattr(fractal, "_EVAL_BLOCK", 628)
     started = []
     start = threading.Thread.start
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fractalwalk.rng import _stream_keys, _streams, stream
+from fractalwalk.rng import _mantissa_block, _stream_keys, _streams, stream, uniform_mantissas
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**70 + 3])
@@ -53,3 +53,20 @@ LEFT_PART_WAY = {
 @pytest.mark.parametrize("leave", LEFT_PART_WAY.values(), ids=LEFT_PART_WAY)
 def test_rekeyed_generator_draws_what_a_fresh_stream_draws(leave):
     assert rekeyed_draws_match(leave)
+
+
+@pytest.mark.parametrize("size", [1, 4, 65535, 65536, 65537, 3 * 65536 + 5])
+@pytest.mark.parametrize("block", [12, 1 << 16])
+def test_mantissa_blocks_match_the_whole_draw(block, size):
+    whole = uniform_mantissas(stream(5, 2), size)
+    gen = stream(5, 2)
+    gen.random(3)  # only the key counts, not where the generator stands
+    parts = [_mantissa_block(gen, start, min(block, size - start))
+             for start in range(0, size, block)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_mantissa_block_refuses_a_start_off_the_philox_step():
+    # a Philox counter step yields four words, one mantissa each
+    with pytest.raises(ValueError, match="multiple of 4, got 6"):
+        _mantissa_block(stream(0), 6, 10)
